@@ -125,7 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--to", required=True)
         p.add_argument("--T", type=int, default=32)
         p.add_argument("--max-iters", type=int, default=500)
-        p.add_argument("--grad-tol", type=float, default=1e-6)
+        p.add_argument(
+            "--grad-tol",
+            type=float,
+            default=1e-6,
+            help="stop once sqrt(g.Pg / E) <= this: the gradient g in the dual norm "
+            "of the solver's preconditioner P, relative to the path energy E",
+        )
         p.add_argument("--dump-path")
         p.add_argument("--output")
         p.set_defaults(func=_cmd_distance)

@@ -93,6 +93,8 @@ class DiscreteCurve:
             raise ContractError(
                 f"curve has {samples.shape[0]} samples, grid has {self.grid.n_points}"
             )
+        if not np.all(np.isfinite(samples)):
+            raise ContractError("curve samples must be finite")
         object.__setattr__(self, "samples", samples)
         speed = _pointwise_norm(derivative(samples, self.grid))
         if np.max(speed) == 0.0 or np.min(speed) < 1e-12 * np.max(speed):
@@ -290,10 +292,15 @@ def load_curve(path, scheme_order: int = 4) -> DiscreteCurve:
     if path.suffix.lower() == ".csv":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
             if not header or header[0].strip().lower() != "theta":
                 raise ContractError("curve CSV must start with header theta,x,y[,...]")
-            rows = [[float(v) for v in row[1:]] for row in reader if row]
+            try:
+                rows = [[float(v) for v in row[1:]] for row in reader if row]
+            except ValueError as exc:
+                raise ContractError(f"curve CSV {path}: {exc}") from exc
+        if len({len(row) for row in rows}) > 1:
+            raise ContractError(f"curve CSV {path}: rows have different numbers of columns")
         samples = np.asarray(rows, dtype=float)
         return DiscreteCurve(Grid(samples.shape[0], scheme_order), samples)
     with open(path) as fh:

@@ -36,6 +36,8 @@ class PowerLaw:
     p: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.b) and math.isfinite(self.p)):
+            raise ContractError(f"power-law b and p must be finite, got b={self.b}, p={self.p}")
         if self.b < 0:
             raise ContractError(f"power-law coefficient must have b >= 0, got {self.b}")
 
@@ -47,6 +49,8 @@ class Constant:
     b: float
 
     def __post_init__(self):
+        if not math.isfinite(self.b):
+            raise ContractError(f"constant coefficient must be finite, got {self.b}")
         if self.b < 0:
             raise ContractError(f"constant coefficient must have b >= 0, got {self.b}")
 
@@ -71,6 +75,8 @@ class Tabulated:
         values = np.asarray(self.values, dtype=float)
         if knots.size < 4 or knots.size != values.size:
             raise ContractError("tabulated profile needs >= 4 knots with matching values")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+            raise ContractError("tabulated knots and values must be finite")
         if np.any(knots <= 0) or np.any(np.diff(knots) <= 0):
             raise ContractError("tabulated knots must be positive and strictly increasing")
         if np.any(values < 0):

@@ -8,7 +8,9 @@ interval.  Energy uses the midpoint discretization
 which is second-order in T and symmetric under time reversal.  The
 solver minimizes E over the interior slices by limited-memory
 quasi-Newton descent, seeded with a frozen-coefficient spectral
-preconditioner and guarded by a monotone backtracking line search; the
+preconditioner and guarded by a monotone backtracking line search.  It
+stops on the gradient's dual norm under that preconditioner relative to
+the energy, so the tolerance means the same at any N and T; the
 analytic gradient is the production path and is certified against
 finite differences by gradient_check.
 """
@@ -85,6 +87,7 @@ class GeodesicResult:
     converged: bool
     gradient_norm_final: float
     energy_trace: list = field(default_factory=list)
+    termination: str = "gradient"
 
     def to_dict(self) -> dict:
         return {
@@ -94,6 +97,7 @@ class GeodesicResult:
             "converged": self.converged,
             "gradient_norm_final": self.gradient_norm_final,
             "energy_trace": self.energy_trace,
+            "termination": self.termination,
         }
 
 
@@ -343,9 +347,9 @@ def _spectral_preconditioner(cfg: MetricConfig, grid: Grid, c0, c1, T: int, dt: 
     matrix in t and A the spatial operator sum_k a_k (-D_s^2)^k weighted
     by ds.  Freezing speed and length at their endpoint means makes both
     factors diagonal under a DST in time and an FFT in theta, so the
-    inverse is a cheap fixed SPD map.  It is only used to seed the
-    quasi-Newton direction, so the approximation does not affect what
-    the solver converges to.
+    inverse is a cheap fixed SPD map.  It seeds the quasi-Newton
+    direction and defines the dual norm of the stop test, so the
+    approximation affects when the solver stops, not where it goes.
     """
     n_pts = grid.n_points
     s_bar = 0.5 * (float(np.mean(c0.arc_speed)) + float(np.mean(c1.arc_speed)))
@@ -378,13 +382,23 @@ def _rebuild(grid: Grid, endpoints, interior) -> CurvePath:
     return CurvePath(grid, tuple(slices))
 
 
+# Energy changes within this many ulps of E count as roundoff.
+_ROUNDOFF_ULPS = 8
+
+
 def geodesic_bvp(
     cfg: MetricConfig,
     c0: DiscreteCurve,
     c1: DiscreteCurve,
     opts: SolverOptions | None = None,
 ) -> GeodesicResult:
-    """Minimize path energy over interior slices with fixed endpoints."""
+    """Minimize path energy over interior slices with fixed endpoints.
+
+    Stops with termination "gradient" once g.Pg <= grad_tol^2 * E, with P
+    the spectral preconditioner; "energy_stall" once no step can lower E
+    beyond roundoff; "line_search" or "max_iters" otherwise (not
+    converged).  gradient_norm_final is sqrt(g.Pg / E).
+    """
     if opts is None:
         opts = SolverOptions()
     if c0.grid != c1.grid:
@@ -399,10 +413,13 @@ def geodesic_bvp(
             converged=True,
             gradient_norm_final=0.0,
             energy_trace=[0.0],
+            termination="gradient",
         )
     path = opts.initial_path
     if path is None:
         path = linear_path(c0, c1, opts.T)
+    elif path.T != opts.T:
+        raise ContractError(f"initial path has T={path.T}, options ask for T={opts.T}")
     elif path.slices[0] is not c0 or path.slices[-1] is not c1:
         if not (
             np.array_equal(path.slices[0].samples, c0.samples)
@@ -436,14 +453,19 @@ def geodesic_bvp(
     precondition = _spectral_preconditioner(cfg, grid, c0, c1, path.T, dt)
     memory = []
     gamma = 1.0
-    converged = False
     iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
-        sup = float(np.max(np.abs(grad)))
-        if sup <= opts.grad_tol:
-            converged = True
-            iterations -= 1
+    termination = "max_iters"
+    pgrad = precondition(grad)
+    while True:
+        # P approximates the inverse Hessian, so g.Pg ~ 2 (E - E*): the
+        # stop test bounds the relative energy gap at any N and T.
+        dual = max(float(np.sum(grad * pgrad)), 0.0)
+        if dual <= opts.grad_tol**2 * energy:
+            termination = "gradient"
             break
+        if iterations == opts.max_iters:
+            break
+        iterations += 1
         qv = grad.copy()
         alphas = []
         for dx, dg, rho in reversed(memory):
@@ -458,9 +480,17 @@ def geodesic_bvp(
         if slope >= 0:
             direction = -grad
             slope = -float(np.sum(grad * grad))
+        # Energy differences within a few ulps of E are roundoff: once the
+        # predicted decrease t*|slope| sinks under that floor, Armijo would
+        # only compare noise, so the search stops.  It has then found the
+        # path stationary if no trial moved E by more than the floor.
+        floor = _ROUNDOFF_ULPS * np.finfo(float).eps * energy
         t = 1.0
         accepted = False
+        change = 0.0
         for _ in range(60):
+            if -t * slope <= floor:
+                break
             x_try = x + t * direction
             try:
                 energy_try, grad_try = eval_at(x_try)
@@ -470,33 +500,35 @@ def geodesic_bvp(
             if energy_try <= energy + opts.armijo * t * slope:
                 accepted = True
                 break
+            change = abs(energy_try - energy)
             t *= opts.backtrack_factor
         if not accepted:
+            stalled = -t * slope <= floor and change <= floor
+            termination = "energy_stall" if stalled else "line_search"
             break
         dx = x_try - x
         dg = grad_try - grad
+        pgrad_try = precondition(grad_try)
         curv = float(np.sum(dx * dg))
         if curv > 1e-10 * float(np.linalg.norm(dx) * np.linalg.norm(dg)):
             memory.append((dx, dg, 1.0 / curv))
             if len(memory) > 10:
                 memory.pop(0)
-            gamma = curv / float(np.sum(dg * precondition(dg)))
-        x, grad = x_try, grad_try
+            # P is linear, so P dg = P g_try - P g.
+            gamma = curv / float(np.sum(dg * (pgrad_try - pgrad)))
+        x, grad, pgrad = x_try, grad_try, pgrad_try
         energy = energy_try
         trace.append(energy)
-    else:
-        iterations = opts.max_iters
-    sup = float(np.max(np.abs(grad)))
-    converged = converged or sup <= opts.grad_tol
     current_path = _rebuild(grid, endpoints, x)
     return GeodesicResult(
         path=current_path,
         energy=energy,
         length=path_length(cfg, current_path),
         iterations=iterations,
-        converged=converged,
-        gradient_norm_final=sup,
+        converged=termination in ("gradient", "energy_stall"),
+        gradient_norm_final=math.sqrt(dual / energy),
         energy_trace=trace,
+        termination=termination,
     )
 
 

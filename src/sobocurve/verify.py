@@ -150,15 +150,17 @@ def _check_metric_algebra(rng):
         c = random_curve(grid, rng)
         h = random_field(grid, rng)
         g = random_field(grid, rng)
-        sym = eval_metric(cfg, c, h, g) - eval_metric(cfg, c, g, h)
-        worst = max(worst, abs(sym) / max(abs(eval_metric(cfg, c, h, g)), 1e-300))
+        # A cross term G(h, g) can be near zero, so its deviations are
+        # measured against the Cauchy-Schwarz bound sqrt(G(h,h) G(g,g)).
+        hg = eval_metric(cfg, c, h, g)
+        quad = eval_metric(cfg, c, h, h)
+        gg = eval_metric(cfg, c, g, g)
+        cs = math.sqrt(quad * gg)
+        worst = max(worst, abs(hg - eval_metric(cfg, c, g, h)) / cs)
         alpha = float(rng.uniform(0.5, 2.0))
         combo = TangentField(grid, alpha * h.values + g.values)
-        lin = eval_metric(cfg, c, combo, g) - (
-            alpha * eval_metric(cfg, c, h, g) + eval_metric(cfg, c, g, g)
-        )
-        worst = max(worst, abs(lin) / abs(eval_metric(cfg, c, combo, g)))
-        quad = eval_metric(cfg, c, h, h)
+        lin = eval_metric(cfg, c, combo, g) - (alpha * hg + gg)
+        worst = max(worst, abs(lin) / math.sqrt(eval_metric(cfg, c, combo, combo) * gg))
         l2 = integrate_ds(c, np.sum(h.values**2, axis=1))
         if quad < l2 * (1 - 1e-12):
             worst = max(worst, 1.0)
@@ -170,7 +172,7 @@ def _check_metric_algebra(rng):
         rc = DiscreteCurve(grid, c.samples @ rot.T + shift)
         rh = TangentField(grid, h.values @ rot.T)
         rg = TangentField(grid, g.values @ rot.T)
-        worst = max(worst, _rel(eval_metric(cfg, rc, rh, rg), eval_metric(cfg, c, h, g)))
+        worst = max(worst, abs(eval_metric(cfg, rc, rh, rg) - hg) / cs)
         rho = float(rng.choice([0.1, 3.0, 50.0]))
         sc = DiscreteCurve(grid, rho * c.samples)
         sh = TangentField(grid, rho * h.values)

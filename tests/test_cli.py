@@ -191,3 +191,66 @@ def test_verify_deterministic(files, capsys, tmp_path):
     assert main(["verify", "--seed", "3", "--output", str(a)]) == 0
     assert main(["verify", "--seed", "3", "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def assert_validation_error(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def write_circle_csv(path, edit_row=None):
+    grid = sc.Grid(64)
+    unit = sc.make_circle(1.0, (0, 0), grid).samples
+    rows = [f"{t},{x},{y}" for t, (x, y) in zip(grid.theta, unit)]
+    if edit_row is not None:
+        rows[10] = edit_row(rows[10])
+    path.write_text("theta,x,y\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def radial_args(metric, curve):
+    return ["radial", "--metric", str(metric), "--curve", str(curve),
+            "--from-scale", "1.0", "--to-scale", "2.0"]
+
+
+def test_ragged_csv_row_exit_2(files, capsys):
+    tmp, metric, _, _ = files
+    bad = write_circle_csv(tmp / "ragged.csv", lambda row: row + ",0.0")
+    assert_validation_error(capsys, radial_args(metric, bad))
+
+
+def test_non_numeric_csv_cell_exit_2(files, capsys):
+    tmp, metric, _, _ = files
+    bad = write_circle_csv(tmp / "text.csv", lambda row: "0.98,abc,0.2")
+    assert_validation_error(capsys, radial_args(metric, bad))
+
+
+def test_nan_curve_sample_exit_2(files, capsys):
+    tmp, metric, _, _ = files
+    samples = sc.make_circle(1.0, (0, 0), sc.Grid(64)).samples.tolist()
+    samples[5][0] = float("nan")
+    bad = tmp / "nan_curve.json"
+    bad.write_text(json.dumps({"N": 64, "d": 2, "samples": samples}))
+    assert_validation_error(capsys, radial_args(metric, bad))
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"k": 0, "form": "power", "b": float("nan"), "p": -3.0},
+        {"k": 0, "form": "power", "b": 1.0, "p": float("inf")},
+        {"k": 0, "form": "const", "b": float("inf")},
+        {"k": 0, "form": "table", "knots": [0.5, 1.0, float("nan"), 4.0],
+         "values": [1.0, 1.0, 1.0, 1.0]},
+        {"k": 0, "form": "table", "knots": [0.5, 1.0, 2.0, 4.0],
+         "values": [1.0, float("inf"), 1.0, 1.0]},
+    ],
+    ids=["power_b_nan", "power_p_inf", "const_b_inf", "table_knot_nan", "table_value_inf"],
+)
+def test_non_finite_metric_term_exit_2(tmp_path, capsys, term):
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps({"n": 2, "terms": [term, {"k": 2, "form": "const", "b": 1.0}]}))
+    assert_validation_error(capsys, ["analyze", "--metric", str(metric)])

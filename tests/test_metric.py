@@ -229,3 +229,11 @@ def test_malformed_config_rejected(tmp_path):
     path.write_text(json.dumps({"n": 2, "terms": [{"k": 0, "form": "mystery", "b": 1}]}))
     with pytest.raises(ContractError):
         sc.load_config(path)
+
+
+@pytest.mark.parametrize("seed", [86, 201])
+def test_verify_suite_passes_with_near_zero_cross_terms(seed):
+    # These seeds draw field pairs whose cross term G(h, g) is close to zero.
+    from sobocurve.verify import run_suite
+
+    assert run_suite(seed)["all_ok"]

@@ -5,9 +5,9 @@ import pytest
 
 import sobocurve as sc
 from sobocurve.errors import ContractError, ImmersionError
-from sobocurve.metric import Constant, MetricConfig, PowerLaw
+from sobocurve.metric import Constant, MetricConfig, PowerLaw, scale_invariant_profile
 from sobocurve.paths import path_from_dict, path_to_dict, reverse_path
-from sobocurve.sampling import random_curve
+from sobocurve.sampling import random_curve, random_field
 
 CFG = MetricConfig(2, {0: Constant(1.0), 2: Constant(1.0)})
 
@@ -152,6 +152,72 @@ def test_geodesic_initial_path_endpoint_mismatch():
     bad = sc.linear_path(c0, other, 8)
     with pytest.raises(ContractError, match="endpoints do not match"):
         sc.geodesic_bvp(CFG, c0, c1, sc.SolverOptions(T=8, initial_path=bad))
+
+
+def test_geodesic_initial_path_T_mismatch():
+    c0, c1 = circle_pair(64)
+    init = sc.linear_path(c0, c1, 8)
+    with pytest.raises(ContractError, match="T=8"):
+        sc.geodesic_bvp(CFG, c0, c1, sc.SolverOptions(T=16, initial_path=init))
+
+
+SI = scale_invariant_profile(2, [1.0, 0.0, 1.0])
+
+
+def random_pair(n, seed):
+    """c1 = 1.3 c0 + 0.05 random_field, both drawn from default_rng(seed)."""
+    grid = sc.Grid(n)
+    rng = np.random.default_rng(seed)
+    c0 = random_curve(grid, rng)
+    c1 = sc.DiscreteCurve(grid, 1.3 * c0.samples + 0.05 * random_field(grid, rng).values)
+    return c0, c1
+
+
+def is_monotone(trace):
+    return all(b <= a for a, b in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("n, T, seed", [(64, 16, 0), (128, 16, 2), (128, 16, 8)])
+def test_geodesic_random_pairs_converge_on_gradient(n, T, seed):
+    c0, c1 = random_pair(n, seed)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=T))
+    assert res.converged
+    assert res.termination == "gradient"
+    assert res.iterations <= 60
+    assert res.gradient_norm_final <= 1e-6
+    assert is_monotone(res.energy_trace)
+    assert res.to_dict()["termination"] == "gradient"
+
+
+def test_geodesic_symmetric_copy_same_iterations():
+    c0, c1 = random_pair(64, 0)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16))
+
+    def move(c):
+        return sc.DiscreteCurve(c.grid, np.roll(c.samples, 17, axis=0)[:, ::-1].copy())
+
+    moved = sc.geodesic_bvp(SI, move(c0), move(c1), sc.SolverOptions(T=16))
+    assert moved.converged
+    assert moved.iterations == res.iterations
+    assert moved.length == pytest.approx(res.length, rel=1e-10)
+
+
+def test_geodesic_tolerance_below_roundoff_stalls():
+    c0, c1 = random_pair(128, 2)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16, grad_tol=1e-14))
+    assert res.termination in ("energy_stall", "line_search")
+    assert res.converged == (res.termination == "energy_stall")
+    assert res.iterations <= 100
+    assert is_monotone(res.energy_trace)
+
+
+def test_geodesic_iteration_cap_is_reported():
+    c0, c1 = random_pair(64, 0)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16, max_iters=2))
+    assert res.iterations == 2
+    assert res.termination == "max_iters"
+    assert not res.converged
+    assert res.gradient_norm_final > 1e-6
 
 
 def test_geodesic_translated_circles():
