@@ -123,7 +123,7 @@ def numeric_integral_evidence(term, k: int, end: str) -> IntegralVerdict:
     try:
         partials = _partial_integrals(term, k, end)
         exponent = _fitted_exponent(term, k, end)
-    except Exception as exc:  # quadrature failure
+    except (ArithmeticError, ValueError) as exc:  # overflow, math domain, failed fit
         return IntegralVerdict(
             INCONCLUSIVE, "numeric_evidence", evidence={"error": str(exc)}
         )

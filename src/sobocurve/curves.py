@@ -49,32 +49,61 @@ class Grid:
         return TWO_PI / self.n_points
 
 
-def derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
+def derivative(values: np.ndarray, grid: Grid, axis: int = 0) -> np.ndarray:
     """Periodic central finite-difference d/dtheta of a sampled field.
 
-    `values` has shape (N,) or (N, d).  Exact on constants; accuracy is
+    `values` holds grid.n_points samples along `axis`, e.g. (N,), (N, d)
+    or a stack (T, N, d) with axis=1.  Exact on constants; accuracy is
     grid.scheme_order on smooth periodic data.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape[0] != grid.n_points:
-        raise ContractError(
-            f"field has {values.shape[0]} samples, grid has {grid.n_points}"
-        )
-    h = grid.spacing
+    n = grid.n_points
+    if not -values.ndim <= axis < values.ndim or values.shape[axis] != n:
+        raise ContractError(f"field has no axis {axis} with {n} samples: shape {values.shape}")
+    # Wrap by padding r samples on each side, then difference shifted slices.
+    r = grid.scheme_order // 2
+    lead = (slice(None),) * (axis % values.ndim)
+    padded = np.concatenate(
+        (values[lead + (slice(n - r, n),)], values, values[lead + (slice(0, r),)]), axis=axis
+    )
+
+    def shift(j):  # values[i + j], periodically
+        return padded[lead + (slice(r + j, r + j + n),)]
+
+    out = shift(1) - shift(-1)
     if grid.scheme_order == 2:
-        return (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * h)
-    # Grouped as differences so constants cancel exactly.
-    return (
-        8.0 * (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0))
-        - (np.roll(values, -2, axis=0) - np.roll(values, 2, axis=0))
-    ) / (12.0 * h)
+        out /= 2.0 * grid.spacing
+        return out
+    # 8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2]): differences first, so
+    # constants cancel exactly.
+    out *= 8.0
+    out -= shift(2) - shift(-2)
+    out /= 12.0 * grid.spacing
+    return out
 
 
-def _pointwise_norm(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        return np.abs(values)
-    return np.sqrt(np.sum(values * values, axis=1))
+def _arc_jet(grid: Grid, samples: np.ndarray, field=None, n: int = 0):
+    """Speed, length and arc-length derivatives of batched curves.
+
+    `samples` has shape (..., N, d); returns (s, ell, u) with speed
+    s = |d samples/dtheta| of shape (..., N), length ell of shape (...)
+    and u = [field, D_s field, ..., D_s^n field] for a field that
+    broadcasts against `samples` (u = [] without one).  Raises
+    ImmersionError if the speed of any curve (nearly) vanishes.
+    """
+    dc = derivative(samples, grid, axis=-2)
+    s = np.sqrt(np.sum(dc * dc, axis=-1))
+    s_max = np.max(s, axis=-1)
+    if np.any(s_max == 0.0) or np.any(np.min(s, axis=-1) < 1e-12 * s_max):
+        raise ImmersionError(f"not an immersion at resolution N={grid.n_points}")
+    ell = grid.weight * np.sum(s, axis=-1)
+    if field is None:
+        return s, ell, []
+    inv_s = (1.0 / s)[..., None]
+    u = [field]
+    for _ in range(n):
+        u.append(derivative(u[-1], grid, axis=-2) * inv_s)
+    return s, ell, u
 
 
 @dataclass(frozen=True)
@@ -96,12 +125,7 @@ class DiscreteCurve:
         if not np.all(np.isfinite(samples)):
             raise ContractError("curve samples must be finite")
         object.__setattr__(self, "samples", samples)
-        speed = _pointwise_norm(derivative(samples, self.grid))
-        if np.max(speed) == 0.0 or np.min(speed) < 1e-12 * np.max(speed):
-            raise ImmersionError(
-                f"not an immersion at resolution N={self.grid.n_points}"
-            )
-        object.__setattr__(self, "arc_speed", speed)
+        object.__setattr__(self, "arc_speed", _arc_jet(self.grid, samples)[0])
 
     @property
     def dim(self) -> int:
@@ -123,6 +147,8 @@ class TangentField:
             raise ContractError(
                 f"field has {values.shape[0]} samples, grid has {self.grid.n_points}"
             )
+        if not np.all(np.isfinite(values)):
+            raise ContractError("tangent field values must be finite")
         object.__setattr__(self, "values", values)
 
 
@@ -148,11 +174,7 @@ def arc_derivative(c: DiscreteCurve, h: TangentField, k: int) -> TangentField:
     if k < 0:
         raise ContractError(f"derivative order must be >= 0, got {k}")
     _require_same_grid(c, h)
-    values = h.values
-    inv_speed = 1.0 / c.arc_speed
-    for _ in range(k):
-        values = derivative(values, c.grid) * inv_speed[:, None]
-    return TangentField(c.grid, values)
+    return TangentField(c.grid, _arc_jet(c.grid, c.samples, h.values, k)[2][k])
 
 
 def integrate_ds(c: DiscreteCurve, f: np.ndarray) -> float:

@@ -20,8 +20,7 @@ from .curves import (
     DiscreteCurve,
     NormKind,
     TangentField,
-    curve_length,
-    derivative,
+    _arc_jet,
     norm,
 )
 from .errors import ContractError
@@ -99,34 +98,52 @@ def _fit_power_law(knots: np.ndarray, values: np.ndarray) -> PowerLaw:
 CoefficientTerm = Union[PowerLaw, Constant, Tabulated]
 
 
-def coefficient_eval(term: CoefficientTerm, ell: float) -> float:
-    """Evaluate a coefficient profile at curve length ell > 0."""
-    if ell <= 0:
+def _check_lengths(ell):
+    if isinstance(ell, np.ndarray):
+        if np.any(ell <= 0):
+            raise ContractError(f"curve lengths must be positive, got min {np.min(ell)}")
+    elif ell <= 0:
         raise ContractError(f"curve length must be positive, got {ell}")
+
+
+def _tabulated(term: Tabulated, ell, nu: int):
+    """Interpolant (nu = 0) or its derivative (nu = 1), with power-law tails."""
+    tail = coefficient_eval if nu == 0 else coefficient_deriv
+    if not isinstance(ell, np.ndarray):
+        if ell < term.knots[0]:
+            return tail(term.tail_low, ell)
+        if ell > term.knots[-1]:
+            return tail(term.tail_high, ell)
+        return float(term._interp(ell, nu))
+    out = term._interp(ell, nu)
+    for mask, end in ((ell < term.knots[0], term.tail_low), (ell > term.knots[-1], term.tail_high)):
+        out[mask] = tail(end, ell[mask])
+    return out
+
+
+def coefficient_eval(term: CoefficientTerm, ell):
+    """Evaluate a coefficient profile at curve length ell > 0.
+
+    `ell` is a float (returns a float) or an array (returns an array of
+    the same shape).  Floats stay on plain Python arithmetic: completeness
+    quadrature makes tens of thousands of scalar calls per profile.
+    """
+    _check_lengths(ell)
     if isinstance(term, PowerLaw):
         return term.b * ell**term.p
     if isinstance(term, Constant):
-        return term.b
-    if ell < term.knots[0]:
-        return coefficient_eval(term.tail_low, ell)
-    if ell > term.knots[-1]:
-        return coefficient_eval(term.tail_high, ell)
-    return float(term._interp(ell))
+        return np.full(ell.shape, term.b) if isinstance(ell, np.ndarray) else term.b
+    return _tabulated(term, ell, 0)
 
 
-def coefficient_deriv(term: CoefficientTerm, ell: float) -> float:
-    """d a / d ell at ell > 0 (used by the path-energy gradient)."""
-    if ell <= 0:
-        raise ContractError(f"curve length must be positive, got {ell}")
+def coefficient_deriv(term: CoefficientTerm, ell):
+    """d a / d ell at ell > 0 (used by the path-energy gradient); float or array."""
+    _check_lengths(ell)
     if isinstance(term, PowerLaw):
         return term.b * term.p * ell ** (term.p - 1.0)
     if isinstance(term, Constant):
-        return 0.0
-    if ell < term.knots[0]:
-        return coefficient_deriv(term.tail_low, ell)
-    if ell > term.knots[-1]:
-        return coefficient_deriv(term.tail_high, ell)
-    return float(term._interp.derivative()(ell))
+        return np.zeros(ell.shape) if isinstance(ell, np.ndarray) else 0.0
+    return _tabulated(term, ell, 1)
 
 
 @dataclass(frozen=True)
@@ -175,30 +192,26 @@ def scale_invariant_profile(n: int, b) -> MetricConfig:
     return MetricConfig(n=n, terms=terms)
 
 
+def _q_form(w: float, uh: np.ndarray, ug: np.ndarray, s: np.ndarray):
+    """Q = w * sum_j <uh_j, ug_j> s_j over the last two axes of (..., N, d) fields.
+
+    The j-sum is a dot product per curve (matmul), rounded like np.dot.
+    """
+    inner = np.einsum("...nd,...nd->...n", uh, ug)
+    return w * (inner[..., None, :] @ s[..., :, None])[..., 0, 0]
+
+
 def eval_metric(
     cfg: MetricConfig, c: DiscreteCurve, h: TangentField, g: TangentField
 ) -> float:
-    """The bilinear form G_c(h, g)."""
+    """The bilinear form G_c(h, g) = sum_k a_k(ell) Q_k(h, g)."""
     if c.grid != h.grid or c.grid != g.grid:
         raise ContractError("curve and tangent fields live on different grids")
-    ell = curve_length(c)
-    w = c.grid.weight
+    s, ell, u = _arc_jet(c.grid, c.samples, np.stack([h.values, g.values]), cfg.n)
     total = 0.0
-    dh, dg = h.values, g.values
-    inv_speed = 1.0 / c.arc_speed
-    for k in range(cfg.n + 1):
-        if k > 0:
-            dh = derivative(dh, c.grid) * inv_speed[:, None]
-            dg = derivative(dg, c.grid) * inv_speed[:, None]
-        term = cfg.terms.get(k)
-        if term is None:
-            continue
-        a_k = coefficient_eval(term, ell)
-        if a_k == 0.0:
-            continue
-        inner = np.sum(dh * dg, axis=1)
-        total += a_k * w * float(np.dot(inner, c.arc_speed))
-    return total
+    for k, term in cfg.terms.items():
+        total += coefficient_eval(term, ell) * _q_form(c.grid.weight, u[k][0], u[k][1], s)
+    return float(total)
 
 
 def norm_equivalence_probe(

@@ -27,13 +27,12 @@ from scipy.integrate import quad
 from .curves import (
     DiscreteCurve,
     Grid,
-    TangentField,
-    arc_derivative,
+    _arc_jet,
     curve_length,
-    integrate_ds,
+    derivative,
 )
 from .errors import ContractError, ImmersionError, NumericalError
-from .metric import MetricConfig, coefficient_deriv, coefficient_eval
+from .metric import MetricConfig, _q_form, coefficient_deriv, coefficient_eval
 
 
 @dataclass(frozen=True)
@@ -119,56 +118,35 @@ def linear_path(c0: DiscreteCurve, c1: DiscreteCurve, T: int) -> CurvePath:
     return CurvePath(c0.grid, tuple(slices))
 
 
-def _dtheta(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """derivative() along axis 1 of a stacked (T, N, ...) array."""
-    h = grid.spacing
-    if grid.scheme_order == 2:
-        return (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2.0 * h)
-    return (
-        8.0 * (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1))
-        - (np.roll(values, -2, axis=1) - np.roll(values, 2, axis=1))
-    ) / (12.0 * h)
-
-
 def _stack(path: CurvePath) -> np.ndarray:
     return np.stack([c.samples for c in path.slices])
 
 
-def _interval_energies(cfg: MetricConfig, grid: Grid, stacked, dt: float) -> np.ndarray:
-    """Per-interval G values for all T intervals at once; shape (T,)."""
-    w = grid.weight
+def _forward(cfg: MetricConfig, grid: Grid, stacked, dt: float):
+    """Per-interval metric terms of a stacked (T+1, N, d) path.
+
+    Returns G_m = sum_k a_k(L_m) Q_k,m for the T midpoint slices plus the
+    pieces the gradient reuses: midpoints, speed, jet, Q_k and a_k.
+    """
     cb = 0.5 * (stacked[:-1] + stacked[1:])
     v = (stacked[1:] - stacked[:-1]) / dt
-    dcb = _dtheta(cb, grid)
-    s = np.sqrt(np.sum(dcb * dcb, axis=2))
-    if np.any(np.min(s, axis=1) < 1e-12 * np.max(s, axis=1)):
-        raise ImmersionError(f"midpoint slice not an immersion at N={grid.n_points}")
-    inv_s = 1.0 / s
-    lengths = w * np.sum(s, axis=1)
-    values = np.zeros(len(lengths))
-    u = v
-    for k in range(cfg.n + 1):
-        if k > 0:
-            u = _dtheta(u, grid) * inv_s[:, :, None]
-        term = cfg.terms.get(k)
-        if term is None:
-            continue
-        a_k = np.array([coefficient_eval(term, L) for L in lengths])
-        values += a_k * (w * np.einsum("tnd,tnd,tn->t", u, u, s))
-    return values
+    s, lengths, u = _arc_jet(grid, cb, v, cfg.n)
+    q = {k: _q_form(grid.weight, u[k], u[k], s) for k in cfg.terms}
+    coeffs = {k: coefficient_eval(term, lengths) for k, term in cfg.terms.items()}
+    values = sum(coeffs[k] * q[k] for k in cfg.terms)
+    return values, (cb, s, lengths, u, q, coeffs)
 
 
 def path_energy(cfg: MetricConfig, path: CurvePath) -> float:
     """Midpoint-discretized Riemannian path energy."""
-    return path.dt * float(
-        np.sum(_interval_energies(cfg, path.grid, _stack(path), path.dt))
-    )
+    values, _ = _forward(cfg, path.grid, _stack(path), path.dt)
+    return path.dt * float(np.sum(values))
 
 
 def path_length(cfg: MetricConfig, path: CurvePath) -> float:
     """Midpoint-discretized path length; length^2 <= energy on [0,1]."""
-    g = _interval_energies(cfg, path.grid, _stack(path), path.dt)
-    return path.dt * float(np.sum(np.sqrt(np.maximum(g, 0.0))))
+    values, _ = _forward(cfg, path.grid, _stack(path), path.dt)
+    return path.dt * float(np.sum(np.sqrt(np.maximum(values, 0.0))))
 
 
 def reverse_path(path: CurvePath) -> CurvePath:
@@ -177,11 +155,8 @@ def reverse_path(path: CurvePath) -> CurvePath:
 
 def moments(c0: DiscreteCurve, n: int) -> np.ndarray:
     """M_k = integral |D_s^k c0|^2 ds for k = 0..n; all strictly positive."""
-    out = np.empty(n + 1)
-    h = TangentField(c0.grid, c0.samples)
-    for k in range(n + 1):
-        dk = arc_derivative(c0, h, k)
-        out[k] = integrate_ds(c0, np.sum(dk.values**2, axis=1))
+    s, _, u = _arc_jet(c0.grid, c0.samples, c0.samples, n)
+    out = np.array([_q_form(c0.grid.weight, uk, uk, s) for uk in u])
     if np.any(out <= 0):
         raise NumericalError(f"nonpositive curve moment: {out}")
     return out
@@ -243,29 +218,11 @@ def _stacked_energy_and_gradient(cfg: MetricConfig, grid: Grid, stacked, dt: flo
     of shape (T-1, N, d) for the interior slices.
     """
     w = grid.weight
-    cb = 0.5 * (stacked[:-1] + stacked[1:])
-    v = (stacked[1:] - stacked[:-1]) / dt
-    dcb = _dtheta(cb, grid)
-    s = np.sqrt(np.sum(dcb * dcb, axis=2))
-    if np.any(np.min(s, axis=1) < 1e-12 * np.max(s, axis=1)):
-        raise ImmersionError(f"midpoint slice not an immersion at N={grid.n_points}")
+    values, (cb, s, lengths, u, q, coeffs) = _forward(cfg, grid, stacked, dt)
+    dcoeffs = {k: coefficient_deriv(term, lengths) for k, term in cfg.terms.items()}
     inv_s = 1.0 / s
-    lengths = w * np.sum(s, axis=1)
 
-    u = [v]
-    for _ in range(cfg.n):
-        u.append(_dtheta(u[-1], grid) * inv_s[:, :, None])
-    coeffs = {}
-    dcoeffs = {}
-    q = {}
-    for k, term in cfg.terms.items():
-        coeffs[k] = np.array([coefficient_eval(term, L) for L in lengths])
-        dcoeffs[k] = np.array([coefficient_deriv(term, L) for L in lengths])
-        q[k] = w * np.einsum("tnd,tnd,tn->t", u[k], u[k], s)
-
-    values = sum(coeffs[k] * q[k] for k in coeffs)
-
-    grad_v = np.zeros_like(v)
+    grad_v = np.zeros_like(u[0])
     phi = np.broadcast_to(
         (w * sum(dcoeffs[k] * q[k] for k in coeffs))[:, None], s.shape
     ).copy()
@@ -277,12 +234,12 @@ def _stacked_energy_and_gradient(cfg: MetricConfig, grid: Grid, stacked, dt: flo
         for j in range(k):
             # y = (M^T)^j (w s u_k); pair with u_{k-j} before applying M^T.
             phi += a_k * (-2.0 * inv_s) * np.einsum("tnd,tnd->tn", y, u[k - j])
-            y = -_dtheta(y * inv_s[:, :, None], grid)
+            y = -derivative(y * inv_s[:, :, None], grid, axis=1)
         grad_v += 2.0 * a_k[:, :, None] * y
         phi += a_k * w * np.sum(u[k] * u[k], axis=2)
 
-    tangent = dcb * inv_s[:, :, None]
-    grad_cb = -_dtheta(phi[:, :, None] * tangent, grid)
+    tangent = derivative(cb, grid, axis=1) * inv_s[:, :, None]
+    grad_cb = -derivative(phi[:, :, None] * tangent, grid, axis=1)
 
     energy = dt * float(np.sum(values))
     grad = dt * 0.5 * (grad_cb[:-1] + grad_cb[1:]) + (grad_v[:-1] - grad_v[1:])
@@ -438,8 +395,7 @@ def geodesic_bvp(
     end_hi = endpoints[1].samples[None]
 
     def eval_at(x_arr):
-        speeds = np.sqrt(np.sum(_dtheta(x_arr, grid) ** 2, axis=2))
-        if np.min(speeds) < speed_floor:
+        if np.min(_arc_jet(grid, x_arr)[0]) < speed_floor:
             raise ImmersionError("interior slice below speed floor")
         stacked = np.concatenate([end_lo, x_arr, end_hi])
         return _stacked_energy_and_gradient(cfg, grid, stacked, dt)

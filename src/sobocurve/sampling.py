@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import DiscreteCurve, Grid, TangentField
-from .errors import NumericalError
+from .errors import ImmersionError, NumericalError
 
 _DECAY = 3.0
 
@@ -42,7 +42,7 @@ def random_curve(
         samples = circle + _band_limited(grid, rng, modes, dim)
         try:
             c = DiscreteCurve(grid, samples)
-        except Exception:
+        except ImmersionError:
             continue
         if np.min(c.arc_speed) >= 0.1 * np.mean(c.arc_speed):
             return c

@@ -170,3 +170,22 @@ def test_w_unbounded_under_divergence():
     )
     assert abs(w_eval(cfg, 1e-6)) >= 10 * abs(w_eval(cfg, 1e-3))
     assert abs(w_eval(cfg, 1e6)) >= 10 * abs(w_eval(cfg, 1e3))
+
+
+def test_numeric_evidence_overflow_is_inconclusive():
+    # A tail exponent near 100 overflows the integrand at r = 1e8.
+    knots = np.geomspace(0.25, 4.0, 8)
+    table = Tabulated(tuple(knots), tuple(knots**100.0))
+    v = sc.numeric_integral_evidence(table, 0, "infinity")
+    assert v.verdict == INCONCLUSIVE and "error" in v.evidence
+
+
+def test_numeric_evidence_propagates_unrelated_errors(monkeypatch):
+    import sobocurve.completeness as completeness
+
+    def broken(term, k, r):
+        raise TypeError("not a quadrature failure")
+
+    monkeypatch.setattr(completeness, "integrand", broken)
+    with pytest.raises(TypeError, match="not a quadrature failure"):
+        sc.numeric_integral_evidence(Constant(1.0), 0, "zero")

@@ -266,3 +266,50 @@ def test_malformed_curve_file(tmp_path):
     path.write_text(json.dumps({"N": 32, "samples": [[0, 0]]}))
     with pytest.raises(ContractError):
         sc.load_curve(path)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_derivative_axis_matches_per_slice(order):
+    grid = sc.Grid(64, scheme_order=order)
+    stack = np.random.default_rng(5).standard_normal((5, 64, 3))
+    per_slice = np.stack([sc.derivative(x, grid) for x in stack])
+    assert np.array_equal(sc.derivative(stack, grid, axis=1), per_slice)
+    assert np.array_equal(sc.derivative(stack, grid, axis=-2), per_slice)
+
+
+def test_derivative_one_dimensional():
+    grid = sc.Grid(64)
+    f = np.sin(3 * grid.theta)
+    d = sc.derivative(f, grid)
+    assert d.shape == (64,)
+    assert np.array_equal(d, sc.derivative(f[:, None], grid)[:, 0])
+
+
+def test_derivative_axis_mismatch_raises():
+    grid = sc.Grid(32)
+    with pytest.raises(ContractError):
+        sc.derivative(np.zeros((4, 20, 2)), grid, axis=1)
+    with pytest.raises(ContractError):
+        sc.derivative(np.zeros((32, 2)), grid, axis=1)
+    with pytest.raises(ContractError):
+        sc.derivative(np.zeros((32, 2)), grid, axis=2)
+
+
+def test_tangent_field_rejects_non_finite():
+    grid = sc.Grid(32)
+    for bad in (np.nan, np.inf):
+        values = np.ones((32, 2))
+        values[3, 1] = bad
+        with pytest.raises(ContractError, match="finite"):
+            sc.TangentField(grid, values)
+
+
+def test_random_curve_propagates_unrelated_errors(monkeypatch):
+    import sobocurve.sampling as sampling
+
+    def broken(grid, samples):
+        raise TypeError("not an immersion failure")
+
+    monkeypatch.setattr(sampling, "DiscreteCurve", broken)
+    with pytest.raises(TypeError, match="not an immersion failure"):
+        random_curve(sc.Grid(32), np.random.default_rng(0))

@@ -1,9 +1,12 @@
 """Coefficient profiles and the length-weighted metric form."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sobocurve as sc
 from sobocurve.errors import ContractError
@@ -237,3 +240,104 @@ def test_verify_suite_passes_with_near_zero_cross_terms(seed):
     from sobocurve.verify import run_suite
 
     assert run_suite(seed)["all_ok"]
+
+
+def _profiles():
+    knots = (0.5, 1.0, 2.0, 4.0, 8.0)
+    return [
+        PowerLaw(2.0, -1.5),
+        Constant(3.0),
+        Tabulated(knots, tuple(k**1.3 + 0.1 for k in knots)),
+    ]
+
+
+@pytest.mark.parametrize("term", _profiles(), ids=["power", "const", "table"])
+def test_coefficient_profiles_on_arrays(term):
+    # 0.1 and 20 exercise both fitted tails of the tabulated profile.
+    ell = np.array([[0.1, 0.5, 0.7], [1.3, 8.0, 20.0]])
+    for fn in (coefficient_eval, coefficient_deriv):
+        got = fn(term, ell)
+        assert isinstance(got, np.ndarray) and got.shape == ell.shape
+        expect = np.array([[fn(term, float(x)) for x in row] for row in ell])
+        np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0.0)
+        assert isinstance(fn(term, 1.3), float)
+        with pytest.raises(ContractError):
+            fn(term, np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(ContractError):
+            fn(term, np.array([1.0, -2.0]))
+
+
+# Property tests of the invariants `verify` samples on eval_metric.  The
+# curve and fields come from seeded band-limited samplers; hypothesis
+# draws the seeds and the group elements.
+
+_GRID = sc.Grid(64)
+_CONFIGS = [
+    cfg_const(0.7, 1.3),
+    sc.scale_invariant_profile(2, [1.0, 0.4, 1.0]),
+    MetricConfig(3, {0: Constant(1.0), 1: _profiles()[2], 3: PowerLaw(0.5, 1.0)}),
+]
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def _sample(seed):
+    rng = np.random.default_rng(seed)
+    return random_curve(_GRID, rng), random_field(_GRID, rng), random_field(_GRID, rng)
+
+
+def _cs_scale(cfg, c, h, g):
+    return math.sqrt(sc.eval_metric(cfg, c, h, h) * sc.eval_metric(cfg, c, g, g))
+
+
+@_PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), cfg=st.sampled_from(_CONFIGS))
+def test_property_metric_symmetric(seed, cfg):
+    c, h, g = _sample(seed)
+    assert sc.eval_metric(cfg, c, h, g) == sc.eval_metric(cfg, c, g, h)
+
+
+@_PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cfg=st.sampled_from(_CONFIGS),
+    alpha=st.floats(-10.0, 10.0),
+)
+def test_property_metric_bilinear(seed, cfg, alpha):
+    c, h, g = _sample(seed)
+    f = random_field(_GRID, np.random.default_rng([seed, 1]))
+    combo = sc.TangentField(_GRID, alpha * h.values + f.values)
+    lhs = sc.eval_metric(cfg, c, combo, g)
+    rhs = alpha * sc.eval_metric(cfg, c, h, g) + sc.eval_metric(cfg, c, f, g)
+    assert abs(lhs - rhs) <= 1e-12 * _cs_scale(cfg, c, combo, g)
+
+
+@_PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cfg=st.sampled_from(_CONFIGS),
+    angle=st.floats(-math.pi, math.pi),
+    shift=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+)
+def test_property_metric_euclidean_invariant(seed, cfg, angle, shift):
+    c, h, g = _sample(seed)
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    moved = sc.DiscreteCurve(_GRID, c.samples @ rot.T + np.asarray(shift))
+    val = sc.eval_metric(
+        cfg, moved, sc.TangentField(_GRID, h.values @ rot.T), sc.TangentField(_GRID, g.values @ rot.T)
+    )
+    assert abs(val - sc.eval_metric(cfg, c, h, g)) <= 1e-12 * _cs_scale(cfg, c, h, g)
+
+
+@_PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    b=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.floats(0.1, 5.0)),
+    rho=st.floats(0.05, 20.0),
+)
+def test_property_scale_invariant_profile(seed, b, rho):
+    cfg = sc.scale_invariant_profile(3, (1.0,) + b)
+    c, h, _ = _sample(seed)
+    scaled = sc.DiscreteCurve(_GRID, rho * c.samples)
+    hs = sc.TangentField(_GRID, rho * h.values)
+    base = sc.eval_metric(cfg, c, h, h)
+    assert abs(sc.eval_metric(cfg, scaled, hs, hs) - base) <= 1e-12 * base
