@@ -170,7 +170,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ContractError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (ContractError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ContractError
-from .metric import Constant, MetricConfig, PowerLaw, Tabulated, coefficient_eval
+from .metric import Constant, MetricConfig, PowerLaw, coefficient_eval
 
 DIVERGENT = "divergent"
 CONVERGENT = "convergent"
@@ -83,6 +82,8 @@ def classify_power_law(k: int, p: float, b: float = 1.0) -> dict:
 
 def _partial_integrals(term, k: int, end: str) -> list[float]:
     """Cumulative integrals over [10^-m, 1] (or [1, 10^m]), decade by decade."""
+    from scipy.integrate import quad
+
     partials = []
     total = 0.0
     for m in range(1, MAX_CUTOFF_DECADE + 1):
@@ -253,6 +254,8 @@ def w_eval(cfg: MetricConfig, r: float) -> float:
         raise ContractError(f"W argument must be positive, got {r}")
     if r == 1.0:
         return 0.0
+    from scipy.integrate import quad
+
     sign = 1.0 if r > 1.0 else -1.0
     lo, hi = (1.0, r) if r > 1.0 else (r, 1.0)
     # Split at decade boundaries so quad resolves power-law singular ends.

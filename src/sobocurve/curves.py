@@ -15,7 +15,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ContractError, ImmersionError
 
@@ -276,6 +275,8 @@ def reparametrize(c: DiscreteCurve, phi: np.ndarray) -> DiscreteCurve:
     Uses periodic cubic spline interpolation; the geometric image is
     preserved up to O(N^-4).
     """
+    from scipy.interpolate import CubicSpline
+
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (c.grid.n_points,):
         raise ContractError("phi must have one value per grid point")

@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .curves import (
     DiscreteCurve,
@@ -25,6 +24,9 @@ from .curves import (
 )
 from .errors import ContractError
 from .sampling import random_field
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,8 @@ class Tabulated:
     tail_high: PowerLaw = field(init=False, compare=False)
 
     def __post_init__(self):
+        from scipy.interpolate import PchipInterpolator
+
         knots = np.asarray(self.knots, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if knots.size < 4 or knots.size != values.size:

@@ -21,14 +21,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-from scipy.integrate import quad
 
 from .curves import (
     DiscreteCurve,
     Grid,
     _arc_jet,
     curve_length,
+    curve_to_dict,
     derivative,
 )
 from .errors import ContractError, ImmersionError, NumericalError
@@ -174,6 +173,8 @@ def radial_path_length(
         raise ContractError("radial endpoints must be positive")
     if R_from == R_to:
         return 0.0
+    from scipy.integrate import quad
+
     ell0 = curve_length(c0)
     mk = moments(c0, cfg.n)
 
@@ -308,6 +309,8 @@ def _spectral_preconditioner(cfg: MetricConfig, grid: Grid, c0, c1, T: int, dt: 
     direction and defines the dual norm of the stop test, so the
     approximation affects when the solver stops, not where it goes.
     """
+    import scipy.fft
+
     n_pts = grid.n_points
     s_bar = 0.5 * (float(np.mean(c0.arc_speed)) + float(np.mean(c1.arc_speed)))
     l_bar = 0.5 * (curve_length(c0) + curve_length(c1))
@@ -516,8 +519,6 @@ def lipschitz_probe_log_speed(cfg: MetricConfig, pairs, T: int = 16) -> list:
 
 
 def path_to_dict(path: CurvePath) -> dict:
-    from .curves import curve_to_dict
-
     return {
         "T": path.T,
         "grid": {"N": path.grid.n_points, "scheme_order": path.grid.scheme_order},

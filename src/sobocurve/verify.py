@@ -11,8 +11,6 @@ import math
 import numpy as np
 
 from .completeness import (
-    CONVERGENT,
-    DIVERGENT,
     GAP,
     SUFFICIENT,
     analyze,
@@ -29,7 +27,6 @@ from .counterexample import (
 from .curves import (
     DiscreteCurve,
     Grid,
-    NormKind,
     TangentField,
     _arc_jet,
     arc_derivative,
@@ -37,14 +34,12 @@ from .curves import (
     derivative,
     integrate_ds,
     make_circle,
-    norm,
     scalar_l2_dtheta,
     scalar_l2_ds,
 )
 from .metric import MetricConfig, PowerLaw, Constant, Tabulated, _q_form, eval_metric, scale_invariant_profile
 from .paths import (
     SolverOptions,
-    energy_and_gradient,
     geodesic_bvp,
     gradient_check,
     linear_path,

@@ -254,3 +254,12 @@ def test_non_finite_metric_term_exit_2(tmp_path, capsys, term):
     metric = tmp_path / "metric.json"
     metric.write_text(json.dumps({"n": 2, "terms": [term, {"k": 2, "form": "const", "b": 1.0}]}))
     assert_validation_error(capsys, ["analyze", "--metric", str(metric)])
+
+
+def test_directory_as_metric_exit_2(tmp_path, capsys):
+    assert_validation_error(capsys, ["analyze", "--metric", str(tmp_path)])
+
+
+def test_directory_as_output_exit_2(files, capsys):
+    tmp, metric, _, _ = files
+    assert_validation_error(capsys, ["analyze", "--metric", str(metric), "--output", str(tmp)])

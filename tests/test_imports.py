@@ -1,0 +1,137 @@
+"""Import hygiene: SciPy loads only where it is called, and no import goes unused.
+
+Each SciPy case runs in a fresh interpreter, because the test process
+itself has SciPy loaded already.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sobocurve as sc
+
+PACKAGE_DIR = Path(sc.__file__).resolve().parent
+
+CHILD = """
+import json, sys
+import sobocurve, sobocurve.cli
+code = sobocurve.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"code": code, "scipy": loaded}))
+"""
+
+
+def scipy_modules_after(argv=()):
+    """Import sobocurve.cli and run main(argv), if given, in a fresh interpreter.
+
+    Returns the exit code (None without argv) and the loaded scipy modules.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return result["code"], result["scipy"]
+
+
+@pytest.fixture
+def power_metric(tmp_path):
+    metric = tmp_path / "metric.json"
+    metric.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "terms": [
+                    {"k": 0, "form": "power", "b": 1.0, "p": -3.0},
+                    {"k": 2, "form": "power", "b": 1.0, "p": 1.0},
+                ],
+            }
+        )
+    )
+    return metric
+
+
+def test_package_import_loads_no_scipy():
+    code, loaded = scipy_modules_after()
+    assert code is None
+    assert loaded == []
+
+
+def test_analyze_power_law_loads_no_scipy(power_metric, tmp_path):
+    out = tmp_path / "report.json"
+    code, loaded = scipy_modules_after(
+        ["analyze", "--metric", str(power_metric), "--output", str(out)]
+    )
+    assert code == 0
+    assert loaded == []
+    assert "classification" in json.loads(out.read_text())
+
+
+def test_counterexample_loads_no_scipy(tmp_path):
+    out = tmp_path / "report.json"
+    code, loaded = scipy_modules_after(
+        ["counterexample", "--case", "grow", "--p", "0.0", "--alpha", "10.0",
+         "--nmax", "2", "--output", str(out)]
+    )
+    assert code == 0
+    assert loaded == []
+
+
+def test_validation_exit_loads_no_scipy(tmp_path):
+    code, loaded = scipy_modules_after(
+        ["analyze", "--metric", str(tmp_path / "missing.json")]
+    )
+    assert code == 2
+    assert loaded == []
+
+
+def test_distance_loads_only_scipy_fft(power_metric, tmp_path):
+    grid = sc.Grid(32)
+    c0, c1 = tmp_path / "c0.json", tmp_path / "c1.json"
+    sc.save_curve(sc.make_circle(1.0, (0, 0), grid), c0)
+    sc.save_curve(sc.make_circle(2.0, (0, 0), grid), c1)
+    out = tmp_path / "result.json"
+    code, loaded = scipy_modules_after(
+        ["distance", "--metric", str(power_metric), "--from", str(c0), "--to", str(c1),
+         "--T", "8", "--output", str(out)]
+    )
+    assert code == 0
+    assert "scipy.fft" in loaded
+    assert not any(m.startswith(("scipy.integrate", "scipy.interpolate")) for m in loaded)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never references (``__future__`` excluded)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"),
+)
+def test_no_unused_imports(module):
+    assert unused_imports((PACKAGE_DIR / module).read_text()) == []
+
+
+def test_unused_import_scan_flags_dead_names():
+    source = "import os\nfrom math import pi, tau\nimport numpy as np\nprint(pi, np.e)\n"
+    assert unused_imports(source) == ["os (line 1)", "tau (line 2)"]
