@@ -14,13 +14,14 @@ evidence on their fitted tails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError
-from .metric import Constant, MetricConfig, PowerLaw, coefficient_eval
+from .metric import Constant, MetricConfig, PowerLaw, Tabulated, coefficient_eval
 
 DIVERGENT = "divergent"
 CONVERGENT = "convergent"
@@ -29,13 +30,63 @@ INCONCLUSIVE = "inconclusive"
 # Numeric-evidence tuning: exponent-fit tolerance and cutoff depth 10^-8..10^8.
 EXPONENT_TOL = 0.05
 MAX_CUTOFF_DECADE = 8
+# Gauss-Legendre nodes per piece of a log_quad integral.
+GL_POINTS = 32
 
 
-def integrand(term, k: int, r: float) -> float:
-    """r^(1/2-k) * sqrt(a_k(r))."""
-    if r <= 0:
-        raise ContractError(f"integrand argument must be positive, got {r}")
-    return r ** (0.5 - k) * math.sqrt(coefficient_eval(term, r))
+def integrand(term, k: int, r):
+    """r^(1/2-k) * sqrt(a_k(r)); r is a float or an array."""
+    if np.min(r) <= 0:
+        raise ContractError(f"integrand argument must be positive, got {np.min(r)}")
+    return r ** (0.5 - k) * np.sqrt(coefficient_eval(term, r))
+
+
+@functools.cache
+def _gauss_legendre():
+    # Built on first use: numpy.polynomial is not loaded by `import numpy`.
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(GL_POINTS)
+
+
+def log_quad(f, edges):
+    """Integrate f(r) dr over each piece [edges[i], edges[i+1]] of 0 < edges ascending.
+
+    Gauss-Legendre in x = ln r, where a power law r^e becomes the smooth
+    exp((e+1)x), so one decade needs no adaptivity.  f is called once, on
+    an array of every node, under np.errstate(over="raise",
+    invalid="raise").  Each piece is integrated whole and as two halves;
+    returns (the halves' sums, |halves - whole|) as arrays, one entry per
+    piece, the second an error estimate.
+    """
+    x, w = _gauss_legendre()
+    t = np.log(np.asarray(edges, dtype=float))
+    a, b = t[:-1, None], t[1:, None]
+    half = 0.5 * (b - a)
+    mid = a + half
+    quarter = 0.5 * half
+    nodes = np.concatenate(
+        [mid + half * x, a + quarter * (1.0 + x), mid + quarter * (1.0 + x)], axis=1
+    )
+    r = np.exp(nodes)
+    with np.errstate(over="raise", invalid="raise"):
+        g = f(r) * r  # dr = r dx
+    n = x.size
+    whole = half[:, 0] * (g[:, :n] @ w)
+    halves = quarter[:, 0] * (g[:, n : 2 * n] @ w + g[:, 2 * n :] @ w)
+    return halves, np.abs(halves - whole)
+
+
+def _edges(lo: float, hi: float, breaks=()) -> np.ndarray:
+    """lo, hi and every power of ten and break point strictly between them, ascending."""
+    decades = 10.0 ** np.arange(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)
+    inner = np.concatenate([decades, np.asarray(breaks, dtype=float)])
+    return np.unique(np.concatenate([[lo], inner[(inner > lo) & (inner < hi)], [hi]]))
+
+
+def _breaks(term) -> tuple:
+    """Where a profile is not smooth: a Tabulated profile's knots."""
+    return term.knots if isinstance(term, Tabulated) else ()
 
 
 @dataclass(frozen=True)
@@ -80,21 +131,21 @@ def classify_power_law(k: int, p: float, b: float = 1.0) -> dict:
     return {"I0": i0, "Iinf": iinf}
 
 
-def _partial_integrals(term, k: int, end: str) -> list[float]:
-    """Cumulative integrals over [10^-m, 1] (or [1, 10^m]), decade by decade."""
-    from scipy.integrate import quad
+def _partial_integrals(term, k: int, end: str) -> tuple[list[float], list[float]]:
+    """Cumulative integrals over [10^-m, 1] (or [1, 10^m]), decade by decade.
 
-    partials = []
-    total = 0.0
-    for m in range(1, MAX_CUTOFF_DECADE + 1):
-        if end == "zero":
-            lo, hi = 10.0**-m, 10.0 ** -(m - 1)
-        else:
-            lo, hi = 10.0 ** (m - 1), 10.0**m
-        piece, _ = quad(lambda r: integrand(term, k, r), lo, hi, epsabs=1e-10, limit=200)
-        total += piece
-        partials.append(total)
-    return partials
+    Also returns the quadrature error estimate of each decade, m = 1 first.
+    """
+    m = np.arange(MAX_CUTOFF_DECADE + 1)
+    decades = 10.0 ** (m - MAX_CUTOFF_DECADE if end == "zero" else m)
+    edges = _edges(decades[0], decades[-1], _breaks(term))
+    pieces, errors = log_quad(lambda r: integrand(term, k, r), edges)
+    decade = np.searchsorted(decades, edges[:-1], side="right") - 1
+    per_decade = np.bincount(decade, pieces, MAX_CUTOFF_DECADE)
+    per_error = np.bincount(decade, errors, MAX_CUTOFF_DECADE)
+    if end == "zero":  # decade m = 1 is the one next to r = 1
+        per_decade, per_error = per_decade[::-1], per_error[::-1]
+    return np.cumsum(per_decade).tolist(), per_error.tolist()
 
 
 def _fitted_exponent(term, k: int, end: str) -> float:
@@ -103,7 +154,8 @@ def _fitted_exponent(term, k: int, end: str) -> float:
         r = np.geomspace(10.0**-MAX_CUTOFF_DECADE, 10.0 ** -(MAX_CUTOFF_DECADE - 1), 9)
     else:
         r = np.geomspace(10.0 ** (MAX_CUTOFF_DECADE - 1), 10.0**MAX_CUTOFF_DECADE, 9)
-    f = np.array([integrand(term, k, ri) for ri in r])
+    with np.errstate(over="raise", invalid="raise"):
+        f = integrand(term, k, r)
     if np.any(f <= 0):
         return math.inf  # effectively zero integrand
     slope = np.polyfit(np.log(r), np.log(f), 1)[0]
@@ -122,13 +174,17 @@ def numeric_integral_evidence(term, k: int, end: str) -> IntegralVerdict:
     if isinstance(term, Constant) and term.b == 0.0:
         return IntegralVerdict(CONVERGENT, "numeric_evidence", value=0.0)
     try:
-        partials = _partial_integrals(term, k, end)
+        partials, errors = _partial_integrals(term, k, end)
         exponent = _fitted_exponent(term, k, end)
-    except (ArithmeticError, ValueError) as exc:  # overflow, math domain, failed fit
+    except (ArithmeticError, ValueError) as exc:  # overflow, failed fit
         return IntegralVerdict(
             INCONCLUSIVE, "numeric_evidence", evidence={"error": str(exc)}
         )
-    evidence = {"fitted_exponent": exponent, "partial_integrals": partials}
+    evidence = {
+        "fitted_exponent": exponent,
+        "partial_integrals": partials,
+        "quadrature_error": errors,
+    }
     if math.isinf(exponent):  # zero integrand at the end
         return IntegralVerdict(
             CONVERGENT, "numeric_evidence", value=partials[-1], evidence=evidence
@@ -250,30 +306,16 @@ def w_eval(cfg: MetricConfig, r: float) -> float:
     Strictly increasing with W(1) = 0; diverges at both ends exactly when
     the sufficient conditions hold.
     """
-    if r <= 0:
-        raise ContractError(f"W argument must be positive, got {r}")
+    if not (math.isfinite(r) and r > 0):
+        raise ContractError(f"W argument must be positive and finite, got {r}")
     if r == 1.0:
         return 0.0
-    from scipy.integrate import quad
-
-    sign = 1.0 if r > 1.0 else -1.0
-    lo, hi = (1.0, r) if r > 1.0 else (r, 1.0)
-    # Split at decade boundaries so quad resolves power-law singular ends.
-    points = [lo]
-    decade = 10.0 ** math.ceil(math.log10(lo) + 1e-12)
-    while decade < hi:
-        if decade > lo:
-            points.append(decade)
-        decade *= 10.0
-    points.append(hi)
+    lo, hi = sorted((1.0, r))
     total = 0.0
     for k in range(1, cfg.n + 1):
         term = cfg.terms.get(k)
         if term is None:
             continue
-        for a, b in zip(points[:-1], points[1:]):
-            piece, _ = quad(
-                lambda rho: integrand(term, k, rho), a, b, epsabs=1e-10, limit=200
-            )
-            total += piece
-    return sign * total
+        pieces, _ = log_quad(lambda rho: integrand(term, k, rho), _edges(lo, hi, _breaks(term)))
+        total += float(pieces.sum())
+    return total if r > 1.0 else -total

@@ -331,6 +331,14 @@ def load_curve(path, scheme_order: int = 4) -> DiscreteCurve:
 
 
 def save_curve(c: DiscreteCurve, path):
+    """Write c as CSV (theta,x,y[,z...]) for a .csv suffix, else as JSON; see load_curve."""
+    if Path(path).suffix.lower() == ".csv":
+        axes = ["x", "y", "z"][: c.dim] + [f"x{i}" for i in range(4, c.dim + 1)]
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["theta", *axes])
+            writer.writerows([t, *row] for t, row in zip(c.grid.theta.tolist(), c.samples.tolist()))
+        return
     with open(path, "w") as fh:
         json.dump(curve_to_dict(c), fh)
         fh.write("\n")

@@ -129,8 +129,7 @@ def coefficient_eval(term: CoefficientTerm, ell):
     """Evaluate a coefficient profile at curve length ell > 0.
 
     `ell` is a float (returns a float) or an array (returns an array of
-    the same shape).  Floats stay on plain Python arithmetic: completeness
-    quadrature makes tens of thousands of scalar calls per profile.
+    the same shape).  Quadrature and path kernels pass arrays.
     """
     _check_lengths(ell)
     if isinstance(term, PowerLaw):

@@ -30,6 +30,7 @@ from .curves import (
     curve_to_dict,
     derivative,
 )
+from .completeness import _breaks, _edges, log_quad
 from .errors import ContractError, ImmersionError, NumericalError
 from .metric import MetricConfig, _q_form, coefficient_deriv, coefficient_eval
 
@@ -169,26 +170,30 @@ def radial_path_length(
     Closed form: integral sqrt(sum_k a_k(r*ell0) r^(1-2k) M_k) dr with the
     moments M_k of the base curve.
     """
-    if R_from <= 0 or R_to <= 0:
-        raise ContractError("radial endpoints must be positive")
+    if not all(math.isfinite(R) and R > 0 for R in (R_from, R_to)):
+        raise ContractError(
+            f"radial endpoints must be positive and finite, got {R_from}, {R_to}"
+        )
     if R_from == R_to:
         return 0.0
-    from scipy.integrate import quad
-
     ell0 = curve_length(c0)
     mk = moments(c0, cfg.n)
 
-    def speed(r: float) -> float:
-        total = 0.0
-        for k in range(cfg.n + 1):
-            a_k = cfg.coefficient(k, r * ell0)
-            if a_k != 0.0:
-                total += a_k * r ** (1 - 2 * k) * mk[k]
-        return math.sqrt(total)
+    def speed(r: np.ndarray) -> np.ndarray:
+        return np.sqrt(
+            sum(coefficient_eval(term, r * ell0) * r ** (1 - 2 * k) * mk[k]
+                for k, term in sorted(cfg.terms.items()))
+        )
 
     lo, hi = min(R_from, R_to), max(R_from, R_to)
-    value, err = quad(speed, lo, hi, epsrel=1e-8, limit=200)
-    if not math.isfinite(value) or err > 1e-4 * max(1.0, abs(value)):
+    # a_k(r * ell0) breaks where r * ell0 does.
+    breaks = np.concatenate([np.asarray(_breaks(t)) / ell0 for t in cfg.terms.values()])
+    try:
+        pieces, errors = log_quad(speed, _edges(lo, hi, breaks))
+    except FloatingPointError as exc:
+        raise NumericalError(f"radial length quadrature failed on [{lo}, {hi}]: {exc}") from exc
+    value, err = float(pieces.sum()), float(errors.sum())
+    if not math.isfinite(value) or err > 1e-4 * max(1.0, value):
         raise NumericalError(
             f"radial length quadrature failed on [{lo}, {hi}] (err={err})"
         )

@@ -175,6 +175,20 @@ def test_radial_invalid_scale_exit_2(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "scales",
+    [("1.0", "nan"), ("inf", "1.0"), ("1.0", "1e400")],
+    ids=["to_nan", "from_inf", "to_1e400"],
+)
+def test_radial_non_finite_scale_exit_2(files, capsys, scales):
+    _, metric, c0, _ = files
+    assert_validation_error(
+        capsys,
+        ["radial", "--metric", str(metric), "--curve", str(c0),
+         "--from-scale", scales[0], "--to-scale", scales[1]],
+    )
+
+
 def test_verify_passes_and_prints_lines(files, capsys):
     _, _, _, _ = files
     code, out, _ = run(capsys, ["verify", "--seed", "0"])

@@ -1,5 +1,7 @@
 """Divergence classification of the completeness integrals and the W-function."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from sobocurve.completeness import (
     NECESSARY_FAIL,
     SUFFICIENT,
     integrand,
+    log_quad,
     w_eval,
 )
 from sobocurve.errors import ContractError
@@ -189,3 +192,66 @@ def test_numeric_evidence_propagates_unrelated_errors(monkeypatch):
     monkeypatch.setattr(completeness, "integrand", broken)
     with pytest.raises(TypeError, match="not a quadrature failure"):
         sc.numeric_integral_evidence(Constant(1.0), 0, "zero")
+
+
+@pytest.mark.parametrize("e", [-11.0, -6.5, -3.0, -1.5, -1.0, -0.5, 0.0, 2.5, 9.0])
+def test_log_quad_power_law_decades_exact(e):
+    edges = 10.0 ** np.arange(-8, 9)
+    calls = []
+
+    def f(r):
+        calls.append(r.shape)
+        return r**e
+
+    pieces, errors = log_quad(f, edges)
+    lo = edges[:-1]
+    if e == -1.0:
+        exact = np.full(lo.shape, math.log(10.0))
+    else:
+        exact = lo ** (e + 1) * math.expm1((e + 1) * math.log(10.0)) / (e + 1)
+    assert len(calls) == 1
+    assert np.max(np.abs(pieces - exact) / exact) <= 1e-13
+    assert np.max(errors / exact) <= 1e-13
+
+
+def knot_split_reference(term, k, lo, hi):
+    """integral_lo^hi of the integrand by adaptive quad in ln r, split at decades and knots."""
+    from scipy.integrate import quad
+
+    points = {lo, hi} | {10.0**m for m in range(-20, 21) if lo < 10.0**m < hi}
+    points |= {x for x in term.knots if lo < x < hi}
+    points = sorted(points)
+    total = 0.0
+    for a, b in zip(points[:-1], points[1:]):
+        piece, _ = quad(
+            lambda x: math.exp(x) * integrand(term, k, math.exp(x)),
+            math.log(a), math.log(b), epsrel=1e-13, epsabs=0.0, limit=200,
+        )
+        total += piece
+    return total
+
+
+def test_w_eval_tabulated_matches_knot_split_reference():
+    knots = np.geomspace(0.3, 6.0, 7)
+    table = Tabulated(tuple(knots), tuple(knots**1.7 * (1.0 + 0.3 * np.sin(2.0 * knots))))
+    cfg = MetricConfig(2, {0: Constant(1.0), 2: table})
+    for r in (0.02, 0.45, 2.5, 50.0):
+        lo, hi = sorted((1.0, r))
+        expect = math.copysign(knot_split_reference(table, 2, lo, hi), r - 1.0)
+        assert w_eval(cfg, r) == pytest.approx(expect, rel=1e-12), r
+
+
+@pytest.mark.parametrize("r", [float("nan"), float("inf")])
+def test_w_eval_rejects_non_finite_argument(r):
+    with pytest.raises(ContractError):
+        w_eval(MetricConfig(2, {0: Constant(1.0), 2: Constant(1.0)}), r)
+
+
+def test_numeric_evidence_reports_quadrature_error():
+    knots = np.geomspace(0.25, 4.0, 8)
+    table = Tabulated(tuple(knots), tuple(knots**2.5))
+    for end in ("zero", "infinity"):
+        evidence = sc.numeric_integral_evidence(table, 1, end).evidence
+        errors = evidence["quadrature_error"]
+        assert len(errors) == len(evidence["partial_integrals"]) == 8
+        assert all(0.0 <= err <= 1e-12 * evidence["partial_integrals"][-1] for err in errors)

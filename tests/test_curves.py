@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sobocurve as sc
 from sobocurve.curves import TWO_PI, scalar_l2_ds, scalar_l2_dtheta
@@ -247,6 +249,40 @@ def test_curve_io_roundtrip(tmp_path):
     sc.save_curve(c, path)
     back = sc.load_curve(path)
     assert np.max(np.abs(back.samples - c.samples)) <= 1e-15
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.sampled_from([16, 32, 64, 128]),
+    scale=st.floats(1e-100, 1e100),
+    shift=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    suffix=st.sampled_from([".json", ".csv", ".CSV"]),
+)
+def test_property_curve_file_roundtrip_exact(
+    tmp_path_factory, seed, n_points, scale, shift, suffix
+):
+    grid = sc.Grid(n_points)
+    base = random_curve(grid, np.random.default_rng(seed))
+    c = sc.DiscreteCurve(grid, scale * base.samples + np.asarray(shift) * scale)
+    path = tmp_path_factory.mktemp("curve") / f"curve{suffix}"
+    sc.save_curve(c, path)
+    back = sc.load_curve(path)
+    assert back.grid == c.grid
+    assert np.array_equal(back.samples, c.samples)
+
+
+def test_save_curve_csv_header(tmp_path):
+    grid = sc.Grid(16)
+    flat = sc.make_circle(1.0, (0, 0), grid).samples
+    for dim, header in ((2, "theta,x,y"), (3, "theta,x,y,z")):
+        c = sc.DiscreteCurve(grid, np.hstack([flat, np.ones((16, dim - 2))]))
+        path = tmp_path / f"curve{dim}.csv"
+        sc.save_curve(c, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == header and len(lines) == 17
+        assert float(lines[3].split(",")[0]) == grid.theta[2]
+        assert np.array_equal(sc.load_curve(path).samples, c.samples)
 
 
 def test_curve_csv_load(tmp_path):

@@ -1,4 +1,5 @@
-"""Import hygiene: SciPy loads only where it is called, and no import goes unused.
+"""Import hygiene: SciPy and numpy.polynomial load only where they are called,
+and no import goes unused.
 
 Each SciPy case runs in a fresh interpreter, because the test process
 itself has SciPy loaded already.
@@ -22,14 +23,16 @@ import json, sys
 import sobocurve, sobocurve.cli
 code = sobocurve.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"code": code, "scipy": loaded}))
+polynomial = "numpy.polynomial" in sys.modules
+print(json.dumps({"code": code, "scipy": loaded, "numpy_polynomial": polynomial}))
 """
 
 
-def scipy_modules_after(argv=()):
+def child_run(argv=()):
     """Import sobocurve.cli and run main(argv), if given, in a fresh interpreter.
 
-    Returns the exit code (None without argv) and the loaded scipy modules.
+    Returns the child's report: exit code (None without argv), the loaded
+    scipy modules and whether numpy.polynomial was loaded.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -40,7 +43,12 @@ def scipy_modules_after(argv=()):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def scipy_modules_after(argv=()):
+    """The exit code and the loaded scipy modules of child_run(argv)."""
+    result = child_run(argv)
     return result["code"], result["scipy"]
 
 
@@ -65,6 +73,10 @@ def test_package_import_loads_no_scipy():
     code, loaded = scipy_modules_after()
     assert code is None
     assert loaded == []
+
+
+def test_package_import_loads_no_numpy_polynomial():
+    assert child_run()["numpy_polynomial"] is False
 
 
 def test_analyze_power_law_loads_no_scipy(power_metric, tmp_path):
@@ -108,6 +120,41 @@ def test_distance_loads_only_scipy_fft(power_metric, tmp_path):
     assert code == 0
     assert "scipy.fft" in loaded
     assert not any(m.startswith(("scipy.integrate", "scipy.interpolate")) for m in loaded)
+
+
+def test_radial_loads_no_scipy(power_metric, tmp_path):
+    curve = tmp_path / "c0.json"
+    sc.save_curve(sc.make_circle(1.0, (0, 0), sc.Grid(32)), curve)
+    out = tmp_path / "radial.json"
+    code, loaded = scipy_modules_after(
+        ["radial", "--metric", str(power_metric), "--curve", str(curve),
+         "--from-scale", "1.0", "--to-scale", "3.0", "--output", str(out)]
+    )
+    assert code == 0
+    assert loaded == []
+    assert json.loads(out.read_text())["radial_length"] > 0.0
+
+
+def test_analyze_tabulated_loads_no_scipy_integrate(tmp_path):
+    metric = tmp_path / "metric.json"
+    knots = [0.25, 0.5, 1.0, 2.0, 4.0]
+    metric.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "terms": [
+                    {"k": 0, "form": "const", "b": 1.0},
+                    {"k": 2, "form": "table", "knots": knots, "values": [x**1.5 for x in knots]},
+                ],
+            }
+        )
+    )
+    out = tmp_path / "report.json"
+    code, loaded = scipy_modules_after(["analyze", "--metric", str(metric), "--output", str(out)])
+    assert code == 0
+    assert "scipy.interpolate" in loaded
+    assert not any(m.startswith("scipy.integrate") for m in loaded)
+    assert "classification" in json.loads(out.read_text())
 
 
 def unused_imports(source: str) -> list[str]:

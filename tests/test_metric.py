@@ -341,3 +341,45 @@ def test_property_scale_invariant_profile(seed, b, rho):
     hs = sc.TangentField(_GRID, rho * h.values)
     base = sc.eval_metric(cfg, c, h, h)
     assert abs(sc.eval_metric(cfg, scaled, hs, hs) - base) <= 1e-12 * base
+
+
+_POSITIVE = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def _tables(draw):
+    """A power law b * ell^p times a wiggle in [0.5, 2], tabulated at 4-8 knots."""
+    ratios = draw(st.lists(st.floats(1.01, 10.0), min_size=3, max_size=7))
+    knots = draw(st.floats(1e-3, 1e3)) * np.cumprod([1.0, *ratios])
+    size = knots.size
+    wiggle = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=size, max_size=size)))
+    values = draw(_POSITIVE) * knots ** draw(st.floats(-10.0, 10.0)) * wiggle
+    return Tabulated(tuple(knots.tolist()), tuple(values.tolist()))
+
+
+_TERM = st.one_of(
+    st.builds(PowerLaw, _POSITIVE, st.floats(-10.0, 10.0)),
+    st.builds(Constant, _POSITIVE),
+    _tables(),
+)
+
+
+@st.composite
+def _metric_configs(draw):
+    n = draw(st.integers(2, 4))
+    terms = {k: draw(_TERM) for k in (0, n)}
+    for k in range(1, n):
+        if draw(st.booleans()):
+            terms[k] = draw(_TERM)
+    return MetricConfig(n, terms)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(cfg=_metric_configs())
+def test_property_config_dict_roundtrip_exact(cfg):
+    data = sc.config_to_dict(cfg)
+    assert sc.config_from_dict(data) == cfg
+    text = json.dumps(data)
+    back = sc.config_from_dict(json.loads(text))
+    assert back == cfg
+    assert json.dumps(sc.config_to_dict(back)) == text

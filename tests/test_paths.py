@@ -5,7 +5,7 @@ import pytest
 
 import sobocurve as sc
 from sobocurve.errors import ContractError, ImmersionError
-from sobocurve.metric import Constant, MetricConfig, PowerLaw, scale_invariant_profile
+from sobocurve.metric import Constant, MetricConfig, PowerLaw, Tabulated, scale_invariant_profile
 from sobocurve.paths import path_from_dict, path_to_dict, reverse_path
 from sobocurve.sampling import random_curve, random_field
 
@@ -89,6 +89,47 @@ def test_radial_path_length_closed_form():
     assert sc.radial_path_length(CFG, c, 1.5, 1.5) == 0.0
     with pytest.raises(ContractError):
         sc.radial_path_length(CFG, c, 0.0, 1.0)
+
+
+def test_radial_path_length_tabulated_matches_knot_split_reference():
+    # a_2(ell) is piecewise cubic between the knots, i.e. between r = knots / ell0.
+    from scipy.integrate import quad
+
+    knots = np.geomspace(0.5, 40.0, 9)
+    cfg = MetricConfig(
+        2, {0: Constant(1.0), 2: Tabulated(tuple(knots), tuple(1.0 + np.sqrt(knots)))}
+    )
+    c = sc.make_circle(1.0, (0, 0), sc.Grid(256))
+    ell0 = sc.curve_length(c)
+    mk = sc.moments(c, 2)
+
+    def speed(r):
+        a = [cfg.coefficient(k, r * ell0) for k in range(3)]
+        return np.sqrt(sum(a[k] * r ** (1 - 2 * k) * mk[k] for k in range(3)))
+
+    points = sorted({0.2, 5.0, 1.0} | {x / ell0 for x in knots if 0.2 < x / ell0 < 5.0})
+    oracle = sum(
+        quad(speed, a, b, epsrel=1e-13, epsabs=0.0, limit=200)[0]
+        for a, b in zip(points[:-1], points[1:])
+    )
+    assert sc.radial_path_length(cfg, c, 0.2, 5.0) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_radial_path_length_tiny_scales():
+    # Below r = 1e-40 the a_0 term is 1e-160 of the a_2 term, so the speed
+    # is sqrt(M_2) r^(-3/2) and the length has a closed form.
+    c = sc.make_circle(1.0, (0, 0), sc.Grid(64))
+    m2 = sc.moments(c, 2)[2]
+    lo, hi = 1e-50, 1e-40
+    expect = 2.0 * np.sqrt(m2) * (lo**-0.5 - hi**-0.5)
+    assert sc.radial_path_length(CFG, c, lo, hi) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("bounds", [(1.0, float("nan")), (float("inf"), 1.0), (float("nan"), 2.0)])
+def test_radial_path_length_rejects_non_finite_scales(bounds):
+    c = sc.make_circle(1.0, (0, 0), sc.Grid(64))
+    with pytest.raises(ContractError):
+        sc.radial_path_length(CFG, c, *bounds)
 
 
 def test_radial_vs_discrete_path():
