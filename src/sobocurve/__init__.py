@@ -35,7 +35,6 @@ from .metric import (
     config_to_dict,
     eval_metric,
     load_config,
-    norm_equivalence_probe,
     scale_invariant_profile,
 )
 from .completeness import (
@@ -54,7 +53,6 @@ from .paths import (
     geodesic_distance,
     gradient_check,
     linear_path,
-    lipschitz_probe_log_speed,
     moments,
     path_energy,
     path_length,

@@ -91,8 +91,16 @@ def _arc_jet(grid: Grid, samples: np.ndarray, field=None, n: int = 0):
     ImmersionError if the speed of any curve (nearly) vanishes.
     """
     dc = derivative(samples, grid, axis=-2)
-    s = np.sqrt(np.sum(dc * dc, axis=-1))
+    # einsum overflows to inf silently (no FP-error check, unlike dc * dc).
+    s = np.sqrt(np.einsum("...d,...d->...", dc, dc))
     s_max = np.max(s, axis=-1)
+    if not np.isfinite(s_max).all():
+        # The squares overflow above about 1e154: scale each curve's
+        # differences by their largest component first, as np.hypot does.
+        scale = np.max(np.abs(dc), axis=(-2, -1), keepdims=True)
+        unit = dc / scale
+        s = scale[..., 0] * np.sqrt(np.einsum("...d,...d->...", unit, unit))
+        s_max = np.max(s, axis=-1)
     if np.any(s_max == 0.0) or np.any(np.min(s, axis=-1) < 1e-12 * s_max):
         raise ImmersionError(f"not an immersion at resolution N={grid.n_points}")
     ell = grid.weight * np.sum(s, axis=-1)

@@ -15,15 +15,8 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .curves import (
-    DiscreteCurve,
-    NormKind,
-    TangentField,
-    _arc_jet,
-    norm,
-)
+from .curves import DiscreteCurve, TangentField, _arc_jet
 from .errors import ContractError
-from .sampling import random_field
 
 if TYPE_CHECKING:
     from scipy.interpolate import PchipInterpolator
@@ -60,16 +53,19 @@ class Constant:
 class Tabulated:
     """Monotone-cubic interpolation of (knots, values) with power-law tails.
 
-    The tails are least-squares log-log fits over the outer 25% of knots
-    (at least two points each) so improper integrals of the profile can
-    still be classified from its end behaviour.
+    Each tail is v_end * (ell / k_end)**p, anchored at its end knot so the
+    profile is continuous there, with p the least-squares log-log slope
+    over the outer 25% of knots (at least two points each), so improper
+    integrals of the profile can still be classified from its end
+    behaviour.  A tail is stored as (k_end, PowerLaw(v_end, p)), a power
+    law in ell / k_end, so no tail coefficient over- or underflows.
     """
 
     knots: tuple
     values: tuple
     _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
-    tail_low: PowerLaw = field(init=False, compare=False)
-    tail_high: PowerLaw = field(init=False, compare=False)
+    tail_low: tuple = field(init=False, compare=False)
+    tail_high: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         from scipy.interpolate import PchipInterpolator
@@ -90,13 +86,13 @@ class Tabulated:
         object.__setattr__(self, "values", tuple(values))
         object.__setattr__(self, "_interp", PchipInterpolator(knots, values))
         m = max(2, int(math.ceil(0.25 * knots.size)))
-        object.__setattr__(self, "tail_low", _fit_power_law(knots[:m], values[:m]))
-        object.__setattr__(self, "tail_high", _fit_power_law(knots[-m:], values[-m:]))
+        object.__setattr__(self, "tail_low", _fit_tail(knots[:m], values[:m], 0))
+        object.__setattr__(self, "tail_high", _fit_tail(knots[-m:], values[-m:], -1))
 
 
-def _fit_power_law(knots: np.ndarray, values: np.ndarray) -> PowerLaw:
-    slope, intercept = np.polyfit(np.log(knots), np.log(values), 1)
-    return PowerLaw(b=float(np.exp(intercept)), p=float(slope))
+def _fit_tail(knots: np.ndarray, values: np.ndarray, end: int) -> tuple:
+    slope = np.polyfit(np.log(knots), np.log(values), 1)[0]
+    return float(knots[end]), PowerLaw(b=float(values[end]), p=float(slope))
 
 
 CoefficientTerm = Union[PowerLaw, Constant, Tabulated]
@@ -112,7 +108,12 @@ def _check_lengths(ell):
 
 def _tabulated(term: Tabulated, ell, nu: int):
     """Interpolant (nu = 0) or its derivative (nu = 1), with power-law tails."""
-    tail = coefficient_eval if nu == 0 else coefficient_deriv
+    power_law = coefficient_eval if nu == 0 else coefficient_deriv
+
+    def tail(end, x):  # d^nu/d ell^nu of v_end * (ell / k_end)**p
+        knot, law = end
+        return power_law(law, x / knot) / knot**nu
+
     if not isinstance(ell, np.ndarray):
         if ell < term.knots[0]:
             return tail(term.tail_low, ell)
@@ -177,10 +178,6 @@ class MetricConfig:
                 raise ContractError(f"a_{k} must be strictly positive")
         object.__setattr__(self, "terms", terms)
 
-    def coefficient(self, k: int, ell: float) -> float:
-        term = self.terms.get(k)
-        return 0.0 if term is None else coefficient_eval(term, ell)
-
 
 def scale_invariant_profile(n: int, b) -> MetricConfig:
     """Coefficients a_k(ell) = b_k * ell**(2k-3), the scale-invariant choice."""
@@ -215,40 +212,6 @@ def eval_metric(
     for k, term in cfg.terms.items():
         total += coefficient_eval(term, ell) * _q_form(c.grid.weight, u[k][0], u[k][1], s)
     return float(total)
-
-
-def norm_equivalence_probe(
-    cfg: MetricConfig,
-    curves,
-    trials: int,
-    rng: np.random.Generator | None = None,
-) -> dict:
-    """Sample sqrt(G_c(h,h)) / ||h||_{H^n(dtheta)} over random fields.
-
-    Returns per-curve and pooled {min_ratio, max_ratio}; the window is
-    finite on any fixed set of curves but its width depends on them.
-    """
-    if not curves:
-        raise ContractError("need at least one curve to probe")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    per_curve = []
-    pooled = []
-    for c in curves:
-        ratios = []
-        for _ in range(trials):
-            h = random_field(c.grid, rng, dim=c.dim)
-            flat = norm(c, h, NormKind.HN_DTHETA, n=cfg.n)
-            if flat == 0.0:
-                continue
-            ratios.append(math.sqrt(eval_metric(cfg, c, h, h)) / flat)
-        per_curve.append({"min_ratio": min(ratios), "max_ratio": max(ratios)})
-        pooled.extend(ratios)
-    return {
-        "per_curve": per_curve,
-        "min_ratio": min(pooled),
-        "max_ratio": max(pooled),
-    }
 
 
 def config_to_dict(cfg: MetricConfig) -> dict:

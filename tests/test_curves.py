@@ -1,6 +1,7 @@
 """Discrete curve calculus: derivatives, arc-length quantities, norms, I/O."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,15 @@ def test_length_homogeneity():
     rho = 7.25
     scaled = sc.DiscreteCurve(grid, rho * c.samples)
     assert abs(sc.curve_length(scaled) - rho * sc.curve_length(c)) <= 1e-12 * sc.curve_length(scaled)
+
+
+def test_length_of_huge_circle_does_not_overflow():
+    grid = sc.Grid(32)
+    unit = sc.curve_length(sc.make_circle(1.0, (0, 0), grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = sc.curve_length(sc.make_circle(1e200, (0, 0), grid))
+    assert huge == pytest.approx(1e200 * unit, rel=1e-13)
 
 
 def test_bumpy_circle_length_window():

@@ -107,7 +107,7 @@ def test_validation_exit_loads_no_scipy(tmp_path):
     assert loaded == []
 
 
-def test_distance_loads_only_scipy_fft(power_metric, tmp_path):
+def test_distance_loads_no_scipy(power_metric, tmp_path):
     grid = sc.Grid(32)
     c0, c1 = tmp_path / "c0.json", tmp_path / "c1.json"
     sc.save_curve(sc.make_circle(1.0, (0, 0), grid), c0)
@@ -118,8 +118,7 @@ def test_distance_loads_only_scipy_fft(power_metric, tmp_path):
          "--T", "8", "--output", str(out)]
     )
     assert code == 0
-    assert "scipy.fft" in loaded
-    assert not any(m.startswith(("scipy.integrate", "scipy.interpolate")) for m in loaded)
+    assert loaded == []
 
 
 def test_radial_loads_no_scipy(power_metric, tmp_path):

@@ -5,8 +5,15 @@ import pytest
 
 import sobocurve as sc
 from sobocurve.errors import ContractError, ImmersionError
-from sobocurve.metric import Constant, MetricConfig, PowerLaw, Tabulated, scale_invariant_profile
-from sobocurve.paths import path_from_dict, path_to_dict, reverse_path
+from sobocurve.metric import (
+    Constant,
+    MetricConfig,
+    PowerLaw,
+    Tabulated,
+    coefficient_eval,
+    scale_invariant_profile,
+)
+from sobocurve.paths import _spectral_preconditioner, path_from_dict, path_to_dict, reverse_path
 from sobocurve.sampling import random_curve, random_field
 
 CFG = MetricConfig(2, {0: Constant(1.0), 2: Constant(1.0)})
@@ -104,8 +111,8 @@ def test_radial_path_length_tabulated_matches_knot_split_reference():
     mk = sc.moments(c, 2)
 
     def speed(r):
-        a = [cfg.coefficient(k, r * ell0) for k in range(3)]
-        return np.sqrt(sum(a[k] * r ** (1 - 2 * k) * mk[k] for k in range(3)))
+        return np.sqrt(sum(coefficient_eval(term, r * ell0) * r ** (1 - 2 * k) * mk[k]
+                           for k, term in cfg.terms.items()))
 
     points = sorted({0.2, 5.0, 1.0} | {x / ell0 for x in knots if 0.2 < x / ell0 < 5.0})
     oracle = sum(
@@ -230,6 +237,61 @@ def test_geodesic_random_pairs_converge_on_gradient(n, T, seed):
     assert res.to_dict()["termination"] == "gradient"
 
 
+def ellipse_pair(n, order):
+    """The unit circle and (1.4 cos + 0.1, 0.8 sin + 0.2 sin 2theta)."""
+    grid = sc.Grid(n, order)
+    th = grid.theta
+    c1 = np.stack([1.4 * np.cos(th) + 0.1, 0.8 * np.sin(th) + 0.2 * np.sin(2 * th)], axis=1)
+    return sc.make_circle(1.0, (0, 0), grid), sc.DiscreteCurve(grid, c1)
+
+
+@pytest.mark.parametrize("order", [4, 2])
+@pytest.mark.parametrize("n", [32, 64])
+def test_geodesic_coarse_ellipse_converges_fast(n, order):
+    # The preconditioner uses the stencil's own symbol, so the highest
+    # modes of a coarse grid are weighted as the energy weights them.
+    c0, c1 = ellipse_pair(n, order)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16))
+    assert res.termination == "gradient"
+    assert res.iterations <= 60
+    assert is_monotone(res.energy_trace)
+    tight = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16, grad_tol=1e-9))
+    assert tight.converged
+    assert res.length == pytest.approx(tight.length, rel=1e-7)
+
+
+@pytest.mark.parametrize("order", [4, 2])
+@pytest.mark.parametrize("n, T", [(32, 8), (64, 16), (256, 32)])
+def test_preconditioner_matches_dst_reference(n, T, order):
+    """The Green's-matrix apply equals a DST-I form with the closed-form stencil symbol."""
+    from scipy.fft import dst, idst
+
+    c0, c1 = ellipse_pair(n, order)
+    grid, dt = c0.grid, 1.0 / T
+    h = grid.spacing
+    m = np.arange(n // 2 + 1)
+    if order == 4:
+        sigma = (8 * np.sin(m * h) - np.sin(2 * m * h)) / (6 * h)
+    else:
+        sigma = np.sin(m * h) / h
+    s_bar = 0.5 * (np.mean(c0.arc_speed) + np.mean(c1.arc_speed))
+    l_bar = 0.5 * (sc.curve_length(c0) + sc.curve_length(c1))
+    symbol = sum(
+        coefficient_eval(term, l_bar) * (sigma / s_bar) ** (2 * k) for k, term in SI.terms.items()
+    ) * (s_bar * grid.weight * n)
+    lam_t = (2.0 / dt) * 4.0 * np.sin(np.pi * np.arange(1, T) / (2 * T)) ** 2
+
+    def reference(g):
+        spec = np.fft.rfft(dst(g, type=1, axis=0), axis=1)
+        spec /= lam_t[:, None, None] * symbol[None, :, None]
+        return idst(np.fft.irfft(spec, n=n, axis=1), type=1, axis=0)
+
+    apply = _spectral_preconditioner(SI, grid, c0, c1, T, dt)
+    g = np.random.default_rng(n + T + order).standard_normal((T - 1, n, 2))
+    expected = reference(g)
+    assert np.max(np.abs(apply(g) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 def test_geodesic_symmetric_copy_same_iterations():
     c0, c1 = random_pair(64, 0)
     res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16))
@@ -291,17 +353,3 @@ def test_result_serialization_roundtrip():
     back = path_from_dict(path_to_dict(res.path))
     assert back.T == res.path.T
     assert np.array_equal(back.slices[3].samples, res.path.slices[3].samples)
-
-
-def test_lipschitz_probe():
-    rng = np.random.default_rng(44)
-    grid = sc.Grid(64)
-    pairs = []
-    for _ in range(4):
-        c0 = random_curve(grid, rng)
-        c1 = sc.DiscreteCurve(grid, c0.samples * 1.01)
-        pairs.append((c0, c1))
-    pairs.append((pairs[0][0], pairs[0][0]))  # identical pair is skipped
-    ratios = sc.lipschitz_probe_log_speed(CFG, pairs)
-    assert len(ratios) == 4
-    assert all(r >= 0 for r in ratios)
