@@ -247,26 +247,18 @@ def make_circle(r: float, center, grid: Grid, dim: int = 2) -> DiscreteCurve:
     return DiscreteCurve(grid, samples + center)
 
 
-def make_bumpy_circle(
-    r: float,
-    eps: float,
-    lam: int,
-    grid: Grid,
-    *,
-    allow_flat: bool = False,
-) -> DiscreteCurve:
+def make_bumpy_circle(r: float, eps: float, lam: int, grid: Grid) -> DiscreteCurve:
     """Circle of radius r with 2*lam bumps: r(1 + eps*sin(lam*theta)) * n(theta).
 
     Requires 0 < eps < 1/3 and N >= 32*lam so the highest mode is
-    resolved.  allow_flat=True admits eps = 0 (test oracle only).
+    resolved.
     """
     if r <= 0:
         raise ContractError(f"radius must be positive, got {r}")
     if not isinstance(lam, (int, np.integer)) or lam < 1:
         raise ContractError(f"bump frequency must be a positive integer, got {lam}")
     if not (0.0 < eps < 1.0 / 3.0):
-        if not (allow_flat and eps == 0.0):
-            raise ContractError(f"eps must lie in (0, 1/3), got {eps}")
+        raise ContractError(f"eps must lie in (0, 1/3), got {eps}")
     if grid.n_points < 32 * lam:
         raise ContractError(
             f"N={grid.n_points} too small for lambda={lam}; need N >= {32 * lam}"

@@ -1,7 +1,9 @@
 """Paths of curves: energy, length, radial closed forms, geodesic BVP.
 
-A path is T+1 curve slices on a shared grid over the unit time
-interval.  Energy uses the midpoint discretization
+A path is one (T+1, N, d) array: slice m is the curve at time m/T of
+the unit interval, sampled on a shared grid.  Every kernel works on that
+array; `CurvePath.slices` wraps its rows as curves only for callers that
+want them.  Energy uses the midpoint discretization
 
     E = dt * sum_m G_{(c_m + c_{m+1})/2}(v_m, v_m),   v_m = (c_{m+1} - c_m)/dt,
 
@@ -39,22 +41,46 @@ from .metric import MetricConfig, _q_form, coefficient_deriv, coefficient_eval
 
 @dataclass(frozen=True)
 class CurvePath:
-    """T+1 curve slices over [0, 1] on a shared grid."""
+    """A path over [0, 1]: one (T+1, N, d) array of curve samples on a grid.
+
+    Slice m, the curve at time m/T, is samples[m].
+    """
 
     grid: Grid
-    slices: tuple
+    samples: np.ndarray
 
     def __post_init__(self):
-        if len(self.slices) < 2:
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.ndim != 3 or samples.shape[1] != self.grid.n_points or samples.shape[2] < 2:
+            raise ContractError(
+                f"path samples must be a (T+1, {self.grid.n_points}, d) array with d >= 2, "
+                f"got shape {samples.shape}"
+            )
+        if len(samples) < 2:
             raise ContractError("a path needs at least two slices")
-        for c in self.slices:
-            if c.grid != self.grid:
-                raise ContractError("all slices must share the path grid")
-        object.__setattr__(self, "slices", tuple(self.slices))
+        if not np.all(np.isfinite(samples)):
+            raise ContractError("path samples must be finite")
+        try:
+            _arc_jet(self.grid, samples)
+        except ImmersionError:
+            # Name the first bad slice; only a failed check pays for the search.
+            for m, c in enumerate(samples):
+                try:
+                    _arc_jet(self.grid, c)
+                except ImmersionError as exc:
+                    t = m / (len(samples) - 1)
+                    raise ImmersionError(f"path degenerates at t={t:.6g}: {exc}") from exc
+            raise
+        object.__setattr__(self, "samples", samples)
+
+    @property
+    def slices(self) -> tuple:
+        """The rows of `samples` as DiscreteCurves, built anew on each access."""
+        return tuple(DiscreteCurve(self.grid, c) for c in self.samples)
 
     @property
     def T(self) -> int:
-        return len(self.slices) - 1
+        return len(self.samples) - 1
 
     @property
     def dt(self) -> float:
@@ -106,20 +132,8 @@ def linear_path(c0: DiscreteCurve, c1: DiscreteCurve, T: int) -> CurvePath:
         raise ContractError("endpoint curves live on different grids")
     if T < 1:
         raise ContractError("T must be >= 1")
-    slices = []
-    for m in range(T + 1):
-        t = m / T
-        try:
-            slices.append(DiscreteCurve(c0.grid, (1.0 - t) * c0.samples + t * c1.samples))
-        except ImmersionError as exc:
-            raise ImmersionError(
-                f"linear path degenerates at t={t:.6g}: {exc}"
-            ) from exc
-    return CurvePath(c0.grid, tuple(slices))
-
-
-def _stack(path: CurvePath) -> np.ndarray:
-    return np.stack([c.samples for c in path.slices])
+    t = (np.arange(T + 1) / T)[:, None, None]
+    return CurvePath(c0.grid, (1.0 - t) * c0.samples + t * c1.samples)
 
 
 def _forward(cfg: MetricConfig, grid: Grid, stacked, dt: float):
@@ -139,18 +153,18 @@ def _forward(cfg: MetricConfig, grid: Grid, stacked, dt: float):
 
 def path_energy(cfg: MetricConfig, path: CurvePath) -> float:
     """Midpoint-discretized Riemannian path energy."""
-    values, _ = _forward(cfg, path.grid, _stack(path), path.dt)
+    values, _ = _forward(cfg, path.grid, path.samples, path.dt)
     return path.dt * float(np.sum(values))
 
 
 def path_length(cfg: MetricConfig, path: CurvePath) -> float:
     """Midpoint-discretized path length; length^2 <= energy on [0,1]."""
-    values, _ = _forward(cfg, path.grid, _stack(path), path.dt)
+    values, _ = _forward(cfg, path.grid, path.samples, path.dt)
     return path.dt * float(np.sum(np.sqrt(np.maximum(values, 0.0))))
 
 
 def reverse_path(path: CurvePath) -> CurvePath:
-    return CurvePath(path.grid, tuple(reversed(path.slices)))
+    return CurvePath(path.grid, path.samples[::-1])
 
 
 def moments(c0: DiscreteCurve, n: int) -> np.ndarray:
@@ -258,7 +272,7 @@ def energy_and_gradient(cfg: MetricConfig, path: CurvePath):
     Returns (energy, grad) with grad of shape (T-1, N, d); the endpoint
     slices are fixed and carry no gradient.
     """
-    return _stacked_energy_and_gradient(cfg, path.grid, _stack(path), path.dt)
+    return _stacked_energy_and_gradient(cfg, path.grid, path.samples, path.dt)
 
 
 def gradient_check(
@@ -275,8 +289,7 @@ def gradient_check(
         raise ContractError("gradient check needs at least one interior slice")
     _, grad = energy_and_gradient(cfg, path)
     scale = np.max(np.abs(grad))
-    base = [c.samples.copy() for c in path.slices]
-    n, d = base[0].shape
+    n, d = path.samples.shape[1:]
     worst = 0.0
     for _ in range(n_coords):
         m = int(rng.integers(1, path.T))
@@ -284,10 +297,9 @@ def gradient_check(
         axis = int(rng.integers(0, d))
 
         def energy_at(delta):
-            slices = [s.copy() for s in base]
-            slices[m][j, axis] += delta
-            p = CurvePath(path.grid, tuple(DiscreteCurve(path.grid, s) for s in slices))
-            return path_energy(cfg, p)
+            samples = path.samples.copy()
+            samples[m, j, axis] += delta
+            return path_energy(cfg, CurvePath(path.grid, samples))
 
         # Richardson-extrapolated central differences: spike perturbations
         # are rough fields, so the plain h^2 truncation term is large.
@@ -336,15 +348,6 @@ def _spectral_preconditioner(cfg: MetricConfig, grid: Grid, c0, c1, T: int, dt: 
     return apply
 
 
-def _rebuild(grid: Grid, endpoints, interior) -> CurvePath:
-    c0, c1 = endpoints
-    slices = [c0]
-    for samples in interior:
-        slices.append(DiscreteCurve(grid, samples))
-    slices.append(c1)
-    return CurvePath(grid, tuple(slices))
-
-
 # Energy changes within this many ulps of E count as roundoff.
 _ROUNDOFF_ULPS = 8
 # Armijo sufficient-decrease constant and backtracking step factor.
@@ -370,7 +373,7 @@ def geodesic_bvp(
     if c0.grid != c1.grid:
         raise ContractError("endpoint curves live on different grids")
     if np.array_equal(c0.samples, c1.samples):
-        path = CurvePath(c0.grid, tuple([c0] * (opts.T + 1)))
+        path = CurvePath(c0.grid, np.repeat(c0.samples[None], opts.T + 1, axis=0))
         return GeodesicResult(
             path=path,
             energy=0.0,
@@ -384,29 +387,26 @@ def geodesic_bvp(
     path = opts.initial_path
     if path is None:
         path = linear_path(c0, c1, opts.T)
+    elif path.grid != c0.grid:
+        raise ContractError(f"initial path lives on {path.grid}, the endpoints on {c0.grid}")
     elif path.T != opts.T:
         raise ContractError(f"initial path has T={path.T}, options ask for T={opts.T}")
-    elif path.slices[0] is not c0 or path.slices[-1] is not c1:
-        if not (
-            np.array_equal(path.slices[0].samples, c0.samples)
-            and np.array_equal(path.slices[-1].samples, c1.samples)
-        ):
-            raise ContractError("initial path endpoints do not match c0, c1")
+    elif not (
+        np.array_equal(path.samples[0], c0.samples)
+        and np.array_equal(path.samples[-1], c1.samples)
+    ):
+        raise ContractError("initial path endpoints do not match c0, c1")
     grid = path.grid
     dt = path.dt
-    speed_floor = 1e-6 * float(
-        np.mean([np.mean(c.arc_speed) for c in path.slices])
-    )
+    speed_floor = 1e-6 * float(np.mean(np.mean(_arc_jet(grid, path.samples)[0], axis=-1)))
 
-    x = np.stack([c.samples for c in path.slices[1:-1]])
-    endpoints = (path.slices[0], path.slices[-1])
-    end_lo = endpoints[0].samples[None]
-    end_hi = endpoints[1].samples[None]
+    x = path.samples[1:-1].copy()
+    ends = (path.samples[:1], path.samples[-1:])
 
     def eval_at(x_arr):
         if np.min(_arc_jet(grid, x_arr)[0]) < speed_floor:
             raise ImmersionError("interior slice below speed floor")
-        stacked = np.concatenate([end_lo, x_arr, end_hi])
+        stacked = np.concatenate([ends[0], x_arr, ends[1]])
         return _stacked_energy_and_gradient(cfg, grid, stacked, dt)
 
     energy, grad = eval_at(x)
@@ -484,7 +484,7 @@ def geodesic_bvp(
         x, grad, pgrad = x_try, grad_try, pgrad_try
         energy = energy_try
         trace.append(energy)
-    current_path = _rebuild(grid, endpoints, x)
+    current_path = CurvePath(grid, np.concatenate([ends[0], x, ends[1]]))
     return GeodesicResult(
         path=current_path,
         energy=energy,
@@ -516,8 +516,8 @@ def path_to_dict(path: CurvePath) -> dict:
 
 def path_from_dict(data: dict) -> CurvePath:
     grid = Grid(int(data["grid"]["N"]), int(data["grid"].get("scheme_order", 4)))
-    slices = tuple(
-        DiscreteCurve(grid, np.asarray(entry["samples"], dtype=float))
-        for entry in data["slices"]
-    )
-    return CurvePath(grid, slices)
+    try:
+        samples = np.asarray([entry["samples"] for entry in data["slices"]], dtype=float)
+    except ValueError as exc:
+        raise ContractError(f"malformed path slices: {exc}") from exc
+    return CurvePath(grid, samples)

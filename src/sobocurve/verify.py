@@ -93,17 +93,17 @@ def _check_exact_identities(rng):
 
 
 def _check_convergence_order(rng):
+    cases = (
+        (lambda t: np.sin(3 * t), lambda t: 3 * np.cos(3 * t)),
+        (lambda t: np.cos(5 * t) + np.sin(2 * t), lambda t: -5 * np.sin(5 * t) + 2 * np.cos(2 * t)),
+    )
     ratios = []
-    for n_pts in (64,):
-        for fn in (lambda t: np.sin(3 * t), lambda t: np.cos(5 * t) + np.sin(2 * t)):
-            errs = []
-            for n_cur in (n_pts, 2 * n_pts):
-                g = Grid(n_cur)
-                approx = derivative(fn(g.theta), g)
-                h = 1e-6
-                exact = (fn(g.theta + h) - fn(g.theta - h)) / (2 * h)
-                errs.append(float(np.max(np.abs(approx - exact))))
-            ratios.append(errs[0] / errs[1])
+    for fn, exact in cases:
+        errs = []
+        for n_pts in (64, 128):
+            g = Grid(n_pts)
+            errs.append(float(np.max(np.abs(derivative(fn(g.theta), g) - exact(g.theta)))))
+        ratios.append(errs[0] / errs[1])
     ok = all(12.0 <= r <= 20.0 for r in ratios)
     return ok, f"refinement error ratios {['%.1f' % r for r in ratios]}"
 
@@ -269,8 +269,8 @@ def _check_solver_monotone(rng):
     res = geodesic_bvp(cfg, c0, c1, SolverOptions(max_iters=50, grad_tol=1e-5, T=8))
     trace = res.energy_trace
     monotone = all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1))
-    pinned = np.array_equal(res.path.slices[0].samples, c0.samples) and np.array_equal(
-        res.path.slices[-1].samples, c1.samples
+    pinned = np.array_equal(res.path.samples[0], c0.samples) and np.array_equal(
+        res.path.samples[-1], c1.samples
     )
     ok = monotone and pinned and res.energy <= trace[0]
     return ok, f"energy {trace[0]:.4f} -> {res.energy:.4f} in {res.iterations} iters"
@@ -283,13 +283,13 @@ def _check_w_length_bound(rng):
     c0 = make_circle(1.0, (0.0, 0.0), grid)
     c1 = DiscreteCurve(grid, 1.4 * c0.samples + 0.05 * random_field(grid, rng).values)
     res = geodesic_bvp(cfg, c0, c1, SolverOptions(max_iters=40, grad_tol=1e-5, T=16))
-    w0 = w_eval(cfg, curve_length(res.path.slices[0]))
+    slices = res.path.slices
+    w0 = w_eval(cfg, curve_length(slices[0]))
     acc = 0.0
     ok = True
     for m in range(res.path.T):
-        seg = linear_path(res.path.slices[m], res.path.slices[m + 1], 1)
-        acc += path_length(cfg, seg)
-        wm = w_eval(cfg, curve_length(res.path.slices[m + 1]))
+        acc += path_length(cfg, linear_path(slices[m], slices[m + 1], 1))
+        wm = w_eval(cfg, curve_length(slices[m + 1]))
         ok = ok and abs(wm - w0) <= const * acc * 1.1 + 1e-12
     return ok, f"|dW| vs accumulated length, C={const:.4f}"
 

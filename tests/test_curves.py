@@ -232,8 +232,6 @@ def test_make_bumpy_circle_contracts():
         sc.make_bumpy_circle(-1.0, 0.25, 4, grid)
     with pytest.raises(ContractError):
         sc.make_bumpy_circle(1.0, 0.0, 4, grid)
-    flat = sc.make_bumpy_circle(1.0, 0.0, 5, grid, allow_flat=True)
-    assert abs(sc.curve_length(flat) - TWO_PI) <= 2e-7
     bumpy = sc.make_bumpy_circle(1.0, 0.25, 4, grid)
     assert float(np.min(bumpy.arc_speed)) >= 0.75
 

@@ -35,6 +35,33 @@ def test_linear_path_basics():
         sc.linear_path(c0, sc.make_circle(1.0, (0, 0), sc.Grid(32)), 8)
 
 
+def test_curve_path_contracts():
+    c0, c1 = circle_pair(64)
+    samples = sc.linear_path(c0, c1, 4).samples
+    for bad in (
+        samples[0],  # one curve, not a stack
+        samples[:, ::2],  # 32 samples on a 64-point grid
+        samples[:1],  # a single slice
+        samples[..., :1],  # d = 1
+    ):
+        with pytest.raises(ContractError):
+            sc.CurvePath(c0.grid, bad)
+    nan = samples.copy()
+    nan[2, 5, 1] = np.nan
+    with pytest.raises(ContractError):
+        sc.CurvePath(c0.grid, nan)
+    collapsed = samples.copy()
+    collapsed[2] = 0.0
+    with pytest.raises(ImmersionError, match="degenerates at t=0.5"):
+        sc.CurvePath(c0.grid, collapsed)
+    path = sc.CurvePath(c0.grid, samples)
+    assert all(np.array_equal(c.samples, samples[m]) for m, c in enumerate(path.slices))
+    ragged = path_to_dict(path)
+    ragged["slices"][1]["samples"].pop()
+    with pytest.raises(ContractError):
+        path_from_dict(ragged)
+
+
 def test_linear_path_degeneration():
     grid = sc.Grid(64)
     c0 = sc.make_circle(1.0, (0, 0), grid)
@@ -202,6 +229,14 @@ def test_geodesic_initial_path_endpoint_mismatch():
         sc.geodesic_bvp(CFG, c0, c1, sc.SolverOptions(T=8, initial_path=bad))
 
 
+def test_geodesic_initial_path_grid_mismatch():
+    # Same N, other stencil: the solve would run on the initial path's grid.
+    c0, c1 = ellipse_pair(64, 4)
+    init = sc.linear_path(*ellipse_pair(64, 2), 8)
+    with pytest.raises(ContractError, match="initial path lives on"):
+        sc.geodesic_bvp(CFG, c0, c1, sc.SolverOptions(T=8, initial_path=init))
+
+
 def test_geodesic_initial_path_T_mismatch():
     c0, c1 = circle_pair(64)
     init = sc.linear_path(c0, c1, 8)
@@ -353,3 +388,22 @@ def test_result_serialization_roundtrip():
     back = path_from_dict(path_to_dict(res.path))
     assert back.T == res.path.T
     assert np.array_equal(back.slices[3].samples, res.path.slices[3].samples)
+
+
+def test_path_kernels_construct_no_curves(monkeypatch):
+    c0, c1 = random_pair(64, 0)
+    built = []
+    init = sc.DiscreteCurve.__post_init__
+
+    def counted(self):
+        built.append(1)
+        init(self)
+
+    monkeypatch.setattr(sc.DiscreteCurve, "__post_init__", counted)
+    path = sc.linear_path(c0, c1, 16)
+    sc.path_energy(SI, path)
+    sc.path_length(SI, path)
+    sc.paths.energy_and_gradient(SI, path)
+    sc.gradient_check(SI, path, n_coords=2)
+    sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16))
+    assert len(built) == 0
