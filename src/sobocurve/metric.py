@@ -11,15 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 import numpy as np
 
 from .curves import DiscreteCurve, TangentField, _arc_jet
 from .errors import ContractError
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
 
 
 @dataclass(frozen=True)
@@ -53,6 +50,14 @@ class Constant:
 class Tabulated:
     """Monotone-cubic interpolation of (knots, values) with power-law tails.
 
+    Between the knots the profile is the PCHIP interpolant (Fritsch &
+    Carlson, SIAM J. Numer. Anal. 17, 1980) with SciPy's slope rules: a
+    weighted harmonic mean of the secant slopes inside, zero where they
+    change sign or vanish, and a shape-preserving three-point rule at the
+    ends.  It equals scipy.interpolate.PchipInterpolator bit for bit
+    (tests/test_metric.py::test_tabulated_matches_scipy_pchip_exactly),
+    in value and derivative, without importing SciPy.
+
     Each tail is v_end * (ell / k_end)**p, anchored at its end knot so the
     profile is continuous there, with p the least-squares log-log slope
     over the outer 25% of knots (at least two points each), so improper
@@ -63,13 +68,12 @@ class Tabulated:
 
     knots: tuple
     values: tuple
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
     tail_low: tuple = field(init=False, compare=False)
     tail_high: tuple = field(init=False, compare=False)
+    _knots: np.ndarray = field(init=False, repr=False, compare=False)
+    _coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from scipy.interpolate import PchipInterpolator
-
         knots = np.asarray(self.knots, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if knots.size < 4 or knots.size != values.size:
@@ -84,10 +88,37 @@ class Tabulated:
             raise ContractError("tabulated values must be positive for tail fitting")
         object.__setattr__(self, "knots", tuple(knots))
         object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "_interp", PchipInterpolator(knots, values))
+        object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_coef", _pchip_coefficients(knots, values))
         m = max(2, int(math.ceil(0.25 * knots.size)))
         object.__setattr__(self, "tail_low", _fit_tail(knots[:m], values[:m], 0))
         object.__setattr__(self, "tail_high", _fit_tail(knots[-m:], values[-m:], -1))
+
+
+def _pchip_coefficients(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(4, K-1) power-basis cubics c0 s^3 + c1 s^2 + c2 s + c3, s = ell - knot_i."""
+    h = np.diff(knots)
+    m = np.diff(values) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        inner = np.where(flat, 0.0, 1.0 / whmean)
+    d = np.concatenate(
+        ([_end_slope(h[0], h[1], m[0], m[1])], inner, [_end_slope(h[-1], h[-2], m[-1], m[-2])])
+    )
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], values[:-1]))
+
+
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, kept from overshooting."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def _fit_tail(knots: np.ndarray, values: np.ndarray, end: int) -> tuple:
@@ -100,10 +131,26 @@ CoefficientTerm = Union[PowerLaw, Constant, Tabulated]
 
 def _check_lengths(ell):
     if isinstance(ell, np.ndarray):
-        if np.any(ell <= 0):
-            raise ContractError(f"curve lengths must be positive, got min {np.min(ell)}")
-    elif ell <= 0:
-        raise ContractError(f"curve length must be positive, got {ell}")
+        ok = (ell > 0) & (ell < math.inf)  # False for NaN too
+        if not ok.all():
+            bad = ell[~ok].flat[0]
+            raise ContractError(f"curve lengths must be positive and finite, got {bad}")
+    elif not 0 < ell < math.inf:
+        raise ContractError(f"curve length must be positive and finite, got {ell}")
+
+
+def _pchip(term: Tabulated, ell, nu: int):
+    """The interpolant (nu = 0) or its derivative (nu = 1) on the knot cubics.
+
+    Summed as SciPy's PPoly sums, not by Horner's rule, so the results are
+    SciPy's bit for bit.
+    """
+    i = np.searchsorted(term._knots[1:-1], ell, side="right")
+    c0, c1, c2, c3 = term._coef.take(i, axis=1)
+    s = ell - term._knots.take(i)
+    if nu == 0:
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+    return c2 + c1 * s * 2 + c0 * (s * s) * 3
 
 
 def _tabulated(term: Tabulated, ell, nu: int):
@@ -119,10 +166,14 @@ def _tabulated(term: Tabulated, ell, nu: int):
             return tail(term.tail_low, ell)
         if ell > term.knots[-1]:
             return tail(term.tail_high, ell)
-        return float(term._interp(ell, nu))
-    out = term._interp(ell, nu)
-    for mask, end in ((ell < term.knots[0], term.tail_low), (ell > term.knots[-1], term.tail_high)):
-        out[mask] = tail(end, ell[mask])
+        return float(_pchip(term, ell, nu))
+    low, high = ell < term.knots[0], ell > term.knots[-1]
+    inside = ~(low | high)
+    out = np.empty(ell.shape)
+    out[inside] = _pchip(term, ell[inside], nu)  # no cubic far outside: no overflow
+    for mask, end in ((low, term.tail_low), (high, term.tail_high)):
+        if mask.any():
+            out[mask] = tail(end, ell[mask])
     return out
 
 

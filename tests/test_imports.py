@@ -28,18 +28,19 @@ print(json.dumps({"code": code, "scipy": loaded, "numpy_polynomial": polynomial}
 """
 
 
-def child_run(argv=()):
+def child_run(argv=(), script=CHILD):
     """Import sobocurve.cli and run main(argv), if given, in a fresh interpreter.
 
     Returns the child's report: exit code (None without argv), the loaded
-    scipy modules and whether numpy.polynomial was loaded.
+    scipy modules and whether numpy.polynomial was loaded.  Another
+    `script` reports what it prints as JSON on its last line.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -134,7 +135,7 @@ def test_radial_loads_no_scipy(power_metric, tmp_path):
     assert json.loads(out.read_text())["radial_length"] > 0.0
 
 
-def test_analyze_tabulated_loads_no_scipy_integrate(tmp_path):
+def test_analyze_tabulated_loads_no_scipy(tmp_path):
     metric = tmp_path / "metric.json"
     knots = [0.25, 0.5, 1.0, 2.0, 4.0]
     metric.write_text(
@@ -151,9 +152,74 @@ def test_analyze_tabulated_loads_no_scipy_integrate(tmp_path):
     out = tmp_path / "report.json"
     code, loaded = scipy_modules_after(["analyze", "--metric", str(metric), "--output", str(out)])
     assert code == 0
-    assert "scipy.interpolate" in loaded
-    assert not any(m.startswith("scipy.integrate") for m in loaded)
+    assert loaded == []
     assert "classification" in json.loads(out.read_text())
+
+
+def test_verify_loads_no_scipy(tmp_path):
+    code, loaded = scipy_modules_after(
+        ["verify", "--seed", "0", "--output", str(tmp_path / "verify.txt")]
+    )
+    assert code == 0
+    assert loaded == []
+
+
+TABULATED_CHILD = """
+import json, sys
+import numpy as np
+from sobocurve.metric import Tabulated, coefficient_deriv, coefficient_eval
+table = Tabulated((0.25, 0.5, 1.0, 2.0, 4.0), (0.1, 0.4, 0.3, 2.0, 9.0))
+coefficient_eval(table, np.geomspace(0.1, 8.0, 64)), coefficient_deriv(table, 1.5)
+print(json.dumps({"scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+"""
+
+
+def test_tabulated_loads_no_scipy():
+    assert child_run(script=TABULATED_CHILD)["scipy"] == []
+
+
+def scipy_imports(source: str, module: str) -> list[str]:
+    """Each SciPy import of a module, named by the function whose body holds
+    it (``module.function``), or ``module:line`` outside any function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(owner or f"{module}:{child.lineno}")
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_scipy_imported_only_in_reparametrize():
+    found = {
+        where
+        for path in PACKAGE_DIR.glob("*.py")
+        for where in scipy_imports(path.read_text(), path.stem)
+    }
+    assert found == {"curves.reparametrize"}
+
+
+def test_scipy_import_scan_flags_module_level_imports():
+    source = (
+        "import numpy\n"
+        "from scipy.fft import fft\n"
+        "if True:\n    import scipy\n"
+        "def f():\n    from scipy.interpolate import CubicSpline\n    return CubicSpline\n"
+        "def g():\n    import scipyx\n"
+    )
+    assert scipy_imports(source, "m") == ["m:2", "m:4", "m.f"]
 
 
 def unused_imports(source: str) -> list[str]:

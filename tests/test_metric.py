@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sobocurve as sc
@@ -68,6 +68,19 @@ def test_tabulated_tails_anchored_at_end_knots():
     large = Tabulated((1000.0, 1001.0, 2000.0, 3000.0), (1.0, 1e6, 2e6, 3e6))
     assert coefficient_eval(large, 999.9) > 0.0
     assert coefficient_eval(large, 1000.0 * (1 - 1e-15)) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_tabulated_far_tails_do_not_overflow():
+    # Quadratures raise on overflow; only the tail may be evaluated far
+    # beyond the knots, never the cubic of the end interval.
+    table = Tabulated((0.5, 1.0, 2.0, 4.0), (0.5, 1.0, 2.0, 4.0))
+    ell = np.array([1e-110, 1.5, 1e110])
+    with np.errstate(over="raise", invalid="raise"):
+        for fn in (coefficient_eval, coefficient_deriv):
+            np.testing.assert_allclose(
+                fn(table, ell), [fn(table, float(x)) for x in ell], rtol=1e-15, atol=0.0
+            )
+    assert coefficient_eval(table, 1e110) == pytest.approx(1e110, rel=1e-9)
 
 
 def test_tabulated_contracts():
@@ -267,6 +280,48 @@ def test_coefficient_profiles_on_arrays(term):
             fn(term, np.array([1.0, 0.0, 2.0]))
         with pytest.raises(ContractError):
             fn(term, np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("term", _profiles(), ids=["power", "const", "table"])
+def test_coefficient_profiles_reject_non_finite_lengths(term, bad):
+    for fn in (coefficient_eval, coefficient_deriv):
+        for ell in (bad, np.array([1.0, bad, 2.0]), np.array([[1.0, 2.0], [3.0, bad]])):
+            with pytest.raises(ContractError, match="positive and finite"):
+                fn(term, ell)
+
+
+@st.composite
+def _pchip_tables(draw):
+    """4-16 knots; values on a few integer levels give flat runs and slope sign changes."""
+    size = draw(st.integers(4, 16))
+    steps = draw(st.lists(st.floats(0.01, 5.0), min_size=size, max_size=size))
+    knots = draw(st.floats(1e-3, 1e3)) * np.cumsum(steps)
+    level = st.integers(1, 4).map(float) | st.floats(0.1, 10.0)
+    values = draw(st.lists(level, min_size=size, max_size=size))
+    return Tabulated(tuple(knots.tolist()), tuple(values))
+
+
+# End slopes zeroed (the three-point slope has the wrong sign), clamped to
+# 3 m0 (m0 and m1 of opposite sign), and one of each around a flat run.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(table=Tabulated((1.0, 2.0, 3.0, 4.0), (1.0, 1.1, 3.1, 3.2)), seed=0)
+@example(table=Tabulated((1.0, 2.0, 3.0, 4.0), (10.0, 11.0, 1.0, 2.0)), seed=0)
+@example(table=Tabulated((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (1.0, 1.1, 3.1, 3.1, 8.1, 7.1)), seed=0)
+@given(table=_pchip_tables(), seed=st.integers(0, 2**32 - 1))
+def test_tabulated_matches_scipy_pchip_exactly(table, seed):
+    from scipy.interpolate import PchipInterpolator
+
+    knots = np.array(table.knots)
+    reference = PchipInterpolator(knots, np.array(table.values))
+    rng = np.random.default_rng(seed)
+    inner = rng.uniform(knots[0], knots[-1], (3, 96))  # shaped like log_quad's nodes
+    for nu, fn in ((0, coefficient_eval), (1, coefficient_deriv)):
+        for ell in (inner, knots):
+            assert np.array_equal(fn(table, ell), reference(ell, nu))
+        for ell in (*knots, *inner[0, :8]):
+            assert fn(table, float(ell)) == float(reference(ell, nu))
+            assert fn(table, np.array(ell)) == reference(ell, nu)  # 0-d array
 
 
 # Property tests of the invariants `verify` samples on eval_metric.  The
