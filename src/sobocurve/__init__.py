@@ -8,10 +8,8 @@ path-energy minimization, and the bumpy-circle incompleteness sequences.
 from .curves import (
     DiscreteCurve,
     Grid,
-    NormKind,
     TangentField,
     arc_derivative,
-    arc_speed,
     curve_length,
     curve_from_dict,
     curve_to_dict,
@@ -20,7 +18,6 @@ from .curves import (
     load_curve,
     make_bumpy_circle,
     make_circle,
-    norm,
     reparametrize,
     save_curve,
 )

@@ -57,6 +57,9 @@ class CounterexampleParams:
     def __post_init__(self):
         if self.case not in (GROW, SHRINK):
             raise ContractError(f"case must be '{GROW}' or '{SHRINK}', got {self.case!r}")
+        for name, value in (("p", self.p), ("alpha", self.alpha)):
+            if not math.isfinite(value):
+                raise ContractError(f"{name} must be finite, got {value}")
         if not (0.0 < self.eps < 1.0 / 3.0):
             raise ContractError(f"eps must lie in (0, 1/3), got {self.eps}")
         if self.lambda0 <= 2 or self.b <= 1:
@@ -226,8 +229,8 @@ def verify_sequence(
     params: CounterexampleParams, seq: CounterexampleSequence, T: int = 64
 ) -> SequenceReport:
     """Quantitative checks of the incompleteness construction at desk scale."""
-    if T > MAX_T:
-        raise ContractError(f"T={T} exceeds desk cap {MAX_T}")
+    if not isinstance(T, (int, np.integer)) or not 1 <= T <= MAX_T:
+        raise ContractError(f"T must be an integer in [1, {MAX_T}], got {T}")
     if seq.params != params:
         raise ContractError("sequence was built with different parameters")
     beta = params.beta

@@ -1,7 +1,7 @@
 """Discrete calculus for closed curves on a uniform periodic grid.
 
 Curves are sampled at theta_j = 2*pi*j/N.  Differentiation uses periodic
-central finite differences (order 2 or 4), integration the periodic
+central finite differences of fourth order, integration the periodic
 trapezoid rule with uniform weights 2*pi/N.  Arc-length quantities are
 built from the pointwise speed |c'|.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +25,10 @@ class Grid:
     """Uniform periodic sampling of the circle with N points."""
 
     n_points: int
-    scheme_order: int = 4
 
     def __post_init__(self):
         if self.n_points < 16 or self.n_points % 2 != 0:
             raise ContractError(f"grid needs N >= 16 and even, got N={self.n_points}")
-        if self.scheme_order not in (2, 4):
-            raise ContractError(f"scheme_order must be 2 or 4, got {self.scheme_order}")
 
     @property
     def theta(self) -> np.ndarray:
@@ -49,18 +45,18 @@ class Grid:
 
 
 def derivative(values: np.ndarray, grid: Grid, axis: int = 0) -> np.ndarray:
-    """Periodic central finite-difference d/dtheta of a sampled field.
+    """Fourth-order periodic central difference d/dtheta of a sampled field.
 
     `values` holds grid.n_points samples along `axis`, e.g. (N,), (N, d)
-    or a stack (T, N, d) with axis=1.  Exact on constants; accuracy is
-    grid.scheme_order on smooth periodic data.
+    or a stack (T, N, d) with axis=1.  Exact on constants; fourth-order
+    accurate on smooth periodic data.
     """
     values = np.asarray(values, dtype=float)
     n = grid.n_points
     if not -values.ndim <= axis < values.ndim or values.shape[axis] != n:
         raise ContractError(f"field has no axis {axis} with {n} samples: shape {values.shape}")
     # Wrap by padding r samples on each side, then difference shifted slices.
-    r = grid.scheme_order // 2
+    r = 2
     lead = (slice(None),) * (axis % values.ndim)
     padded = np.concatenate(
         (values[lead + (slice(n - r, n),)], values, values[lead + (slice(0, r),)]), axis=axis
@@ -69,12 +65,9 @@ def derivative(values: np.ndarray, grid: Grid, axis: int = 0) -> np.ndarray:
     def shift(j):  # values[i + j], periodically
         return padded[lead + (slice(r + j, r + j + n),)]
 
-    out = shift(1) - shift(-1)
-    if grid.scheme_order == 2:
-        out /= 2.0 * grid.spacing
-        return out
     # 8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2]): differences first, so
     # constants cancel exactly.
+    out = shift(1) - shift(-1)
     out *= 8.0
     out -= shift(2) - shift(-2)
     out /= 12.0 * grid.spacing
@@ -159,28 +152,12 @@ class TangentField:
         object.__setattr__(self, "values", values)
 
 
-class NormKind(Enum):
-    L2_DTHETA = "L2_dtheta"
-    L2_DS = "L2_ds"
-    HN_DTHETA = "Hn_dtheta"
-    HN_DS = "Hn_ds"
-
-
-def _require_same_grid(c: DiscreteCurve, h: TangentField):
-    if c.grid != h.grid:
-        raise ContractError("curve and tangent field live on different grids")
-
-
-def arc_speed(c: DiscreteCurve) -> np.ndarray:
-    """Pointwise |c'(theta_j)|, cached on the curve."""
-    return c.arc_speed
-
-
 def arc_derivative(c: DiscreteCurve, h: TangentField, k: int) -> TangentField:
     """k-fold arc-length derivative ((1/|c'|) d/dtheta)^k of h along c."""
     if k < 0:
         raise ContractError(f"derivative order must be >= 0, got {k}")
-    _require_same_grid(c, h)
+    if c.grid != h.grid:
+        raise ContractError("curve and tangent field live on different grids")
     return TangentField(c.grid, _arc_jet(c.grid, c.samples, h.values, k)[2][k])
 
 
@@ -194,43 +171,6 @@ def integrate_ds(c: DiscreteCurve, f: np.ndarray) -> float:
 
 def curve_length(c: DiscreteCurve) -> float:
     return c.grid.weight * float(np.sum(c.arc_speed))
-
-
-def norm(c: DiscreteCurve, h: TangentField, kind: NormKind, n: int = 1) -> float:
-    """Sobolev/L2 norm of h over c.
-
-    Hn kinds combine the field with its n-th plain or arc-length
-    derivative; n >= 1 is required there and ignored for L2 kinds.
-    """
-    _require_same_grid(c, h)
-    w = c.grid.weight
-    sq = np.sum(h.values * h.values, axis=1)
-    if kind is NormKind.L2_DTHETA:
-        return float(np.sqrt(w * np.sum(sq)))
-    if kind is NormKind.L2_DS:
-        return float(np.sqrt(w * np.dot(sq, c.arc_speed)))
-    if n < 1:
-        raise ContractError(f"Sobolev order must be >= 1, got {n}")
-    if kind is NormKind.HN_DTHETA:
-        dn = h.values
-        for _ in range(n):
-            dn = derivative(dn, c.grid)
-        dn_sq = np.sum(dn * dn, axis=1)
-        return float(np.sqrt(w * np.sum(sq + dn_sq)))
-    dn_sq = np.sum(arc_derivative(c, h, n).values ** 2, axis=1)
-    return float(np.sqrt(w * np.dot(sq + dn_sq, c.arc_speed)))
-
-
-def scalar_l2_dtheta(grid: Grid, u: np.ndarray) -> float:
-    """L2(dtheta) norm of a scalar field."""
-    u = np.asarray(u, dtype=float)
-    return float(np.sqrt(grid.weight * np.sum(u * u)))
-
-
-def scalar_l2_ds(c: DiscreteCurve, u: np.ndarray) -> float:
-    """L2(ds) norm of a scalar field."""
-    u = np.asarray(u, dtype=float)
-    return float(np.sqrt(c.grid.weight * np.dot(u * u, c.arc_speed)))
 
 
 def make_circle(r: float, center, grid: Grid, dim: int = 2) -> DiscreteCurve:
@@ -298,7 +238,7 @@ def curve_to_dict(c: DiscreteCurve) -> dict:
     }
 
 
-def curve_from_dict(data: dict, scheme_order: int = 4) -> DiscreteCurve:
+def curve_from_dict(data: dict) -> DiscreteCurve:
     try:
         samples = np.asarray(data["samples"], dtype=float)
         n, d = int(data["N"]), int(data["d"])
@@ -306,10 +246,10 @@ def curve_from_dict(data: dict, scheme_order: int = 4) -> DiscreteCurve:
         raise ContractError(f"malformed curve file: {exc}") from exc
     if samples.shape != (n, d):
         raise ContractError("curve file: samples shape disagrees with N, d")
-    return DiscreteCurve(Grid(n, scheme_order), samples)
+    return DiscreteCurve(Grid(n), samples)
 
 
-def load_curve(path, scheme_order: int = 4) -> DiscreteCurve:
+def load_curve(path) -> DiscreteCurve:
     """Load a curve from JSON ({"N", "d", "samples"}) or CSV (theta,x,y[,z...])."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
@@ -325,9 +265,9 @@ def load_curve(path, scheme_order: int = 4) -> DiscreteCurve:
         if len({len(row) for row in rows}) > 1:
             raise ContractError(f"curve CSV {path}: rows have different numbers of columns")
         samples = np.asarray(rows, dtype=float)
-        return DiscreteCurve(Grid(samples.shape[0], scheme_order), samples)
+        return DiscreteCurve(Grid(samples.shape[0]), samples)
     with open(path) as fh:
-        return curve_from_dict(json.load(fh), scheme_order)
+        return curve_from_dict(json.load(fh))
 
 
 def save_curve(c: DiscreteCurve, path):

@@ -290,6 +290,8 @@ def config_from_dict(data: dict) -> MetricConfig:
         terms = {}
         for entry in data["terms"]:
             k = int(entry["k"])
+            if k in terms:
+                raise ContractError(f"metric config has more than one term for k={k}")
             form = entry["form"]
             if form == "power":
                 terms[k] = PowerLaw(float(entry["b"]), float(entry["p"]))

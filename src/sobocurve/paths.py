@@ -97,8 +97,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ContractError("max_iters must be >= 1")
-        if self.grad_tol <= 0:
-            raise ContractError("grad_tol must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise ContractError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.T < 2:
             raise ContractError("T must be >= 2 so the path has interior slices")
 
@@ -321,7 +321,7 @@ def _spectral_preconditioner(cfg: MetricConfig, grid: Grid, c0, c1, T: int, dt: 
     (2/dt) L_time (x) A, with L_time the Dirichlet second-difference
     matrix in t and A the spatial operator sum_k a_k (-D_s^2)^k weighted
     by ds.  Freezing speed and length at their endpoint means makes A
-    diagonal under an FFT in theta, with the symbol of the stencil's own
+    diagonal under an FFT in theta, with the symbol of the order-4
     D_theta read off its impulse response.  L_time is inverted by its
     closed-form Green's matrix min(i,j) (T - max(i,j)) / T.  The map
     seeds the quasi-Newton direction and defines the dual norm of the
@@ -509,15 +509,15 @@ def geodesic_distance(
 def path_to_dict(path: CurvePath) -> dict:
     return {
         "T": path.T,
-        "grid": {"N": path.grid.n_points, "scheme_order": path.grid.scheme_order},
+        "grid": {"N": path.grid.n_points},
         "slices": [curve_to_dict(c) for c in path.slices],
     }
 
 
 def path_from_dict(data: dict) -> CurvePath:
-    grid = Grid(int(data["grid"]["N"]), int(data["grid"].get("scheme_order", 4)))
     try:
+        n = int(data["grid"]["N"])
         samples = np.asarray([entry["samples"] for entry in data["slices"]], dtype=float)
-    except ValueError as exc:
-        raise ContractError(f"malformed path slices: {exc}") from exc
-    return CurvePath(grid, samples)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractError(f"malformed path data: {exc}") from exc
+    return CurvePath(Grid(n), samples)

@@ -34,9 +34,8 @@ from .curves import (
     derivative,
     integrate_ds,
     make_circle,
-    scalar_l2_dtheta,
-    scalar_l2_ds,
 )
+from .errors import ContractError
 from .metric import MetricConfig, PowerLaw, Constant, Tabulated, _q_form, eval_metric, scale_invariant_profile
 from .paths import (
     SolverOptions,
@@ -65,12 +64,9 @@ def _check_exact_identities(rng):
     worst = 0.0
     for _ in range(20):
         c = random_curve(grid, rng)
-        u = rng.standard_normal(grid.n_points)
+        # Unused draw, kept so that each seed's later draws, and so its payload, stay fixed.
+        rng.standard_normal(grid.n_points)
         worst = max(worst, _rel(integrate_ds(c, np.ones(grid.n_points)), curve_length(c)))
-        worst = max(
-            worst,
-            _rel(scalar_l2_dtheta(grid, u * np.sqrt(c.arc_speed)), scalar_l2_ds(c, u)),
-        )
         h = random_field(grid, rng)
         rho = float(rng.uniform(0.2, 5.0))
         scaled = DiscreteCurve(grid, rho * c.samples)
@@ -321,6 +317,8 @@ CHECKS = [
 
 def run_suite(seed: int = 0) -> dict:
     """Run every invariant check with a seeded RNG; deterministic output."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
     results = []
     for name, fn in CHECKS:
         rng = np.random.default_rng(seed)

@@ -213,6 +213,7 @@ def assert_validation_error(capsys, argv):
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    return err
 
 
 def write_circle_csv(path, edit_row=None):
@@ -277,3 +278,50 @@ def test_directory_as_metric_exit_2(tmp_path, capsys):
 def test_directory_as_output_exit_2(files, capsys):
     tmp, metric, _, _ = files
     assert_validation_error(capsys, ["analyze", "--metric", str(metric), "--output", str(tmp)])
+
+
+GROW = ["counterexample", "--case", "grow", "--p", "0.0", "--alpha", "10.0", "--nmax", "2"]
+DISTANCE = ["distance", "--metric", "{metric}", "--from", "{c0}", "--to", "{c1}", "--T", "8"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (GROW + ["--T", "0"], "T must be an integer"),
+        (GROW + ["--T", "-3"], "T must be an integer"),
+        (GROW + ["--alpha", "inf"], "alpha must be finite"),
+        (GROW + ["--p", "nan"], "p must be finite"),
+        (DISTANCE + ["--grad-tol", "inf"], "grad_tol"),
+        (DISTANCE + ["--grad-tol", "nan"], "grad_tol"),
+        (["verify", "--seed", "-1"], "seed"),
+        (["analyze", "--metric", "{duplicate_k}"], "k=0"),
+    ],
+    ids=[
+        "counterexample_T_0",
+        "counterexample_T_negative",
+        "counterexample_alpha_inf",
+        "counterexample_p_nan",
+        "distance_grad_tol_inf",
+        "distance_grad_tol_nan",
+        "verify_seed_negative",
+        "analyze_duplicate_k",
+    ],
+)
+def test_invalid_argument_exit_2(files, capsys, argv, message):
+    tmp, metric, c0, c1 = files
+    duplicate_k = tmp / "duplicate_k.json"
+    duplicate_k.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "terms": [
+                    {"k": 0, "form": "const", "b": 1.0},
+                    {"k": 0, "form": "const", "b": 5.0},
+                    {"k": 2, "form": "const", "b": 1.0},
+                ],
+            }
+        )
+    )
+    names = {"metric": metric, "c0": c0, "c1": c1, "duplicate_k": duplicate_k}
+    err = assert_validation_error(capsys, [arg.format(**names) for arg in argv])
+    assert message in err

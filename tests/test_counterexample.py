@@ -50,6 +50,21 @@ def test_param_validation():
         CounterexampleParams(case="grow", p=0.0, alpha=10.0, n_max=6)
 
 
+@pytest.mark.parametrize("name", ["p", "alpha"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_params_reject_non_finite_exponents(name, bad):
+    kwargs = {"case": "grow", "p": 0.0, "alpha": 10.0, "n_max": 2, name: bad}
+    with pytest.raises(ContractError, match=f"^{name} must be finite"):
+        CounterexampleParams(**kwargs)
+
+
+@pytest.mark.parametrize("T", [0, -3, 65, 16.0])
+def test_verify_sequence_rejects_bad_T(T):
+    params = grow_params()
+    with pytest.raises(ContractError, match="T must be an integer"):
+        verify_sequence(params, build_sequence(params), T=T)
+
+
 def test_beta_negative_and_lambda_schedule():
     params = grow_params(3)
     assert params.beta < 0

@@ -1,4 +1,4 @@
-"""Discrete curve calculus: derivatives, arc-length quantities, norms, I/O."""
+"""Discrete curve calculus: derivatives, arc-length quantities, I/O."""
 
 import json
 import warnings
@@ -9,20 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sobocurve as sc
-from sobocurve.curves import TWO_PI, scalar_l2_ds, scalar_l2_dtheta
+from sobocurve.curves import TWO_PI
 from sobocurve.errors import ContractError, ImmersionError
 from sobocurve.sampling import random_curve, random_field
 
 
 def test_grid_validation():
     sc.Grid(16)
-    sc.Grid(64, scheme_order=2)
     with pytest.raises(ContractError):
         sc.Grid(8)
     with pytest.raises(ContractError):
         sc.Grid(33)
-    with pytest.raises(ContractError):
-        sc.Grid(64, scheme_order=3)
 
 
 def test_derivative_constant_is_zero():
@@ -178,33 +175,6 @@ def test_bumpy_circle_length_window():
     assert sc.curve_length(c) >= 4 * 0.25 * 1.0 * 8
 
 
-def test_norms_on_circle():
-    grid = sc.Grid(256)
-    c = sc.make_circle(1.0, (0, 0), grid)
-    h = sc.TangentField(grid, c.samples)
-    assert abs(sc.norm(c, h, sc.NormKind.L2_DS) - np.sqrt(TWO_PI)) <= 1e-7
-    assert abs(sc.norm(c, h, sc.NormKind.HN_DS, n=2) - np.sqrt(4 * np.pi)) <= 1e-7
-
-
-def test_weight_identity():
-    rng = np.random.default_rng(11)
-    grid = sc.Grid(128)
-    for _ in range(20):
-        c = random_curve(grid, rng)
-        u = rng.standard_normal(128)
-        lhs = scalar_l2_dtheta(grid, u * np.sqrt(c.arc_speed))
-        rhs = scalar_l2_ds(c, u)
-        assert abs(lhs - rhs) <= 1e-13 * rhs
-
-
-def test_norm_requires_positive_order():
-    grid = sc.Grid(32)
-    c = sc.make_circle(1.0, (0, 0), grid)
-    h = sc.TangentField(grid, c.samples)
-    with pytest.raises(ContractError):
-        sc.norm(c, h, sc.NormKind.HN_DS, n=0)
-
-
 def test_translation_and_rotation_invariance():
     rng = np.random.default_rng(17)
     grid = sc.Grid(64)
@@ -312,9 +282,8 @@ def test_malformed_curve_file(tmp_path):
         sc.load_curve(path)
 
 
-@pytest.mark.parametrize("order", [2, 4])
-def test_derivative_axis_matches_per_slice(order):
-    grid = sc.Grid(64, scheme_order=order)
+def test_derivative_axis_matches_per_slice():
+    grid = sc.Grid(64)
     stack = np.random.default_rng(5).standard_normal((5, 64, 3))
     per_slice = np.stack([sc.derivative(x, grid) for x in stack])
     assert np.array_equal(sc.derivative(stack, grid, axis=1), per_slice)

@@ -135,7 +135,7 @@ def test_metric_symmetry_bilinearity_positivity():
         rhs = alpha * sc.eval_metric(cfg, c, h1, g) + sc.eval_metric(cfg, c, h2, g)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
         quad = sc.eval_metric(cfg, c, h1, h1)
-        l2 = sc.norm(c, h1, sc.NormKind.L2_DS) ** 2
+        l2 = sc.integrate_ds(c, np.sum(h1.values**2, axis=1))
         assert quad >= 0.7 * l2 * (1 - 1e-12)
 
 
@@ -192,7 +192,7 @@ def test_metric_sandwich():
         c = random_curve(grid, rng)
         h = random_field(grid, rng)
         val = sc.eval_metric(cfg, c, h, h)
-        l2 = sc.norm(c, h, sc.NormKind.L2_DS) ** 2
+        l2 = sc.integrate_ds(c, np.sum(h.values**2, axis=1))
         dn = sc.integrate_ds(c, np.sum(sc.arc_derivative(c, h, 2).values ** 2, axis=1))
         lower = 0.5 * (l2 + dn)
         upper = 2.5 * (l2 + dn)
@@ -247,6 +247,24 @@ def test_malformed_config_rejected(tmp_path):
     path.write_text(json.dumps({"n": 2, "terms": [{"k": 0, "form": "mystery", "b": 1}]}))
     with pytest.raises(ContractError):
         sc.load_config(path)
+
+
+def test_duplicate_config_term_rejected():
+    terms = [
+        {"k": 0, "form": "const", "b": 1.0},
+        {"k": 0, "form": "const", "b": 5.0},
+        {"k": 2, "form": "const", "b": 1.0},
+    ]
+    with pytest.raises(ContractError, match="k=0"):
+        sc.config_from_dict({"n": 2, "terms": terms})
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+def test_verify_suite_rejects_bad_seed(seed):
+    from sobocurve.verify import run_suite
+
+    with pytest.raises(ContractError, match="seed"):
+        run_suite(seed)
 
 
 @pytest.mark.parametrize("seed", [86, 201])
