@@ -45,7 +45,7 @@ def _cmd_distance(args) -> int:
     cfg = load_config(args.metric)
     c0 = load_curve(getattr(args, "from"))
     c1 = load_curve(args.to)
-    opts = SolverOptions(max_iters=args.max_iters, grad_tol=args.grad_tol, T=args.T)
+    opts = SolverOptions(max_iters=args.max_iters, gap_tol=args.gap_tol, T=args.T)
     result = geodesic_bvp(cfg, c0, c1, opts)
     out = result.to_dict()
     out["sqrt_energy"] = result.energy**0.5
@@ -126,11 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--T", type=int, default=32)
         p.add_argument("--max-iters", type=int, default=500)
         p.add_argument(
-            "--grad-tol",
+            "--gap-tol",
             type=float,
-            default=1e-6,
-            help="stop once sqrt(g.Pg / E) <= this: the gradient g in the dual norm "
-            "of the solver's preconditioner P, relative to the path energy E",
+            default=SolverOptions.gap_tol,
+            help="stop once the predicted relative energy gap (E - E*) / E, estimated "
+            "as g.Pg / 2E with the solver's preconditioner P, is at most this",
         )
         p.add_argument("--dump-path")
         p.add_argument("--output")

@@ -238,10 +238,18 @@ def curve_to_dict(c: DiscreteCurve) -> dict:
     }
 
 
+def _integral(value, name: str) -> int:
+    """A JSON field that must hold an integer; 64.0 passes, 64.7 and "64" do not."""
+    integral = isinstance(value, (int, float, np.integer, np.floating)) and float(value).is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def curve_from_dict(data: dict) -> DiscreteCurve:
     try:
         samples = np.asarray(data["samples"], dtype=float)
-        n, d = int(data["N"]), int(data["d"])
+        n, d = _integral(data["N"], "N"), _integral(data["d"], "d")
     except (KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"malformed curve file: {exc}") from exc
     if samples.shape != (n, d):

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .curves import DiscreteCurve, TangentField, _arc_jet
+from .curves import DiscreteCurve, TangentField, _arc_jet, _integral
 from .errors import ContractError
 
 
@@ -289,7 +289,7 @@ def config_from_dict(data: dict) -> MetricConfig:
     try:
         terms = {}
         for entry in data["terms"]:
-            k = int(entry["k"])
+            k = _integral(entry["k"], "k")
             if k in terms:
                 raise ContractError(f"metric config has more than one term for k={k}")
             form = entry["form"]
@@ -301,7 +301,7 @@ def config_from_dict(data: dict) -> MetricConfig:
                 terms[k] = Tabulated(tuple(entry["knots"]), tuple(entry["values"]))
             else:
                 raise ContractError(f"unknown coefficient form {form!r}")
-        n = int(data["n"])
+        n = _integral(data["n"], "n")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ContractError(f"malformed metric config: {exc}") from exc
     return MetricConfig(n=n, terms=terms)

@@ -10,13 +10,12 @@ want them.  Energy uses the midpoint discretization
 which is second-order in T and symmetric under time reversal.  The
 solver minimizes E over the interior slices by limited-memory
 quasi-Newton descent, seeded with a frozen-coefficient spectral
-preconditioner and guarded by a monotone backtracking line search.  It
-stops on the gradient's dual norm under that preconditioner relative to
-the energy.  The preconditioner is the inverse Hessian divided by N, so
-the squared dual norm estimates 2 (E - E*) / N and the tolerance is
-looser in energy on finer grids.  The analytic gradient is the
-production path and is certified against finite differences by
-gradient_check.
+preconditioner P and guarded by a monotone backtracking line search.  P
+approximates the inverse Hessian, so g.Pg estimates 2 (E - E*) for the
+gradient g and the minimal energy E*; the solve stops once that
+predicted gap is at most gap_tol * E, which means the same at every N
+and T.  The analytic gradient is the production path and is certified
+against finite differences by gradient_check.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .curves import (
     DiscreteCurve,
     Grid,
     _arc_jet,
+    _integral,
     curve_length,
     curve_to_dict,
     derivative,
@@ -90,15 +90,15 @@ class CurvePath:
 @dataclass
 class SolverOptions:
     max_iters: int = 500
-    grad_tol: float = 1e-6
+    gap_tol: float = 1e-8
     T: int = 32
     initial_path: CurvePath | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ContractError("max_iters must be >= 1")
-        if not 0 < self.grad_tol < math.inf:
-            raise ContractError(f"grad_tol must be positive and finite, got {self.grad_tol}")
+        if not 0 < self.gap_tol < math.inf:
+            raise ContractError(f"gap_tol must be positive and finite, got {self.gap_tol}")
         if self.T < 2:
             raise ContractError("T must be >= 2 so the path has interior slices")
 
@@ -326,7 +326,7 @@ def _spectral_preconditioner(cfg: MetricConfig, grid: Grid, c0, c1, T: int, dt: 
     closed-form Green's matrix min(i,j) (T - max(i,j)) / T.  The map
     seeds the quasi-Newton direction and defines the dual norm of the
     stop test, so the approximation affects when the solver stops, not
-    where it goes.  The map is H^-1 / N, not H^-1.
+    where it goes.  Near the minimum E - E* ~ g.Pg / 2.
     """
     n_pts = grid.n_points
     s_bar = 0.5 * (float(np.mean(c0.arc_speed)) + float(np.mean(c1.arc_speed)))
@@ -336,7 +336,7 @@ def _spectral_preconditioner(cfg: MetricConfig, grid: Grid, c0, c1, T: int, dt: 
         coefficient_eval(term, l_bar) * (modes / s_bar) ** (2 * k)
         for k, term in cfg.terms.items()
     )
-    symbol *= s_bar * grid.weight * n_pts
+    symbol *= s_bar * grid.weight
     j = np.arange(1, T)
     green = (dt / (2 * T)) * np.minimum.outer(j, j) * (T - np.maximum.outer(j, j))
 
@@ -363,10 +363,12 @@ def geodesic_bvp(
 ) -> GeodesicResult:
     """Minimize path energy over interior slices with fixed endpoints.
 
-    Stops with termination "gradient" once g.Pg <= grad_tol^2 * E, with P
-    the spectral preconditioner; "energy_stall" once no step can lower E
-    beyond roundoff; "line_search" or "max_iters" otherwise (not
-    converged).  gradient_norm_final is sqrt(g.Pg / E).
+    Stops with termination "gradient" once g.Pg <= 2 gap_tol E, with P
+    the spectral preconditioner, that is once the predicted relative
+    energy gap (E - E*) / E is at most gap_tol; "energy_stall" once no
+    step can lower E beyond roundoff; "line_search" or "max_iters"
+    otherwise (not converged).  gradient_norm_final is sqrt(g.Pg / E),
+    so the predicted gap is gradient_norm_final^2 / 2.
     """
     if opts is None:
         opts = SolverOptions()
@@ -414,7 +416,9 @@ def geodesic_bvp(
     # Limited-memory quasi-Newton direction (two-loop recursion) seeded
     # with the frozen-coefficient inverse Hessian, plus a monotone Armijo
     # backtracking line search.  Curvature pairs are only stored when
-    # dx.dg > 0, so the direction stays a descent direction.
+    # dx.dg > 0, so the direction stays a descent direction.  P is
+    # linear, so each pair also keeps P dg = P g_try - P g, and the
+    # recursion forms P q from them: one apply of P per accepted step.
     precondition = _spectral_preconditioner(cfg, grid, c0, c1, path.T, dt)
     memory = []
     gamma = 1.0
@@ -422,23 +426,24 @@ def geodesic_bvp(
     termination = "max_iters"
     pgrad = precondition(grad)
     while True:
-        # P approximates the inverse Hessian divided by N, so
-        # g.Pg ~ 2 (E - E*) / N: the energy gap the test allows grows with N.
+        # P approximates the inverse Hessian, so g.Pg ~ 2 (E - E*).
         dual = max(float(np.sum(grad * pgrad)), 0.0)
-        if dual <= opts.grad_tol**2 * energy:
+        if dual <= 2.0 * opts.gap_tol * energy:
             termination = "gradient"
             break
         if iterations == opts.max_iters:
             break
         iterations += 1
         qv = grad.copy()
+        pq = pgrad.copy()
         alphas = []
-        for dx, dg, rho in reversed(memory):
+        for dx, dg, pdg, rho in reversed(memory):
             a = rho * float(np.sum(dx * qv))
             alphas.append(a)
             qv -= a * dg
-        qv = gamma * precondition(qv)
-        for (dx, dg, rho), a in zip(memory, reversed(alphas)):
+            pq -= a * pdg
+        qv = gamma * pq
+        for (dx, dg, _, rho), a in zip(memory, reversed(alphas)):
             qv += (a - rho * float(np.sum(dg * qv))) * dx
         direction = -qv
         slope = float(np.sum(grad * direction))
@@ -476,11 +481,11 @@ def geodesic_bvp(
         pgrad_try = precondition(grad_try)
         curv = float(np.sum(dx * dg))
         if curv > 1e-10 * float(np.linalg.norm(dx) * np.linalg.norm(dg)):
-            memory.append((dx, dg, 1.0 / curv))
+            pdg = pgrad_try - pgrad
+            memory.append((dx, dg, pdg, 1.0 / curv))
             if len(memory) > 10:
                 memory.pop(0)
-            # P is linear, so P dg = P g_try - P g.
-            gamma = curv / float(np.sum(dg * (pgrad_try - pgrad)))
+            gamma = curv / float(np.sum(dg * pdg))
         x, grad, pgrad = x_try, grad_try, pgrad_try
         energy = energy_try
         trace.append(energy)
@@ -516,8 +521,11 @@ def path_to_dict(path: CurvePath) -> dict:
 
 def path_from_dict(data: dict) -> CurvePath:
     try:
-        n = int(data["grid"]["N"])
+        n = _integral(data["grid"]["N"], "grid.N")
+        T = _integral(data["T"], "T")
         samples = np.asarray([entry["samples"] for entry in data["slices"]], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"malformed path data: {exc}") from exc
+    if T != len(samples) - 1:
+        raise ContractError(f"path data has T={T} but {len(samples)} slices")
     return CurvePath(Grid(n), samples)

@@ -262,7 +262,7 @@ def _check_solver_monotone(rng):
     cfg = MetricConfig(2, {0: Constant(1.0), 2: Constant(1.0)})
     c0 = make_circle(1.0, (0.0, 0.0), grid)
     c1 = make_circle(1.5, (0.0, 0.0), grid)
-    res = geodesic_bvp(cfg, c0, c1, SolverOptions(max_iters=50, grad_tol=1e-5, T=8))
+    res = geodesic_bvp(cfg, c0, c1, SolverOptions(max_iters=50, gap_tol=3e-9, T=8))
     trace = res.energy_trace
     monotone = all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1))
     pinned = np.array_equal(res.path.samples[0], c0.samples) and np.array_equal(
@@ -278,7 +278,7 @@ def _check_w_length_bound(rng):
     const = w_lipschitz_constant(cfg.n)
     c0 = make_circle(1.0, (0.0, 0.0), grid)
     c1 = DiscreteCurve(grid, 1.4 * c0.samples + 0.05 * random_field(grid, rng).values)
-    res = geodesic_bvp(cfg, c0, c1, SolverOptions(max_iters=40, grad_tol=1e-5, T=16))
+    res = geodesic_bvp(cfg, c0, c1, SolverOptions(max_iters=40, gap_tol=3e-9, T=16))
     slices = res.path.slices
     w0 = w_eval(cfg, curve_length(slices[0]))
     acc = 0.0

@@ -168,7 +168,7 @@ def test_criterion_5_geodesic_solver_soundness():
 
     circ0 = sc.make_circle(1.0, (0, 0), sc.Grid(128))
     circ1 = sc.make_circle(2.0, (0, 0), sc.Grid(128))
-    opts = sc.SolverOptions(max_iters=300, grad_tol=1e-6, T=32)
+    opts = sc.SolverOptions(max_iters=300, gap_tol=1e-10, T=32)
     res = sc.geodesic_bvp(CFG11, circ0, circ1, opts)
     trace = res.energy_trace
     ok = ok and res.converged

@@ -291,20 +291,24 @@ DISTANCE = ["distance", "--metric", "{metric}", "--from", "{c0}", "--to", "{c1}"
         (GROW + ["--T", "-3"], "T must be an integer"),
         (GROW + ["--alpha", "inf"], "alpha must be finite"),
         (GROW + ["--p", "nan"], "p must be finite"),
-        (DISTANCE + ["--grad-tol", "inf"], "grad_tol"),
-        (DISTANCE + ["--grad-tol", "nan"], "grad_tol"),
+        (DISTANCE + ["--gap-tol", "inf"], "gap_tol"),
+        (DISTANCE + ["--gap-tol", "nan"], "gap_tol"),
         (["verify", "--seed", "-1"], "seed"),
         (["analyze", "--metric", "{duplicate_k}"], "k=0"),
+        (["analyze", "--metric", "{fractional_k}"], "k must be an integer"),
+        (DISTANCE[:4] + ["{fractional_N}"] + DISTANCE[5:], "N must be an integer"),
     ],
     ids=[
         "counterexample_T_0",
         "counterexample_T_negative",
         "counterexample_alpha_inf",
         "counterexample_p_nan",
-        "distance_grad_tol_inf",
-        "distance_grad_tol_nan",
+        "distance_gap_tol_inf",
+        "distance_gap_tol_nan",
         "verify_seed_negative",
         "analyze_duplicate_k",
+        "analyze_fractional_k",
+        "distance_fractional_N",
     ],
 )
 def test_invalid_argument_exit_2(files, capsys, argv, message):
@@ -322,6 +326,27 @@ def test_invalid_argument_exit_2(files, capsys, argv, message):
             }
         )
     )
-    names = {"metric": metric, "c0": c0, "c1": c1, "duplicate_k": duplicate_k}
+    fractional_k = tmp / "fractional_k.json"
+    fractional_k.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "terms": [
+                    {"k": 0.6, "form": "const", "b": 1.0},
+                    {"k": 2, "form": "const", "b": 1.0},
+                ],
+            }
+        )
+    )
+    fractional_N = tmp / "fractional_N.json"
+    fractional_N.write_text(json.dumps(dict(json.loads(c0.read_text()), N=64.7)))
+    names = {
+        "metric": metric,
+        "c0": c0,
+        "c1": c1,
+        "duplicate_k": duplicate_k,
+        "fractional_k": fractional_k,
+        "fractional_N": fractional_N,
+    }
     err = assert_validation_error(capsys, [arg.format(**names) for arg in argv])
     assert message in err

@@ -282,6 +282,14 @@ def test_malformed_curve_file(tmp_path):
         sc.load_curve(path)
 
 
+@pytest.mark.parametrize("key, value", [("N", 64.7), ("d", 2.5), ("N", "64"), ("d", True)])
+def test_curve_dict_fields_must_be_integers(key, value):
+    data = sc.curve_to_dict(sc.make_circle(1.0, (0, 0), sc.Grid(64)))
+    assert sc.curve_from_dict(dict(data, N=64.0)).grid == sc.Grid(64)
+    with pytest.raises(ContractError, match=f"{key} must be an integer"):
+        sc.curve_from_dict(dict(data, **{key: value}))
+
+
 def test_derivative_axis_matches_per_slice():
     grid = sc.Grid(64)
     stack = np.random.default_rng(5).standard_normal((5, 64, 3))

@@ -259,6 +259,26 @@ def test_duplicate_config_term_rejected():
         sc.config_from_dict({"n": 2, "terms": terms})
 
 
+@pytest.mark.parametrize(
+    "data, name",
+    [
+        ({"n": 2, "terms": [{"k": 0.6, "form": "const", "b": 1.0}]}, "k"),
+        ({"n": 2.9, "terms": [{"k": 0, "form": "const", "b": 1.0}]}, "n"),
+        ({"n": "2", "terms": [{"k": 0, "form": "const", "b": 1.0}]}, "n"),
+    ],
+)
+def test_config_integer_fields_not_truncated(data, name):
+    terms = data["terms"] + [{"k": 2, "form": "const", "b": 1.0}]
+    with pytest.raises(ContractError, match=f"{name} must be an integer"):
+        sc.config_from_dict(dict(data, terms=terms))
+
+
+def test_config_integral_floats_accepted():
+    terms = [{"k": 0.0, "form": "const", "b": 1.0}, {"k": 2, "form": "const", "b": 1.0}]
+    cfg = sc.config_from_dict({"n": 2.0, "terms": terms})
+    assert cfg == MetricConfig(2, {0: Constant(1.0), 2: Constant(1.0)})
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
 def test_verify_suite_rejects_bad_seed(seed):
     from sobocurve.verify import run_suite

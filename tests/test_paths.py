@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sobocurve as sc
+from sobocurve import paths as paths_module
 from sobocurve.errors import ContractError, ImmersionError
 from sobocurve.metric import (
     Constant,
@@ -62,10 +63,10 @@ def test_curve_path_contracts():
         path_from_dict(ragged)
 
 
-@pytest.mark.parametrize("grad_tol", [float("inf"), float("nan")])
-def test_solver_options_reject_bad_grad_tol(grad_tol):
-    with pytest.raises(ContractError, match="grad_tol"):
-        sc.SolverOptions(grad_tol=grad_tol)
+@pytest.mark.parametrize("gap_tol", [float("inf"), float("nan")])
+def test_solver_options_reject_bad_gap_tol(gap_tol):
+    with pytest.raises(ContractError, match="gap_tol"):
+        sc.SolverOptions(gap_tol=gap_tol)
 
 
 def test_path_dict_grid_holds_only_N():
@@ -75,10 +76,24 @@ def test_path_dict_grid_holds_only_N():
     # A stencil key in an older file is ignored: the samples do not depend on it.
     data["grid"]["scheme_order"] = 2
     assert path_from_dict(data).grid == sc.Grid(64)
-    for bad in ("abc", None, [64]):
+    for bad in ("abc", None, [64], 64.5):
         data["grid"]["N"] = bad
         with pytest.raises(ContractError, match="malformed path data"):
             path_from_dict(data)
+
+
+def test_path_dict_T_must_match_slices():
+    c0, c1 = circle_pair(64)
+    data = path_to_dict(sc.linear_path(c0, c1, 8))
+    assert path_from_dict(dict(data, T=8.0)).T == 8
+    for bad in (3, 9):
+        with pytest.raises(ContractError, match=f"T={bad} but 9 slices"):
+            path_from_dict(dict(data, T=bad))
+    with pytest.raises(ContractError, match="T must be an integer"):
+        path_from_dict(dict(data, T=7.5))
+    del data["T"]
+    with pytest.raises(ContractError, match="malformed path data"):
+        path_from_dict(data)
 
 
 def test_linear_path_degeneration():
@@ -214,7 +229,7 @@ def test_geodesic_identical_endpoints():
 
 def test_geodesic_between_circles():
     c0, c1 = circle_pair(128)
-    opts = sc.SolverOptions(max_iters=200, grad_tol=1e-6, T=32)
+    opts = sc.SolverOptions(max_iters=200, gap_tol=1e-10, T=32)
     res = sc.geodesic_bvp(CFG, c0, c1, opts)
     assert res.converged
     # monotone energy along accepted iterates
@@ -234,7 +249,7 @@ def test_geodesic_between_circles():
 
 def test_geodesic_distance_symmetry():
     c0, c1 = circle_pair(64)
-    opts = sc.SolverOptions(max_iters=200, grad_tol=1e-6, T=16)
+    opts = sc.SolverOptions(max_iters=200, gap_tol=1e-10, T=16)
     d01 = sc.geodesic_distance(CFG, c0, c1, opts)
     d10 = sc.geodesic_distance(CFG, c1, c0, opts)
     assert abs(d01 - d10) <= 1e-6 * d01
@@ -285,7 +300,7 @@ def test_geodesic_random_pairs_converge_on_gradient(n, T, seed):
     assert res.converged
     assert res.termination == "gradient"
     assert res.iterations <= 60
-    assert res.gradient_norm_final <= 1e-6
+    assert res.gradient_norm_final**2 / 2 <= sc.SolverOptions().gap_tol
     assert is_monotone(res.energy_trace)
     assert res.to_dict()["termination"] == "gradient"
 
@@ -307,9 +322,43 @@ def test_geodesic_coarse_ellipse_converges_fast(n):
     assert res.termination == "gradient"
     assert res.iterations <= 60
     assert is_monotone(res.energy_trace)
-    tight = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16, grad_tol=1e-9))
+    tight = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16, gap_tol=1e-15))
     assert tight.converged
     assert res.length == pytest.approx(tight.length, rel=1e-7)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256, 512])
+def test_geodesic_predicted_gap_calibrated(n):
+    # g.Pg / 2 estimates E - E* at every N, so the stop rule leaves the
+    # same relative energy gap on coarse and fine grids.
+    c0, c1 = ellipse_pair(n)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16))
+    tight = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16, gap_tol=1e-14))
+    assert res.termination == tight.termination == "gradient"
+    gap = (res.energy - tight.energy) / tight.energy
+    predicted = res.gradient_norm_final**2 / 2
+    assert predicted <= sc.SolverOptions().gap_tol
+    assert 0.1 <= gap / predicted <= 10.0
+
+
+def test_geodesic_one_preconditioner_apply_per_step(monkeypatch):
+    calls = []
+    build = paths_module._spectral_preconditioner
+
+    def counting(*args):
+        apply = build(*args)
+
+        def wrapped(grad):
+            calls.append(grad.shape)
+            return apply(grad)
+
+        return wrapped
+
+    monkeypatch.setattr(paths_module, "_spectral_preconditioner", counting)
+    res = sc.geodesic_bvp(SI, *ellipse_pair(64), sc.SolverOptions(T=16))
+    accepted = len(res.energy_trace) - 1
+    assert accepted == res.iterations > 10
+    assert len(calls) == 1 + accepted
 
 
 @pytest.mark.parametrize("n, T", [(32, 8), (64, 16), (256, 32)])
@@ -326,7 +375,7 @@ def test_preconditioner_matches_dst_reference(n, T):
     l_bar = 0.5 * (sc.curve_length(c0) + sc.curve_length(c1))
     symbol = sum(
         coefficient_eval(term, l_bar) * (sigma / s_bar) ** (2 * k) for k, term in SI.terms.items()
-    ) * (s_bar * grid.weight * n)
+    ) * (s_bar * grid.weight)
     lam_t = (2.0 / dt) * 4.0 * np.sin(np.pi * np.arange(1, T) / (2 * T)) ** 2
 
     def reference(g):
@@ -355,7 +404,7 @@ def test_geodesic_symmetric_copy_same_iterations():
 
 def test_geodesic_tolerance_below_roundoff_stalls():
     c0, c1 = random_pair(128, 2)
-    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16, grad_tol=1e-14))
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16, gap_tol=1e-18))
     assert res.termination in ("energy_stall", "line_search")
     assert res.converged == (res.termination == "energy_stall")
     assert res.iterations <= 100
@@ -368,7 +417,7 @@ def test_geodesic_iteration_cap_is_reported():
     assert res.iterations == 2
     assert res.termination == "max_iters"
     assert not res.converged
-    assert res.gradient_norm_final > 1e-6
+    assert res.gradient_norm_final**2 / 2 > sc.SolverOptions().gap_tol
 
 
 def test_geodesic_translated_circles():
@@ -377,7 +426,7 @@ def test_geodesic_translated_circles():
     grid = sc.Grid(64)
     c0 = sc.make_circle(1.0, (0, 0), grid)
     c1 = sc.make_circle(1.0, (0.4, 0.1), grid)
-    opts = sc.SolverOptions(max_iters=300, grad_tol=1e-5, T=16)
+    opts = sc.SolverOptions(max_iters=300, gap_tol=1e-9, T=16)
     res = sc.geodesic_bvp(CFG, c0, c1, opts)
     assert res.converged
     lin = sc.path_length(CFG, sc.linear_path(c0, c1, 16))
@@ -388,7 +437,7 @@ def test_solver_options_contracts():
     with pytest.raises(ContractError):
         sc.SolverOptions(max_iters=0)
     with pytest.raises(ContractError):
-        sc.SolverOptions(grad_tol=0.0)
+        sc.SolverOptions(gap_tol=0.0)
     with pytest.raises(ContractError):
         sc.SolverOptions(T=1)
 
