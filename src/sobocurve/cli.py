@@ -129,8 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--gap-tol",
             type=float,
             default=SolverOptions.gap_tol,
-            help="stop once the predicted relative energy gap (E - E*) / E, estimated "
-            "as g.Pg / 2E with the solver's preconditioner P, is at most this",
+            help="stop once the predicted relative energy gap g.Pg / 2E, with the "
+            "solver's preconditioner P, is at most this; on random-curve pairs the "
+            "actual gap (E - E*) / E was up to 1.65 times the predicted one",
         )
         p.add_argument("--dump-path")
         p.add_argument("--output")

@@ -14,12 +14,13 @@ O(1) shape coordinates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import DiscreteCurve, Grid, _arc_jet, curve_length, derivative, make_bumpy_circle
-from .errors import ContractError
+from .errors import ContractError, NumericalError
 from .metric import MetricConfig, PowerLaw, _q_form, coefficient_eval
 
 GROW = "grow"
@@ -88,6 +89,16 @@ class CounterexampleParams:
             raise ContractError(
                 f"lambda_{self.n_max} = {self.lambda_n(self.n_max)} exceeds desk cap {MAX_LAMBDA}"
             )
+        for n in range(self.n_max + 1):
+            try:
+                r = self.radius_n(n)
+            except OverflowError:
+                r = math.inf
+            if not sys.float_info.min <= r < math.inf:
+                raise ContractError(
+                    f"alpha={self.alpha} puts r_{n} = {self.lambda_n(n)}^alpha outside "
+                    "the normal float range"
+                )
 
     @property
     def beta(self) -> float:
@@ -155,19 +166,23 @@ def scaled_leg_length(
     dt = 1.0 / T
     t_mid = ((np.arange(T) + 0.5) * dt)[:, None, None]
     gamma = (1.0 - t_mid) * shape0 + t_mid * shape1
-    # d(curve)/dt in r_base units, the same on every slice.
-    s, ell_shape, u = _arc_jet(grid, gamma, shape1 - shape0, cfg.n)
-    g = np.zeros(T)
-    for k, term in cfg.terms.items():
-        if term.b == 0.0:
-            continue
-        scale = math.exp((term.p + 3.0 - 2.0 * k) * log_r)
-        g += coefficient_eval(term, ell_shape) * scale * _q_form(grid.weight, u[k], u[k], s)
-    return dt * float(np.sum(np.sqrt(g)))
+    # Overflow or 0 * inf shows as a non-finite length, reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # d(curve)/dt in r_base units, the same on every slice.
+        s, ell_shape, u = _arc_jet(grid, gamma, shape1 - shape0, cfg.n)
+        g = np.zeros(T)
+        for k, term in cfg.terms.items():
+            if term.b == 0.0:
+                continue
+            scale = math.exp((term.p + 3.0 - 2.0 * k) * log_r)
+            g += coefficient_eval(term, ell_shape) * scale * _q_form(grid.weight, u[k], u[k], s)
+        length = dt * float(np.sum(np.sqrt(g)))
+    if not math.isfinite(length):
+        raise NumericalError(f"leg length is not finite at base scale {r_base}: {length}")
+    return length
 
 
-def _leg_lengths(params: CounterexampleParams, seq: CounterexampleSequence, n: int, T: int):
-    cfg = counterexample_metric(params.p)
+def _leg_lengths(cfg: MetricConfig, seq: CounterexampleSequence, n: int, T: int):
     grid = seq.curves[0].shape.grid
     c_n, ctilde, c_next = seq.curves[n], seq.intermediates[n], seq.curves[n + 1]
     # Leg 1 is radial: shapes r_n*u -> r_{n+1}*u, expressed in units of r_n.
@@ -234,6 +249,7 @@ def verify_sequence(
     if seq.params != params:
         raise ContractError("sequence was built with different parameters")
     beta = params.beta
+    cfg = counterexample_metric(params.p)
     entries = []
     partial = 0.0
     for n in range(params.n_max + 1):
@@ -251,7 +267,7 @@ def verify_sequence(
             "partial_sum": None,
         }
         if n < params.n_max:
-            d1, d2 = _leg_lengths(params, seq, n, T)
+            d1, d2 = _leg_lengths(cfg, seq, n, T)
             dist_upper = d1 + d2
             partial += dist_upper
             bound = lam**-1.0 + lam ** (beta / 2.0)

@@ -14,8 +14,11 @@ preconditioner P and guarded by a monotone backtracking line search.  P
 approximates the inverse Hessian, so g.Pg estimates 2 (E - E*) for the
 gradient g and the minimal energy E*; the solve stops once that
 predicted gap is at most gap_tol * E, which means the same at every N
-and T.  The analytic gradient is the production path and is certified
-against finite differences by gradient_check.
+and T.  gap_tol bounds the predicted gap, not the actual one: P freezes
+the coefficients at the mean speed and length, and on random-curve
+pairs (N = 64 and 128, T = 16) the gap left is 0.9-1.65 times the
+predicted g.Pg / 2E.  The analytic gradient is the production path and
+is certified against finite differences by gradient_check.
 """
 
 from __future__ import annotations
@@ -130,6 +133,11 @@ def linear_path(c0: DiscreteCurve, c1: DiscreteCurve, T: int) -> CurvePath:
     """Slice-wise convex combination; errors if a slice degenerates."""
     if c0.grid != c1.grid:
         raise ContractError("endpoint curves live on different grids")
+    if c0.samples.shape != c1.samples.shape:
+        raise ContractError(
+            f"endpoint curves live in different dimensions: d={c0.samples.shape[1]} "
+            f"and d={c1.samples.shape[1]}"
+        )
     if T < 1:
         raise ContractError("T must be >= 1")
     t = (np.arange(T + 1) / T)[:, None, None]
@@ -365,7 +373,8 @@ def geodesic_bvp(
 
     Stops with termination "gradient" once g.Pg <= 2 gap_tol E, with P
     the spectral preconditioner, that is once the predicted relative
-    energy gap (E - E*) / E is at most gap_tol; "energy_stall" once no
+    energy gap g.Pg / 2E is at most gap_tol (the actual gap (E - E*) / E
+    can be larger, see the module docstring); "energy_stall" once no
     step can lower E beyond roundoff; "line_search" or "max_iters"
     otherwise (not converged).  gradient_norm_final is sqrt(g.Pg / E),
     so the predicted gap is gradient_norm_final^2 / 2.

@@ -291,24 +291,33 @@ DISTANCE = ["distance", "--metric", "{metric}", "--from", "{c0}", "--to", "{c1}"
         (GROW + ["--T", "-3"], "T must be an integer"),
         (GROW + ["--alpha", "inf"], "alpha must be finite"),
         (GROW + ["--p", "nan"], "p must be finite"),
+        (GROW[:6] + ["400", "--nmax", "1"], "normal float range"),
+        (["counterexample", "--case", "shrink", "--p", "2", "--alpha", "-1000", "--nmax", "1"],
+         "normal float range"),
         (DISTANCE + ["--gap-tol", "inf"], "gap_tol"),
         (DISTANCE + ["--gap-tol", "nan"], "gap_tol"),
         (["verify", "--seed", "-1"], "seed"),
         (["analyze", "--metric", "{duplicate_k}"], "k=0"),
         (["analyze", "--metric", "{fractional_k}"], "k must be an integer"),
         (DISTANCE[:4] + ["{fractional_N}"] + DISTANCE[5:], "N must be an integer"),
+        (DISTANCE[:6] + ["{space_curve}"] + DISTANCE[7:], "different dimensions"),
+        (["geodesic"] + DISTANCE[1:4] + ["{space_curve}"] + DISTANCE[5:], "different dimensions"),
     ],
     ids=[
         "counterexample_T_0",
         "counterexample_T_negative",
         "counterexample_alpha_inf",
         "counterexample_p_nan",
+        "counterexample_alpha_overflows_radius",
+        "counterexample_alpha_underflows_radius",
         "distance_gap_tol_inf",
         "distance_gap_tol_nan",
         "verify_seed_negative",
         "analyze_duplicate_k",
         "analyze_fractional_k",
         "distance_fractional_N",
+        "distance_2d_to_3d",
+        "geodesic_3d_to_2d",
     ],
 )
 def test_invalid_argument_exit_2(files, capsys, argv, message):
@@ -340,6 +349,9 @@ def test_invalid_argument_exit_2(files, capsys, argv, message):
     )
     fractional_N = tmp / "fractional_N.json"
     fractional_N.write_text(json.dumps(dict(json.loads(c0.read_text()), N=64.7)))
+    space_curve = tmp / "space_curve.json"
+    lifted = np.column_stack([sc.load_curve(c1).samples, np.zeros(64)])
+    sc.save_curve(sc.DiscreteCurve(sc.Grid(64), lifted), space_curve)
     names = {
         "metric": metric,
         "c0": c0,
@@ -347,6 +359,17 @@ def test_invalid_argument_exit_2(files, capsys, argv, message):
         "duplicate_k": duplicate_k,
         "fractional_k": fractional_k,
         "fractional_N": fractional_N,
+        "space_curve": space_curve,
     }
     err = assert_validation_error(capsys, [arg.format(**names) for arg in argv])
     assert message in err
+
+
+def test_counterexample_non_finite_leg_exit_3(capsys):
+    # r_1 = 6^390 is a normal float, but in leg 1's k = 0 term a_0(ell)
+    # underflows to 0 and its integral overflows; the CLI used to print
+    # NaN as dist_leg1.
+    code, out, err = run(capsys, GROW[:6] + ["390", "--nmax", "1"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sobocurve as sc
 from sobocurve.completeness import (
@@ -81,7 +83,18 @@ def test_numeric_evidence_critical_never_convergent():
     table = Tabulated(tuple(knots), tuple(knots**1.0))
     for end in ("zero", "infinity"):
         verdict = sc.numeric_integral_evidence(table, 2, end).verdict
-        assert verdict in (DIVERGENT, INCONCLUSIVE)
+        assert verdict == DIVERGENT
+
+
+@pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+def test_numeric_evidence_near_critical_tail(offset):
+    # 1e-9 off the critical exponent one end converges: only roundoff-sized
+    # departures from p = 2k - 3 count as critical.
+    knots = np.geomspace(0.25, 4.0, 8)
+    table = Tabulated(tuple(knots), tuple(knots ** (1.0 + offset)))
+    analytic = sc.classify_power_law(2, 1.0 + offset)
+    for end, key in (("zero", "I0"), ("infinity", "Iinf")):
+        assert sc.numeric_integral_evidence(table, 2, end).verdict == analytic[key].verdict
 
 
 def test_numeric_evidence_zero_coefficient():
@@ -176,10 +189,10 @@ def test_w_unbounded_under_divergence():
 
 
 def test_numeric_evidence_overflow_is_inconclusive():
-    # A tail exponent near 100 overflows the integrand at r = 1e8.
-    knots = np.geomspace(0.25, 4.0, 8)
-    table = Tabulated(tuple(knots), tuple(knots**100.0))
-    v = sc.numeric_integral_evidence(table, 0, "infinity")
+    # The lower tail ~ ell^3.01 converges at k = 3, but the integrand
+    # overflows on the stretch from the knot at 1e-200 up to r = 1.
+    table = Tabulated((1e-200, 1e-100, 1e-50, 1.0), (1e-300, 10.0, 20.0, 30.0))
+    v = sc.numeric_integral_evidence(table, 3, "zero")
     assert v.verdict == INCONCLUSIVE and "error" in v.evidence
 
 
@@ -190,8 +203,10 @@ def test_numeric_evidence_propagates_unrelated_errors(monkeypatch):
         raise TypeError("not a quadrature failure")
 
     monkeypatch.setattr(completeness, "integrand", broken)
+    knots = np.geomspace(0.25, 4.0, 8)
+    table = Tabulated(tuple(knots), tuple(knots**2.5))
     with pytest.raises(TypeError, match="not a quadrature failure"):
-        sc.numeric_integral_evidence(Constant(1.0), 0, "zero")
+        sc.numeric_integral_evidence(table, 1, "zero")
 
 
 @pytest.mark.parametrize("e", [-11.0, -6.5, -3.0, -1.5, -1.0, -0.5, 0.0, 2.5, 9.0])
@@ -250,8 +265,59 @@ def test_w_eval_rejects_non_finite_argument(r):
 def test_numeric_evidence_reports_quadrature_error():
     knots = np.geomspace(0.25, 4.0, 8)
     table = Tabulated(tuple(knots), tuple(knots**2.5))
-    for end in ("zero", "infinity"):
-        evidence = sc.numeric_integral_evidence(table, 1, end).evidence
-        errors = evidence["quadrature_error"]
-        assert len(errors) == len(evidence["partial_integrals"]) == 8
-        assert all(0.0 <= err <= 1e-12 * evidence["partial_integrals"][-1] for err in errors)
+    for k, end in ((1, "zero"), (3, "infinity")):  # the convergent ends
+        v = sc.numeric_integral_evidence(table, k, end)
+        assert v.verdict == CONVERGENT
+        assert 0.0 <= v.evidence["quadrature_error"] <= 1e-12 * v.value
+
+
+@pytest.mark.parametrize("q, expected", [(1.0, SUFFICIENT), (0.0, GAP)])
+def test_analyze_tabulated_critical_tails(q, expected):
+    # a_0 = ell^-3 with a_2 = ell (the complete metric) or a_2 = 1, as
+    # tables: their critical tails classify as the power laws do.
+    knots = np.geomspace(0.25, 4.0, 8)
+    table = {k: Tabulated(tuple(knots), tuple(knots**p)) for k, p in ((0, -3.0), (2, q))}
+    power = {0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, q)}
+    table_report = sc.analyze(MetricConfig(2, table)).to_dict()
+    power_report = sc.analyze(MetricConfig(2, power)).to_dict()
+    assert table_report["classification"] == power_report["classification"] == expected
+    for key in ("condition_I0", "condition_Iinf", "necessary_I0_any_k", "necessary_Iinf_any_k"):
+        assert table_report[key] == power_report[key]
+    for row_t, row_p in zip(table_report["per_k"], power_report["per_k"]):
+        assert row_t["verdict"] == row_p["verdict"], (row_t, row_p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    k=st.integers(0, 4),
+    offset=st.one_of(st.just(0.0), st.floats(0.1, 4.0), st.floats(-4.0, -0.1)),
+    b=st.floats(0.1, 10.0),
+    lo_exp=st.floats(-3.0, 2.0),
+    span=st.floats(0.5, 2.0),
+    n_knots=st.integers(4, 12),
+)
+@example(k=2, offset=0.0, b=1.0, lo_exp=-0.6, span=1.2, n_knots=8)  # critical, straddles 1
+@example(k=1, offset=1.5, b=2.0, lo_exp=0.5, span=1.0, n_knots=5)  # all knots above 1
+@example(k=3, offset=-1.5, b=0.5, lo_exp=-2.5, span=1.0, n_knots=6)  # all knots below 1
+def test_tabulated_power_law_classifies_as_power_law(k, offset, b, lo_exp, span, n_knots):
+    # A table of b * ell^p has the tails of PowerLaw(b, p), so each end gets
+    # the power law's verdict, including at the critical p = 2k - 3.  A
+    # convergent end's value is the power law's tail integral up to the
+    # end knot (or r = 1) plus the table's integral between knot and 1.
+    p = 2.0 * k - 3.0 + offset
+    knots = np.geomspace(10.0**lo_exp, 10.0 ** (lo_exp + span), n_knots)
+    table = Tabulated(tuple(knots), tuple(b * knots**p))
+    analytic = sc.classify_power_law(k, p, b)
+    e = 0.5 - k + p / 2.0
+    for end, key in (("zero", "I0"), ("infinity", "Iinf")):
+        v = sc.numeric_integral_evidence(table, k, end)
+        assert v.verdict == analytic[key].verdict, (end, v)
+        if v.verdict != CONVERGENT:
+            continue
+        c = min(knots[0], 1.0) if end == "zero" else max(knots[-1], 1.0)
+        expect = math.sqrt(b) * c ** (e + 1.0) / abs(e + 1.0)
+        if c != 1.0:
+            expect += knot_split_reference(table, k, min(c, 1.0), max(c, 1.0))
+        else:
+            assert v.value == pytest.approx(analytic[key].value, rel=1e-12)
+        assert v.value == pytest.approx(expect, rel=1e-12), end

@@ -12,7 +12,7 @@ from sobocurve.counterexample import (
     scaled_leg_length,
     verify_sequence,
 )
-from sobocurve.errors import ContractError
+from sobocurve.errors import ContractError, NumericalError
 from sobocurve.metric import PowerLaw
 
 
@@ -56,6 +56,27 @@ def test_params_reject_non_finite_exponents(name, bad):
     kwargs = {"case": "grow", "p": 0.0, "alpha": 10.0, "n_max": 2, name: bad}
     with pytest.raises(ContractError, match=f"^{name} must be finite"):
         CounterexampleParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "case, p, alpha", [("grow", 0.0, 400.0), ("grow", 0.5, 2000.0), ("shrink", 2.0, -1000.0)]
+)
+def test_params_reject_alpha_outside_float_range(case, p, alpha):
+    # 6^400 overflows, 3^-1000 underflows to 0.
+    with pytest.raises(ContractError, match="normal float range"):
+        CounterexampleParams(case=case, p=p, alpha=alpha, n_max=1)
+
+
+def test_params_accept_alpha_at_float_range_edge():
+    # r_1 = 6^390 = 3.0e303 and r_1 = 6^-390 = 3.3e-304 are normal floats.
+    CounterexampleParams(case="grow", p=0.0, alpha=390.0, n_max=1)
+    CounterexampleParams(case="shrink", p=2.0, alpha=-390.0, n_max=1)
+
+
+def test_non_finite_leg_length_raises():
+    params = CounterexampleParams(case="grow", p=0.0, alpha=390.0, n_max=1)
+    with pytest.raises(NumericalError, match="not finite"):
+        verify_sequence(params, build_sequence(params), T=8)
 
 
 @pytest.mark.parametrize("T", [0, -3, 65, 16.0])

@@ -36,6 +36,16 @@ def test_linear_path_basics():
         sc.linear_path(c0, sc.make_circle(1.0, (0, 0), sc.Grid(32)), 8)
 
 
+def test_endpoints_of_different_dimension_rejected():
+    c0, c1 = circle_pair(64)
+    space = sc.DiscreteCurve(c1.grid, np.column_stack([c1.samples, np.zeros(64)]))
+    for a, b in ((c0, space), (space, c0)):
+        with pytest.raises(ContractError, match="different dimensions: d=[23] and d=[23]"):
+            sc.linear_path(a, b, 8)
+        with pytest.raises(ContractError, match="different dimensions"):
+            sc.geodesic_bvp(CFG, a, b, sc.SolverOptions(T=4))
+
+
 def test_curve_path_contracts():
     c0, c1 = circle_pair(64)
     samples = sc.linear_path(c0, c1, 4).samples
@@ -339,6 +349,20 @@ def test_geodesic_predicted_gap_calibrated(n):
     predicted = res.gradient_norm_final**2 / 2
     assert predicted <= sc.SolverOptions().gap_tol
     assert 0.1 <= gap / predicted <= 10.0
+
+
+def test_geodesic_random_pair_gap_within_twice_predicted():
+    # gap_tol bounds the predicted gap g.Pg / 2E.  On this non-circular
+    # pair the frozen-coefficient P underweights some directions, and the
+    # gap actually left is 1.64 times the predicted one (above gap_tol).
+    c0, c1 = random_pair(64, 0)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16))
+    tight = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16, gap_tol=1e-16))
+    assert res.termination == "gradient" and tight.converged
+    gap = (res.energy - tight.energy) / tight.energy
+    predicted = res.gradient_norm_final**2 / 2
+    assert predicted <= sc.SolverOptions().gap_tol
+    assert 0.0 < gap / predicted <= 2.0
 
 
 def test_geodesic_one_preconditioner_apply_per_step(monkeypatch):
