@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=SolverOptions.gap_tol,
             help="stop once the predicted relative energy gap g.Pg / 2E, with the "
             "solver's preconditioner P, is at most this; on random-curve pairs the "
-            "actual gap (E - E*) / E was up to 1.65 times the predicted one",
+            "actual gap (E - E*) / E was up to 2.1 times the predicted one",
         )
         p.add_argument("--dump-path")
         p.add_argument("--output")

@@ -89,21 +89,32 @@ class Tabulated:
         object.__setattr__(self, "knots", tuple(knots))
         object.__setattr__(self, "values", tuple(values))
         object.__setattr__(self, "_knots", knots)
-        object.__setattr__(self, "_coef", _pchip_coefficients(knots, values))
+        # Knots spaced far below 1 with O(1) jumps overflow the cubics,
+        # whose leading coefficients grow like jump / spacing^2.
+        with np.errstate(all="ignore"):
+            coef = _pchip_coefficients(knots, values)
+        if not np.all(np.isfinite(coef)):
+            raise ContractError(
+                "tabulated knots are too closely spaced for their value jumps: "
+                "the interpolating cubics overflow"
+            )
+        object.__setattr__(self, "_coef", coef)
         m = max(2, int(math.ceil(0.25 * knots.size)))
         object.__setattr__(self, "tail_low", _fit_tail(knots[:m], values[:m], 0))
         object.__setattr__(self, "tail_high", _fit_tail(knots[-m:], values[-m:], -1))
 
 
 def _pchip_coefficients(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(4, K-1) power-basis cubics c0 s^3 + c1 s^2 + c2 s + c3, s = ell - knot_i."""
+    """(4, K-1) power-basis cubics c0 s^3 + c1 s^2 + c2 s + c3, s = ell - knot_i.
+
+    Divides by zero slopes and may overflow; the caller masks both.
+    """
     h = np.diff(knots)
     m = np.diff(values) / h
     w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
     flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        inner = np.where(flat, 0.0, 1.0 / whmean)
+    whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    inner = np.where(flat, 0.0, 1.0 / whmean)
     d = np.concatenate(
         ([_end_slope(h[0], h[1], m[0], m[1])], inner, [_end_slope(h[-1], h[-2], m[-1], m[-2])])
     )

@@ -8,7 +8,10 @@ want them.  Energy uses the midpoint discretization
     E = dt * sum_m G_{(c_m + c_{m+1})/2}(v_m, v_m),   v_m = (c_{m+1} - c_m)/dt,
 
 which is second-order in T and symmetric under time reversal.  The
-solver minimizes E over the interior slices by limited-memory
+solver starts from the straight segment c0 -> c1 re-timed to constant
+metric speed (the geodesic between concentric circles), so the first
+entry of its energy trace is that start's energy, not the linear path's.
+It minimizes E over the interior slices by limited-memory
 quasi-Newton descent, seeded with a frozen-coefficient spectral
 preconditioner P and guarded by a monotone backtracking line search.  P
 approximates the inverse Hessian, so g.Pg estimates 2 (E - E*) for the
@@ -16,7 +19,7 @@ gradient g and the minimal energy E*; the solve stops once that
 predicted gap is at most gap_tol * E, which means the same at every N
 and T.  gap_tol bounds the predicted gap, not the actual one: P freezes
 the coefficients at the mean speed and length, and on random-curve
-pairs (N = 64 and 128, T = 16) the gap left is 0.9-1.65 times the
+pairs (N = 64 and 128, T = 16) the gap left is 0.9-2.1 times the
 predicted g.Pg / 2E.  The analytic gradient is the production path and
 is certified against finite differences by gradient_check.
 """
@@ -165,10 +168,15 @@ def path_energy(cfg: MetricConfig, path: CurvePath) -> float:
     return path.dt * float(np.sum(values))
 
 
+def _speeds(values: np.ndarray) -> np.ndarray:
+    """Metric speeds sqrt(G_m) from the per-interval values of `_forward`."""
+    return np.sqrt(np.maximum(values, 0.0))
+
+
 def path_length(cfg: MetricConfig, path: CurvePath) -> float:
     """Midpoint-discretized path length; length^2 <= energy on [0,1]."""
     values, _ = _forward(cfg, path.grid, path.samples, path.dt)
-    return path.dt * float(np.sum(np.sqrt(np.maximum(values, 0.0))))
+    return path.dt * float(np.sum(_speeds(values)))
 
 
 def reverse_path(path: CurvePath) -> CurvePath:
@@ -242,8 +250,9 @@ def radial_path_length(
 def _stacked_energy_and_gradient(cfg: MetricConfig, grid: Grid, stacked, dt: float):
     """Energy and per-interval gradients for a stacked (T+1, N, d) path.
 
-    Vectorized across the T intervals; returns (energy, grad) with grad
-    of shape (T-1, N, d) for the interior slices.
+    Vectorized across the T intervals; returns (energy, grad, values) with
+    grad of shape (T-1, N, d) for the interior slices and values the
+    per-interval G_m of `_forward`.
     """
     w = grid.weight
     values, (cb, s, lengths, u, q, coeffs) = _forward(cfg, grid, stacked, dt)
@@ -271,7 +280,7 @@ def _stacked_energy_and_gradient(cfg: MetricConfig, grid: Grid, stacked, dt: flo
 
     energy = dt * float(np.sum(values))
     grad = dt * 0.5 * (grad_cb[:-1] + grad_cb[1:]) + (grad_v[:-1] - grad_v[1:])
-    return energy, grad
+    return energy, grad, values
 
 
 def energy_and_gradient(cfg: MetricConfig, path: CurvePath):
@@ -280,7 +289,7 @@ def energy_and_gradient(cfg: MetricConfig, path: CurvePath):
     Returns (energy, grad) with grad of shape (T-1, N, d); the endpoint
     slices are fixed and carry no gradient.
     """
-    return _stacked_energy_and_gradient(cfg, path.grid, path.samples, path.dt)
+    return _stacked_energy_and_gradient(cfg, path.grid, path.samples, path.dt)[:2]
 
 
 def gradient_check(
@@ -361,6 +370,38 @@ _ROUNDOFF_ULPS = 8
 # Armijo sufficient-decrease constant and backtracking step factor.
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
+# The constant-speed start samples the metric speed on this many times as
+# many intervals as the path has.
+_RETIME_REFINE = 4
+
+
+def _constant_speed_start(cfg: MetricConfig, linear: CurvePath) -> CurvePath:
+    """The segment of `linear` re-timed to constant metric speed.
+
+    Along c(tau) = (1 - tau) c0 + tau c1 the metric speed is
+    sigma(tau) = sqrt(G_c(tau)(c1 - c0, c1 - c0)).  It is sampled at the
+    midpoints of a linear path with r = _RETIME_REFINE times as many
+    intervals and summed into the cumulative length S; slice m of the
+    result sits at the tau_m with S(tau_m) = (m/T) S(1), by linear
+    interpolation of S.  The endpoint slices are those of `linear`.  The
+    finer path is evaluated T intervals at a time, so the pass needs no
+    more memory than one energy evaluation of the solve.  Returns
+    `linear` itself unless S is finite and strictly increasing; raises
+    ImmersionError if a finer midpoint degenerates.
+    """
+    grid, T = linear.grid, linear.T
+    c0, c1 = linear.samples[0], linear.samples[-1]
+    n_fine = _RETIME_REFINE * T
+    tau = (np.arange(n_fine + 1) / n_fine)[:, None, None]
+    sigma = np.concatenate([
+        _speeds(_forward(cfg, grid, (1.0 - t) * c0 + t * c1, 1.0 / n_fine)[0])
+        for t in (tau[j:j + T + 1] for j in range(0, n_fine, T))
+    ])
+    cumulative = np.concatenate(([0.0], np.cumsum(sigma)))
+    if not (np.all(np.diff(cumulative) > 0) and np.isfinite(cumulative[-1])):
+        return linear
+    t = np.interp(cumulative[-1] * np.arange(1, T) / T, cumulative, tau[:, 0, 0])[:, None, None]
+    return CurvePath(grid, np.concatenate([c0[None], (1.0 - t) * c0 + t * c1, c1[None]]))
 
 
 def geodesic_bvp(
@@ -371,7 +412,11 @@ def geodesic_bvp(
 ) -> GeodesicResult:
     """Minimize path energy over interior slices with fixed endpoints.
 
-    Stops with termination "gradient" once g.Pg <= 2 gap_tol E, with P
+    Without `opts.initial_path` the solve starts from the linear path
+    re-timed to constant metric speed (`_constant_speed_start`), so
+    energy_trace[0] is that start's energy; it falls back to the linear
+    path if the re-timed start hits a degenerate curve.  Stops with
+    termination "gradient" once g.Pg <= 2 gap_tol E, with P
     the spectral preconditioner, that is once the predicted relative
     energy gap g.Pg / 2E is at most gap_tol (the actual gap (E - E*) / E
     can be larger, see the module docstring); "energy_stall" once no
@@ -397,16 +442,31 @@ def geodesic_bvp(
         )
     path = opts.initial_path
     if path is None:
-        path = linear_path(c0, c1, opts.T)
-    elif path.grid != c0.grid:
+        linear = linear_path(c0, c1, opts.T)  # a degenerate segment fails here
+        try:
+            return _minimize(cfg, c0, c1, _constant_speed_start(cfg, linear), opts)
+        except ImmersionError:
+            return _minimize(cfg, c0, c1, linear, opts)
+    if path.grid != c0.grid:
         raise ContractError(f"initial path lives on {path.grid}, the endpoints on {c0.grid}")
-    elif path.T != opts.T:
+    if path.T != opts.T:
         raise ContractError(f"initial path has T={path.T}, options ask for T={opts.T}")
-    elif not (
+    if not (
         np.array_equal(path.samples[0], c0.samples)
         and np.array_equal(path.samples[-1], c1.samples)
     ):
         raise ContractError("initial path endpoints do not match c0, c1")
+    return _minimize(cfg, c0, c1, path, opts)
+
+
+def _minimize(
+    cfg: MetricConfig,
+    c0: DiscreteCurve,
+    c1: DiscreteCurve,
+    path: CurvePath,
+    opts: SolverOptions,
+) -> GeodesicResult:
+    """The descent of `geodesic_bvp` from `path`, whose endpoints are c0 and c1."""
     grid = path.grid
     dt = path.dt
     speed_floor = 1e-6 * float(np.mean(np.mean(_arc_jet(grid, path.samples)[0], axis=-1)))
@@ -414,13 +474,15 @@ def geodesic_bvp(
     x = path.samples[1:-1].copy()
     ends = (path.samples[:1], path.samples[-1:])
 
+    def stack(x_arr):
+        return np.concatenate([ends[0], x_arr, ends[1]])
+
     def eval_at(x_arr):
         if np.min(_arc_jet(grid, x_arr)[0]) < speed_floor:
             raise ImmersionError("interior slice below speed floor")
-        stacked = np.concatenate([ends[0], x_arr, ends[1]])
-        return _stacked_energy_and_gradient(cfg, grid, stacked, dt)
+        return _stacked_energy_and_gradient(cfg, grid, stack(x_arr), dt)
 
-    energy, grad = eval_at(x)
+    energy, grad, values = eval_at(x)
     trace = [energy]
     # Limited-memory quasi-Newton direction (two-loop recursion) seeded
     # with the frozen-coefficient inverse Hessian, plus a monotone Armijo
@@ -461,28 +523,35 @@ def geodesic_bvp(
             slope = -float(np.sum(grad * grad))
         # Energy differences within a few ulps of E are roundoff: once the
         # predicted decrease t*|slope| sinks under that floor, Armijo would
-        # only compare noise, so the search stops.  It has then found the
-        # path stationary if no trial moved E by more than the floor.
+        # only compare noise, so the search stops.  A rejected trial rises
+        # by its second-order part E_try - E - t*slope, which for a smooth E
+        # shrinks as t^2 between trials; the path is stationary to roundoff
+        # if the last trial's part departs from that by at most the floor.
+        # (A trial may rise well above the floor: a step that overshoots a
+        # minimum along the direction does.)
         floor = _ROUNDOFF_ULPS * np.finfo(float).eps * energy
         t = 1.0
         accepted = False
-        change = 0.0
+        previous, misfit = None, 0.0  # the last rejected trial's t and part
         for _ in range(60):
             if -t * slope <= floor:
                 break
             x_try = x + t * direction
             try:
-                energy_try, grad_try = eval_at(x_try)
+                energy_try, grad_try, values_try = eval_at(x_try)
             except ImmersionError:
                 t *= _BACKTRACK
                 continue
             if energy_try <= energy + _ARMIJO * t * slope:
                 accepted = True
                 break
-            change = abs(energy_try - energy)
+            part = energy_try - energy - t * slope
+            if previous is not None:
+                misfit = abs(part - previous[1] * (t / previous[0]) ** 2)
+            previous = (t, part)
             t *= _BACKTRACK
         if not accepted:
-            stalled = -t * slope <= floor and change <= floor
+            stalled = -t * slope <= floor and misfit <= floor
             termination = "energy_stall" if stalled else "line_search"
             break
         dx = x_try - x
@@ -495,14 +564,13 @@ def geodesic_bvp(
             if len(memory) > 10:
                 memory.pop(0)
             gamma = curv / float(np.sum(dg * pdg))
-        x, grad, pgrad = x_try, grad_try, pgrad_try
+        x, grad, pgrad, values = x_try, grad_try, pgrad_try, values_try
         energy = energy_try
         trace.append(energy)
-    current_path = CurvePath(grid, np.concatenate([ends[0], x, ends[1]]))
     return GeodesicResult(
-        path=current_path,
+        path=CurvePath(grid, stack(x)),
         energy=energy,
-        length=path_length(cfg, current_path),
+        length=dt * float(np.sum(_speeds(values))),
         iterations=iterations,
         converged=termination in ("gradient", "energy_stall"),
         gradient_norm_final=math.sqrt(dual / energy),

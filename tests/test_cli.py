@@ -271,6 +271,25 @@ def test_non_finite_metric_term_exit_2(tmp_path, capsys, term):
     assert_validation_error(capsys, ["analyze", "--metric", str(metric)])
 
 
+def test_overflowing_table_exit_2(tmp_path, capsys):
+    metric = tmp_path / "metric.json"
+    term = {"k": 0, "form": "table", "knots": [1e-200, 2e-200, 1e-100, 1.0],
+            "values": [1.0, 16.0, 16.0, 16.0]}
+    metric.write_text(json.dumps({"n": 2, "terms": [term, {"k": 2, "form": "const", "b": 1.0}]}))
+    err = assert_validation_error(capsys, ["analyze", "--metric", str(metric)])
+    assert "cubics overflow" in err
+
+
+def test_distance_through_a_point_curve_exit_2(files, capsys):
+    # c1 = -c0: the segment passes through a point curve at t = 1/2, a slice at T = 8.
+    tmp, metric, c0, _ = files
+    antipodal = tmp / "antipodal.json"
+    sc.save_curve(sc.DiscreteCurve(sc.Grid(64), -sc.load_curve(c0).samples), antipodal)
+    argv = ["distance", "--metric", str(metric), "--from", str(c0), "--to", str(antipodal)]
+    err = assert_validation_error(capsys, argv + ["--T", "8"])
+    assert "path degenerates at t=0.5" in err
+
+
 def test_directory_as_metric_exit_2(tmp_path, capsys):
     assert_validation_error(capsys, ["analyze", "--metric", str(tmp_path)])
 

@@ -90,6 +90,18 @@ def test_tabulated_contracts():
         Tabulated((1.0, 2.0, 3.0, 4.0), (1.0, -2.0, 3.0, 4.0))
 
 
+def test_tabulated_overflowing_cubics_rejected():
+    # The cubics' leading coefficients grow like jump / spacing^2, so this
+    # table of finite positive values would evaluate to NaN at 1.5e-200.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="cubics overflow"):
+            Tabulated((1e-200, 2e-200, 1e-100, 1.0), (1.0, 16.0, 16.0, 16.0))
+        # Closely spaced knots are fine while the cubics stay finite.
+        table = Tabulated((1e-200, 2e-200, 1e-100, 1.0), (1.0, 1.0, 1.0, 1.0))
+        assert coefficient_eval(table, 1.5e-200) == 1.0
+
+
 def test_metric_config_contracts():
     cfg_const()
     with pytest.raises(ContractError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sobocurve as sc
 from sobocurve import paths as paths_module
@@ -493,3 +495,105 @@ def test_path_kernels_construct_no_curves(monkeypatch):
     sc.gradient_check(SI, path, n_coords=2)
     sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16))
     assert len(built) == 0
+
+
+@pytest.mark.parametrize("n, T", [(64, 16), (128, 16), (256, 32)])
+@pytest.mark.parametrize("q", [0.4, 0.5, 1.5, 2.0])
+def test_geodesic_concentric_starts_at_constant_speed(n, T, q):
+    # The geodesic between concentric circles is the radial segment at
+    # constant metric speed, which is where the solve now starts.
+    c0, c1 = circle_pair(n, 1.0, q)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=T))
+    assert res.termination == "gradient"
+    assert res.iterations <= 2
+    # The midpoint rule in t leaves (ln q)^2 / (12 T^2); allow twice that
+    # plus the order-4 stencil's share.
+    radial = sc.radial_path_length(SI, c0, 1.0, q)
+    assert abs(res.length - radial) <= (np.log(q) ** 2 / (6 * T * T) + 1e-5) * radial
+
+
+def pair_of_kind(kind, n, seed):
+    """c1 = 1.3 c0 + 0.05 random_field, c0 the unit circle or a random curve."""
+    grid = sc.Grid(n)
+    rng = np.random.default_rng(seed)
+    c0 = sc.make_circle(1.0, (0, 0), grid) if kind == "near_circle" else random_curve(grid, rng)
+    return c0, sc.DiscreteCurve(grid, 1.3 * c0.samples + 0.05 * random_field(grid, rng).values)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["near_circle", "random"]),
+    n=st.sampled_from([32, 64, 128]),
+    T=st.integers(2, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_constant_speed_start_properties(kind, n, T, seed):
+    c0, c1 = pair_of_kind(kind, n, seed)
+    linear = sc.linear_path(c0, c1, T)
+    start = paths_module._constant_speed_start(SI, linear)
+    assert np.array_equal(start.samples[0], c0.samples)
+    assert np.array_equal(start.samples[-1], c1.samples)
+    # Every slice lies on the segment; read its time off the projection.
+    h = c1.samples - c0.samples
+    tau = np.sum((start.samples - c0.samples) * h, axis=(1, 2)) / np.sum(h * h)
+    assert np.all(np.diff(tau) >= 0)
+    energy = sc.path_energy(SI, start)
+    assert energy <= sc.path_energy(SI, linear) * (1 + 1e-12)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=T, max_iters=1))
+    assert res.energy_trace[0] == energy
+
+
+def test_geodesic_falls_back_when_only_the_finer_pass_degenerates():
+    # c1 = -(2K - 1) c0 with K = r*T finer intervals vanishes at t = 1/(2K),
+    # the first finer midpoint, and at no slice or midpoint of the T-grid.
+    # Dyadic samples and powers of two for T and r make that exact.
+    T = 4
+    n_fine = paths_module._RETIME_REFINE * T
+    grid = sc.Grid(32)
+    c0 = sc.DiscreteCurve(grid, np.round(sc.make_circle(1.0, (0, 0), grid).samples * 2**20) / 2**20)
+    c1 = sc.DiscreteCurve(grid, -(2 * n_fine - 1) * c0.samples)
+    linear = sc.linear_path(c0, c1, T)
+    with pytest.raises(ImmersionError):
+        paths_module._constant_speed_start(SI, linear)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=T, max_iters=3))
+    ref = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=T, max_iters=3, initial_path=linear))
+    assert res.to_dict() == ref.to_dict()
+    assert np.array_equal(res.path.samples, ref.path.samples)
+
+
+def test_geodesic_overshoot_below_roundoff_stalls():
+    # The last search's one trial overshoots the minimum along its
+    # direction and raises E by about 15 ulps; that rise is curvature, not
+    # a failure, so the solve is stationary to roundoff.
+    c0, c1 = ellipse_pair(64)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16, gap_tol=1e-15))
+    assert res.termination == "energy_stall"
+    assert res.converged
+
+
+def test_geodesic_rise_not_explained_by_curvature_is_line_search(monkeypatch):
+    # Every trial after the first evaluation rises by the same 1e-6 E, at
+    # any step length: not the t^2 rise of a smooth E, so not roundoff.
+    c0, c1 = ellipse_pair(32)
+    start = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=8)).path
+    exact = paths_module._stacked_energy_and_gradient
+    calls = []
+
+    def bumped(*args):
+        energy, grad, values = exact(*args)
+        calls.append(energy)
+        return (energy if len(calls) == 1 else energy + 1e-6 * calls[0]), grad, values
+
+    monkeypatch.setattr(paths_module, "_stacked_energy_and_gradient", bumped)
+    opts = sc.SolverOptions(T=8, gap_tol=1e-16, initial_path=start)
+    res = sc.geodesic_bvp(SI, c0, c1, opts)
+    assert res.termination == "line_search"
+    assert not res.converged
+    assert res.iterations == 1 and res.energy == calls[0]
+    assert len(calls) > 2
+
+
+def test_geodesic_length_from_last_evaluation():
+    c0, c1 = random_pair(64, 0)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16))
+    assert res.length == sc.path_length(SI, res.path)
