@@ -165,7 +165,8 @@ def numeric_integral_evidence(term, k: int, end: str) -> IntegralVerdict:
     c = min(knot, 1.0) if end == "zero" else max(knot, 1.0)
     try:
         # Over (0, c] or [c, inf) the integrand is f(c) (r / c)^e.
-        value = c ** (1.5 - k) * math.sqrt(coefficient_eval(law, c / knot)) / abs(e + 1.0)
+        with np.errstate(over="raise"):
+            value = c ** (1.5 - k) * math.sqrt(coefficient_eval(law, c / knot)) / abs(e + 1.0)
         error = 0.0
         if c != 1.0:  # the stretch between the end knot and r = 1
             edges = _edges(min(c, 1.0), max(c, 1.0), _breaks(term))

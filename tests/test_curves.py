@@ -157,10 +157,20 @@ def test_length_homogeneity():
 def test_length_of_huge_circle_does_not_overflow():
     grid = sc.Grid(32)
     unit = sc.curve_length(sc.make_circle(1.0, (0, 0), grid))
+    for r in (1e200, 1e-200, 1e-300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            length = sc.curve_length(sc.make_circle(r, (0, 0), grid))
+        assert length == pytest.approx(r * unit, rel=1e-13)
+
+
+def test_zero_curve_is_rejected_without_warning():
+    # Tiny curves rescale their differences; a zero curve has nothing to
+    # rescale by and must not divide 0 by 0.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        huge = sc.curve_length(sc.make_circle(1e200, (0, 0), grid))
-    assert huge == pytest.approx(1e200 * unit, rel=1e-13)
+        with pytest.raises(ImmersionError, match="not an immersion"):
+            sc.DiscreteCurve(sc.Grid(32), np.zeros((32, 3)))
 
 
 def test_bumpy_circle_length_window():
@@ -217,6 +227,37 @@ def test_reparametrize():
     assert abs(sc.curve_length(smooth) - TWO_PI) <= 1e-6
     with pytest.raises(ContractError):
         sc.reparametrize(c, -grid.theta)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reparametrize_rejects_non_finite_phi(bad):
+    grid = sc.Grid(64)
+    phi = grid.theta.copy()
+    phi[5] = bad
+    with pytest.raises(ContractError, match="phi must be finite"):
+        sc.reparametrize(sc.make_circle(1.0, (0, 0), grid), phi)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([32, 64, 128, 256]),
+    dim=st.sampled_from([2, 3]),
+    shift=st.floats(-TWO_PI, TWO_PI),
+    steps=st.integers(-40, 40),
+)
+def test_reparametrize_is_exact_on_band_limited_curves(seed, n, dim, shift, steps):
+    # random_curve has 10 modes, below every N/2 here, so the
+    # trigonometric interpolant is the curve itself.
+    grid = sc.Grid(n)
+    c = random_curve(grid, np.random.default_rng(seed), dim=dim)
+    tol = 1e-13 * np.max(np.abs(c.samples))
+    theta = grid.theta
+    assert np.max(np.abs(sc.reparametrize(c, theta).samples - c.samples)) <= tol
+    rolled = sc.reparametrize(c, theta + steps * grid.spacing).samples
+    assert np.max(np.abs(rolled - np.roll(c.samples, -steps, axis=0))) <= tol
+    back = sc.reparametrize(sc.reparametrize(c, theta + shift), theta - shift)
+    assert np.max(np.abs(back.samples - c.samples)) <= tol
 
 
 def test_curve_io_roundtrip(tmp_path):

@@ -1,8 +1,10 @@
-"""Import hygiene: SciPy and numpy.polynomial load only where they are called,
-and no import goes unused.
+"""Import hygiene: the package runs on NumPy alone, numpy.polynomial loads
+only where it is called, and no import goes unused.
 
-Each SciPy case runs in a fresh interpreter, because the test process
-itself has SciPy loaded already.
+No module imports SciPy, no CLI subcommand loads it, and the package
+works with SciPy blocked from import; SciPy is a test-only dependency,
+an oracle for the tests.  Each SciPy case runs in a fresh interpreter,
+because the test process itself has SciPy loaded already.
 """
 
 import ast
@@ -178,6 +180,54 @@ def test_tabulated_loads_no_scipy():
     assert child_run(script=TABULATED_CHILD)["scipy"] == []
 
 
+NO_SCIPY_CHILD = """
+import json, sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+import sobocurve, sobocurve.cli
+grid = sobocurve.Grid(32)
+circle = sobocurve.make_circle(1.0, (0, 0), grid)
+sobocurve.reparametrize(circle, grid.theta + 0.5)
+codes = [sobocurve.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes}))
+"""
+
+
+def test_runs_with_scipy_blocked(power_metric, tmp_path):
+    grid = sc.Grid(32)
+    c0, c1 = tmp_path / "c0.json", tmp_path / "c1.json"
+    sc.save_curve(sc.make_circle(1.0, (0, 0), grid), c0)
+    sc.save_curve(sc.make_circle(2.0, (0, 0), grid), c1)
+    table = tmp_path / "table.json"
+    knots = [0.25, 0.5, 1.0, 2.0, 4.0]
+    table.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "terms": [
+                    {"k": 0, "form": "const", "b": 1.0},
+                    {"k": 2, "form": "table", "knots": knots, "values": [x**1.5 for x in knots]},
+                ],
+            }
+        )
+    )
+    runs = [
+        ["verify", "--seed", "0", "--output", str(tmp_path / "verify.txt")],
+        ["analyze", "--metric", str(table), "--output", str(tmp_path / "report.json")],
+        ["distance", "--metric", str(power_metric), "--from", str(c0), "--to", str(c1),
+         "--T", "8", "--output", str(tmp_path / "result.json")],
+    ]
+    assert child_run([json.dumps(runs)], script=NO_SCIPY_CHILD)["codes"] == [0, 0, 0]
+
+
 def scipy_imports(source: str, module: str) -> list[str]:
     """Each SciPy import of a module, named by the function whose body holds
     it (``module.function``), or ``module:line`` outside any function."""
@@ -202,13 +252,13 @@ def scipy_imports(source: str, module: str) -> list[str]:
     return found
 
 
-def test_scipy_imported_only_in_reparametrize():
+def test_no_module_imports_scipy():
     found = {
         where
         for path in PACKAGE_DIR.glob("*.py")
         for where in scipy_imports(path.read_text(), path.stem)
     }
-    assert found == {"curves.reparametrize"}
+    assert found == set()
 
 
 def test_scipy_import_scan_flags_module_level_imports():

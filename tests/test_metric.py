@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sobocurve as sc
-from sobocurve.errors import ContractError
+from sobocurve.errors import ContractError, NumericalError
 from sobocurve.metric import (
     Constant,
     MetricConfig,
@@ -31,6 +31,35 @@ def test_coefficient_eval_closed_forms():
     assert coefficient_eval(Constant(5.0), 17.3) == 5.0
     with pytest.raises(ContractError):
         coefficient_eval(PowerLaw(1.0, -3.0), 0.0)
+
+
+def test_power_law_overflow_is_inf_and_finite_values_match_python():
+    law = PowerLaw(1.0, -3.0)
+    with np.errstate(over="ignore"):
+        assert coefficient_eval(law, 1e-120) == math.inf
+        assert coefficient_deriv(law, 1e-100) == -math.inf
+        assert coefficient_eval(law, np.array([1e-120]))[0] == math.inf
+    rng = np.random.default_rng(5)
+    for ell, p in zip(np.exp(rng.uniform(-200, 200, 2000)), rng.uniform(-8, 8, 2000)):
+        ell, p = float(ell), float(p)
+        if abs(p * math.log(ell)) < 700:  # Python's float power is finite
+            assert coefficient_eval(PowerLaw(2.5, p), ell) == 2.5 * ell**p
+
+
+@pytest.mark.parametrize("radius", [1e-120, 1e-100, 1.0, 1e100, 1e120])
+def test_eval_metric_is_finite_or_raises(radius):
+    # Scale-invariant profile: G_c(c, c) is the same at every scale where
+    # floating point reaches it, and a NumericalError where it does not.
+    cfg = sc.scale_invariant_profile(2, [1.0, 0.0, 1.0])
+    c = sc.make_circle(radius, (0, 0), sc.Grid(64))
+    h = sc.TangentField(c.grid, c.samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if radius in (1e-120, 1e120):
+            with pytest.raises(NumericalError, match="not finite"):
+                sc.eval_metric(cfg, c, h, h)
+        else:
+            assert sc.eval_metric(cfg, c, h, h) == pytest.approx(39.5035038438, rel=1e-10)
 
 
 def test_coefficient_deriv_matches_fd():

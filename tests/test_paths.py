@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sobocurve as sc
 from sobocurve import paths as paths_module
-from sobocurve.errors import ContractError, ImmersionError
+from sobocurve.errors import ContractError, ImmersionError, NumericalError
 from sobocurve.metric import (
     Constant,
     MetricConfig,
@@ -203,6 +203,14 @@ def test_radial_path_length_tiny_scales():
     lo, hi = 1e-50, 1e-40
     expect = 2.0 * np.sqrt(m2) * (lo**-0.5 - hi**-0.5)
     assert sc.radial_path_length(CFG, c, lo, hi) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("radius", [1e-160, 1e200])
+def test_moments_out_of_range_raise(radius):
+    # M_0 underflows to 0 at 1e-160 and overflows to inf at 1e200.
+    c = sc.make_circle(radius, (0, 0), sc.Grid(64))
+    with pytest.raises(NumericalError, match="curve moments must be positive and finite"):
+        sc.moments(c, 2)
 
 
 @pytest.mark.parametrize("bounds", [(1.0, float("nan")), (float("inf"), 1.0), (float("nan"), 2.0)])
