@@ -274,6 +274,28 @@ def _q_form(w: float, uh: np.ndarray, ug: np.ndarray, s: np.ndarray):
     return w * (inner[..., None, :] @ s[..., :, None])[..., 0, 0]
 
 
+def _form(cfg: MetricConfig, grid, samples, h, g=None, scale=None):
+    """G = sum_k a_k(ell) * scale_k * Q_k(h, g) per curve of a (..., N, d) stack.
+
+    h and g (default h) broadcast against `samples`; `scale` (default 1)
+    maps k to a factor taken out of the grid arithmetic.  Returns G and
+    the pieces (s, lengths, u, q, coeffs): `_arc_jet`'s output, then Q_k
+    and a_k(lengths) by k.  Raises NumericalError if a G is not finite.
+    """
+    # Overflow or 0 * inf shows as a non-finite value, reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, lengths, u = _arc_jet(grid, samples, h if g is None else np.stack([h, g]), cfg.n)
+        uh, ug = (u, u) if g is None else ([uk[0] for uk in u], [uk[1] for uk in u])
+        q = {k: _q_form(grid.weight, uh[k], ug[k], s) for k in cfg.terms}
+        coeffs = {k: coefficient_eval(term, lengths) for k, term in cfg.terms.items()}
+        values = sum(coeffs[k] * (1.0 if scale is None else scale[k]) * q[k] for k in cfg.terms)
+    if not (np.isfinite(values).all() if isinstance(values, np.ndarray) else math.isfinite(values)):
+        i = np.argmin(np.isfinite(values))  # the first curve whose value is not finite
+        ell, value = np.ravel(lengths)[i], np.ravel(values)[i]
+        raise NumericalError(f"metric value is not finite at curve length {ell}: {value}")
+    return values, (s, lengths, u, q, coeffs)
+
+
 def eval_metric(
     cfg: MetricConfig, c: DiscreteCurve, h: TangentField, g: TangentField
 ) -> float:
@@ -284,15 +306,7 @@ def eval_metric(
     """
     if c.grid != h.grid or c.grid != g.grid:
         raise ContractError("curve and tangent fields live on different grids")
-    s, ell, u = _arc_jet(c.grid, c.samples, np.stack([h.values, g.values]), cfg.n)
-    total = 0.0
-    # Overflow or 0 * inf shows as a non-finite total, reported below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, term in cfg.terms.items():
-            total += coefficient_eval(term, ell) * _q_form(c.grid.weight, u[k][0], u[k][1], s)
-    if not math.isfinite(total):
-        raise NumericalError(f"metric value is not finite at curve length {ell}: {total}")
-    return float(total)
+    return float(_form(cfg, c.grid, c.samples, h.values, g.values)[0])
 
 
 def config_to_dict(cfg: MetricConfig) -> dict:

@@ -21,7 +21,9 @@ and T.  gap_tol bounds the predicted gap, not the actual one: P freezes
 the coefficients at the mean speed and length, and on random-curve
 pairs (N = 64 and 128, T = 16) the gap left is 0.9-2.1 times the
 predicted g.Pg / 2E.  The analytic gradient is the production path and
-is certified against finite differences by gradient_check.
+is certified against finite differences by gradient_check.  Energy,
+length and gradient raise NumericalError where they are not finite
+(`metric._form`); the line search rejects such a trial step.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .curves import (
 )
 from .completeness import _breaks, _edges, log_quad
 from .errors import ContractError, ImmersionError, NumericalError
-from .metric import MetricConfig, _q_form, coefficient_deriv, coefficient_eval
+from .metric import MetricConfig, _form, _q_form, coefficient_deriv, coefficient_eval
 
 
 @dataclass(frozen=True)
@@ -148,18 +150,10 @@ def linear_path(c0: DiscreteCurve, c1: DiscreteCurve, T: int) -> CurvePath:
 
 
 def _forward(cfg: MetricConfig, grid: Grid, stacked, dt: float):
-    """Per-interval metric terms of a stacked (T+1, N, d) path.
-
-    Returns G_m = sum_k a_k(L_m) Q_k,m for the T midpoint slices plus the
-    pieces the gradient reuses: midpoints, speed, jet, Q_k and a_k.
-    """
+    """`_form` at the T midpoint slices of a (T+1, N, d) path; midpoints lead its pieces."""
     cb = 0.5 * (stacked[:-1] + stacked[1:])
-    v = (stacked[1:] - stacked[:-1]) / dt
-    s, lengths, u = _arc_jet(grid, cb, v, cfg.n)
-    q = {k: _q_form(grid.weight, u[k], u[k], s) for k in cfg.terms}
-    coeffs = {k: coefficient_eval(term, lengths) for k, term in cfg.terms.items()}
-    values = sum(coeffs[k] * q[k] for k in cfg.terms)
-    return values, (cb, s, lengths, u, q, coeffs)
+    values, pieces = _form(cfg, grid, cb, (stacked[1:] - stacked[:-1]) / dt)
+    return values, (cb, *pieces)
 
 
 def path_energy(cfg: MetricConfig, path: CurvePath) -> float:
@@ -251,12 +245,13 @@ def radial_path_length(
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _stacked_energy_and_gradient(cfg: MetricConfig, grid: Grid, stacked, dt: float):
     """Energy and per-interval gradients for a stacked (T+1, N, d) path.
 
     Vectorized across the T intervals; returns (energy, grad, values) with
     grad of shape (T-1, N, d) for the interior slices and values the
-    per-interval G_m of `_forward`.
+    per-interval G_m of `_forward`; raises NumericalError if E or grad is not finite.
     """
     w = grid.weight
     values, (cb, s, lengths, u, q, coeffs) = _forward(cfg, grid, stacked, dt)
@@ -284,14 +279,16 @@ def _stacked_energy_and_gradient(cfg: MetricConfig, grid: Grid, stacked, dt: flo
 
     energy = dt * float(np.sum(values))
     grad = dt * 0.5 * (grad_cb[:-1] + grad_cb[1:]) + (grad_v[:-1] - grad_v[1:])
+    if not (math.isfinite(energy) and np.isfinite(grad).all()):
+        raise NumericalError(f"path energy {energy} or its gradient is not finite")
     return energy, grad, values
 
 
 def energy_and_gradient(cfg: MetricConfig, path: CurvePath):
     """Energy plus its Euclidean gradient w.r.t. the interior slices.
 
-    Returns (energy, grad) with grad of shape (T-1, N, d); the endpoint
-    slices are fixed and carry no gradient.
+    Returns (energy, grad), or raises NumericalError if either is not
+    finite; grad has shape (T-1, N, d), as the endpoint slices are fixed.
     """
     return _stacked_energy_and_gradient(cfg, path.grid, path.samples, path.dt)[:2]
 
@@ -379,7 +376,6 @@ _BACKTRACK = 0.5
 _RETIME_REFINE = 4
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _constant_speed_start(cfg: MetricConfig, linear: CurvePath) -> CurvePath:
     """The segment of `linear` re-timed to constant metric speed.
 
@@ -391,8 +387,7 @@ def _constant_speed_start(cfg: MetricConfig, linear: CurvePath) -> CurvePath:
     interpolation of S.  The endpoint slices are those of `linear`.  The
     finer path is evaluated T intervals at a time, so the pass needs no
     more memory than one energy evaluation of the solve.  Returns
-    `linear` itself unless S is finite and strictly increasing; raises
-    ImmersionError if a finer midpoint degenerates.
+    `linear` itself unless S is strictly increasing; raises as `_forward` does.
     """
     grid, T = linear.grid, linear.T
     c0, c1 = linear.samples[0], linear.samples[-1]
@@ -403,7 +398,7 @@ def _constant_speed_start(cfg: MetricConfig, linear: CurvePath) -> CurvePath:
         for t in (tau[j:j + T + 1] for j in range(0, n_fine, T))
     ])
     cumulative = np.concatenate(([0.0], np.cumsum(sigma)))
-    if not (np.all(np.diff(cumulative) > 0) and np.isfinite(cumulative[-1])):
+    if not np.all(np.diff(cumulative) > 0):
         return linear
     t = np.interp(cumulative[-1] * np.arange(1, T) / T, cumulative, tau[:, 0, 0])[:, None, None]
     return CurvePath(grid, np.concatenate([c0[None], (1.0 - t) * c0 + t * c1, c1[None]]))
@@ -420,8 +415,8 @@ def geodesic_bvp(
     Without `opts.initial_path` the solve starts from the linear path
     re-timed to constant metric speed (`_constant_speed_start`), so
     energy_trace[0] is that start's energy; it falls back to the linear
-    path if the re-timed start hits a degenerate curve.  Stops with
-    termination "gradient" once g.Pg <= 2 gap_tol E, with P
+    path if the re-timed start meets a degenerate curve or a NumericalError.
+    Stops with termination "gradient" once g.Pg <= 2 gap_tol E, with P
     the spectral preconditioner, that is once the predicted relative
     energy gap g.Pg / 2E is at most gap_tol (the actual gap (E - E*) / E
     can be larger, see the module docstring); "energy_stall" once no
@@ -453,7 +448,7 @@ def geodesic_bvp(
         linear = linear_path(c0, c1, opts.T)  # a degenerate segment fails here
         try:
             return _minimize(cfg, c0, c1, _constant_speed_start(cfg, linear), opts)
-        except ImmersionError:
+        except (ImmersionError, NumericalError):
             return _minimize(cfg, c0, c1, linear, opts)
     if path.grid != c0.grid:
         raise ContractError(f"initial path lives on {path.grid}, the endpoints on {c0.grid}")
@@ -467,9 +462,7 @@ def geodesic_bvp(
     return _minimize(cfg, c0, c1, path, opts)
 
 
-# Overflow or 0 * inf shows as a non-finite energy or gradient: a trial
-# step with a non-finite energy fails the line search, and a start with
-# either raises.
+# Trial steps that raise NumericalError fail the line search; P's coefficients may overflow.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _minimize(
     cfg: MetricConfig,
@@ -512,11 +505,8 @@ def _minimize(
     iterations = 0
     termination = "max_iters"
     pgrad = precondition(grad)
-    if not (math.isfinite(energy) and np.isfinite(grad).all() and np.isfinite(pgrad).all()):
-        raise NumericalError(
-            f"path energy or its gradient is not finite at the start (energy {energy}), "
-            "as for curves too large or too small for the metric in floating point"
-        )
+    if not np.isfinite(pgrad).all():
+        raise NumericalError("preconditioned gradient is not finite at the start")
     while True:
         # P approximates the inverse Hessian, so g.Pg ~ 2 (E - E*).
         dual = max(float(np.sum(grad * pgrad)), 0.0)
@@ -560,7 +550,7 @@ def _minimize(
             x_try = x + t * direction
             try:
                 energy_try, grad_try, values_try = eval_at(x_try)
-            except ImmersionError:
+            except (ImmersionError, NumericalError):
                 t *= _BACKTRACK
                 continue
             if energy_try <= energy + _ARMIJO * t * slope:

@@ -1,5 +1,7 @@
 """Bumpy-circle sequences that break metric completeness in both directions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,38 @@ def test_scaled_leg_length_matches_direct_evaluation():
     direct_s = sc.path_length(cfg, sc.linear_path(c0s, c1s, 16))
     scaled_s = scaled_leg_length(cfg, r, c0.samples, c1.samples, grid, 16)
     assert scaled_s == pytest.approx(direct_s, rel=1e-10)
+
+
+@pytest.mark.parametrize("r_base", [float("inf"), float("nan")])
+def test_scaled_leg_length_rejects_non_finite_base_scale(r_base):
+    grid = sc.Grid(128)
+    shape = sc.make_bumpy_circle(1.0, 0.25, 3, grid).samples
+    with pytest.raises(ContractError, match="base scale must be positive and finite"):
+        scaled_leg_length(counterexample_metric(0.0), r_base, shape, 2.0 * shape, grid, 8)
+
+
+def test_scaled_leg_length_overflowing_factor_raises():
+    # r_base^(0 + 3 - 0) = 1e750 overflows: a NumericalError, not an
+    # OverflowError from the factor or a RuntimeWarning from the kernel.
+    cfg = sc.MetricConfig(2, {0: PowerLaw(1.0, 0.0), 2: PowerLaw(1.0, 1.0)})
+    grid = sc.Grid(128)
+    shape = sc.make_bumpy_circle(1.0, 0.25, 3, grid).samples
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not finite at base scale 1e\\+250"):
+            scaled_leg_length(cfg, 1e250, shape, 2.0 * shape, grid, 8)
+
+
+def test_scaled_leg_length_zero_term_with_overflowing_factor_adds_nothing():
+    # a_1 = 0 * ell^2 has factor r^(2 + 3 - 2) = 1e600 at r = 1e200.
+    grid = sc.Grid(128)
+    shape = sc.make_bumpy_circle(1.0, 0.25, 3, grid).samples
+    terms = {0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, 0.0)}
+    lengths = [
+        scaled_leg_length(sc.MetricConfig(2, t), 1e200, shape, 2.0 * shape, grid, 8)
+        for t in (terms, {**terms, 1: PowerLaw(0.0, 2.0)})
+    ]
+    assert lengths[0] == lengths[1] and np.isfinite(lengths[0])
 
 
 def test_grow_sequence_report():

@@ -1,5 +1,7 @@
 """Path energy and length, radial closed forms, and the geodesic solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,6 +300,47 @@ def test_geodesic_initial_path_T_mismatch():
 
 
 SI = scale_invariant_profile(2, [1.0, 0.0, 1.0])
+
+
+def _sweep_values(radius):
+    """Each public evaluator on circles `radius` and 2 * `radius` under SI."""
+    c0, c1 = circle_pair(64, radius, 2.0 * radius)
+    path = sc.linear_path(c0, c1, 8)
+    h = sc.TangentField(c0.grid, c0.samples)
+    return {
+        "path_energy": lambda: sc.path_energy(SI, path),
+        "path_length": lambda: sc.path_length(SI, path),
+        "energy_and_gradient": lambda: paths_module.energy_and_gradient(SI, path),
+        "eval_metric": lambda: sc.eval_metric(SI, c0, h, h),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["path_energy", "path_length", "energy_and_gradient", "eval_metric"]
+)
+@pytest.mark.parametrize(
+    "radius", [1e-160, 1e-120, 1e-100, 1e-50, 1.0, 1e50, 1e100, 1e120, 1e200]
+)
+def test_evaluators_scale_invariant_or_raise(name, radius):
+    # SI is scale-invariant: every evaluator returns its radius-1 value
+    # where floating point reaches it and raises NumericalError where it
+    # does not, never a NaN or a RuntimeWarning.  At 1e-100 only the
+    # gradient overflows (its a_0' ~ ell^-4).
+    expected = _sweep_values(1.0)[name]()
+    out_of_range = radius in (1e-160, 1e-120, 1e120, 1e200) or (
+        name == "energy_and_gradient" and radius == 1e-100
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if out_of_range:
+            with pytest.raises(NumericalError, match="not finite"):
+                _sweep_values(radius)[name]()
+            return
+        value = _sweep_values(radius)[name]()
+    if name == "energy_and_gradient":
+        (value, grad), expected = value, expected[0]
+        assert np.isfinite(grad).all()
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def random_pair(n, seed):
@@ -599,6 +642,28 @@ def test_geodesic_rise_not_explained_by_curvature_is_line_search(monkeypatch):
     assert not res.converged
     assert res.iterations == 1 and res.energy == calls[0]
     assert len(calls) > 2
+
+
+def test_geodesic_line_search_backtracks_on_numerical_error(monkeypatch):
+    # The first trial step fails as an overflowing metric would: the
+    # search halves the step, as for a degenerate trial, and goes on.
+    c0, c1 = ellipse_pair(32)
+    exact = paths_module._stacked_energy_and_gradient
+    calls = []
+
+    def failing(cfg, grid, stacked, dt):
+        calls.append(stacked[1:-1])
+        if len(calls) == 2:
+            raise NumericalError("metric value is not finite")
+        return exact(cfg, grid, stacked, dt)
+
+    monkeypatch.setattr(paths_module, "_stacked_energy_and_gradient", failing)
+    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=8))
+    assert res.converged and res.iterations >= 1
+    start, first_trial, second_trial = calls[:3]
+    np.testing.assert_allclose(
+        second_trial - start, 0.5 * (first_trial - start), rtol=0.0, atol=1e-15
+    )
 
 
 def test_geodesic_length_from_last_evaluation():
