@@ -8,10 +8,12 @@ For each order k the improper integrals
 decide whether curves can shrink to a point or blow up along finite
 paths.  Divergence of some I with 1 <= k <= n at both ends is sufficient
 for completeness; divergence of some I with 0 <= k <= n is necessary.
-Power laws are classified symbolically.  A tabulated profile is a power
-law beyond its end knots, so each end is classified by the same rule on
-that tail law; a convergent end's value adds the closed-form tail
-integral and a quadrature between the knot and r = 1.
+Whether an end diverges depends only on the profile's end law
+b (r / knot)^p, which metric._end_law gives: power laws and constants
+are that law everywhere and are classified symbolically; a tabulated
+profile is its fitted tail law beyond each end knot, so each end is
+classified by the same rule, and a convergent end's value adds the
+closed-form tail integral and a quadrature between the knot and r = 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .metric import Constant, MetricConfig, PowerLaw, Tabulated, coefficient_eval
+from .metric import MetricConfig, Tabulated, _end_law, coefficient_eval
 
 DIVERGENT = "divergent"
 CONVERGENT = "convergent"
@@ -38,10 +40,9 @@ GL_POINTS = 32
 
 
 def integrand(term, k: int, r):
-    """r^(1/2-k) * sqrt(a_k(r)); r is a float or an array."""
-    if np.min(r) <= 0:
-        raise ContractError(f"integrand argument must be positive, got {np.min(r)}")
-    return r ** (0.5 - k) * np.sqrt(coefficient_eval(term, r))
+    """r^(1/2-k) * sqrt(a_k(r)); r > 0 is a float or an array."""
+    a = coefficient_eval(term, r)  # raises ContractError unless r > 0
+    return r ** (0.5 - k) * np.sqrt(a)
 
 
 @functools.cache
@@ -134,15 +135,6 @@ def classify_power_law(k: int, p: float, b: float = 1.0) -> dict:
     return {"I0": i0, "Iinf": iinf}
 
 
-def _end_law(term, end: str) -> tuple:
-    """(knot, law): the profile is law(ell / knot) beyond `knot` towards `end`."""
-    if isinstance(term, Tabulated):
-        return term.tail_low if end == "zero" else term.tail_high
-    if isinstance(term, Constant):
-        return 1.0, PowerLaw(term.b, 0.0)
-    return 1.0, term
-
-
 def numeric_integral_evidence(term, k: int, end: str) -> IntegralVerdict:
     """Classify one end of the improper integral by the profile's end law.
 
@@ -233,9 +225,9 @@ def analyze(cfg: MetricConfig) -> CompletenessReport:
         if term is None:
             zero = IntegralVerdict(CONVERGENT, "analytic_power_law", value=0.0)
             verdicts_zero[k], verdicts_inf[k] = zero, zero
-        elif isinstance(term, (PowerLaw, Constant)):
-            p = term.p if isinstance(term, PowerLaw) else 0.0
-            both = classify_power_law(k, p, term.b)
+        elif not isinstance(term, Tabulated):
+            _, law = _end_law(term, "zero")
+            both = classify_power_law(k, law.p, law.b)
             verdicts_zero[k], verdicts_inf[k] = both["I0"], both["Iinf"]
         else:
             verdicts_zero[k] = numeric_integral_evidence(term, k, "zero")

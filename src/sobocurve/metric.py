@@ -3,7 +3,8 @@
 The metric is G_c(h, g) = sum_k a_k(ell_c) * integral <D_s^k h, D_s^k g> ds
 with coefficients a_k that are functions of the curve length ell_c.
 Coefficient profiles are power laws, constants, or tabulated values with
-fitted power-law tails.
+fitted power-law tails; beyond its end knots every profile is a power law
+b * (ell / knot)**p, and `_profile` evaluates all of them by that rule.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -35,9 +36,10 @@ class PowerLaw:
 
 @dataclass(frozen=True)
 class Constant:
-    """a(ell) = b."""
+    """a(ell) = b, the power law with p = 0."""
 
     b: float
+    p: ClassVar[float] = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.b):
@@ -140,14 +142,41 @@ def _fit_tail(knots: np.ndarray, values: np.ndarray, end: int) -> tuple:
 CoefficientTerm = Union[PowerLaw, Constant, Tabulated]
 
 
-def _check_lengths(ell):
-    if isinstance(ell, np.ndarray):
-        ok = (ell > 0) & (ell < math.inf)  # False for NaN too
-        if not ok.all():
-            bad = ell[~ok].flat[0]
-            raise ContractError(f"curve lengths must be positive and finite, got {bad}")
-    elif not 0 < ell < math.inf:
-        raise ContractError(f"curve length must be positive and finite, got {ell}")
+_TINY = float(np.finfo(float).tiny)  # ell / knot below it has lost digits
+
+
+def _end_law(term: CoefficientTerm, end: str) -> tuple:
+    """(knot, law): the profile is law(ell / knot) beyond `knot` towards `end`.
+
+    `end` is "zero" or "infinity".  A power law or a constant (p = 0) is
+    its own end law with knot 1, a tabulated profile its fitted tail there.
+    """
+    if isinstance(term, Tabulated):
+        return term.tail_low if end == "zero" else term.tail_high
+    return 1.0, term
+
+
+def _law(knot: float, law: PowerLaw | Constant, x: np.ndarray, nu: int, lo: float, hi: float):
+    """d^nu/d ell^nu of law.b * (ell / knot)**law.p at lengths x within [lo, hi].
+
+    A zero factor (b, or b * p for nu = 1) gives zeros, never 0 * inf.
+    Where ell / knot is not a normal float it is not formed: there the
+    value is b p^nu exp((p - nu) ln ell - p ln knot), good to about 1e-13
+    relative (the exponent is one rounded float).  Overflow gives inf.
+    """
+    factor = law.b if nu == 0 else law.b * law.p
+    if factor == 0.0:
+        return np.full(x.shape, factor)
+    e = law.p - nu
+    if lo / knot >= _TINY and hi / knot < math.inf:  # every quotient is normal
+        return factor * (x / knot) ** e / knot**nu
+    with np.errstate(over="ignore"):
+        q = x / knot
+    normal = (q >= _TINY) & (q < math.inf)
+    out = np.empty(x.shape)
+    out[normal] = factor * (x[normal] / knot) ** e / knot**nu
+    out[~normal] = factor * np.exp(e * np.log(x[~normal]) - law.p * math.log(knot))
+    return out
 
 
 def _pchip(term: Tabulated, ell, nu: int):
@@ -164,63 +193,45 @@ def _pchip(term: Tabulated, ell, nu: int):
     return c2 + c1 * s * 2 + c0 * (s * s) * 3
 
 
-def _tabulated(term: Tabulated, ell, nu: int):
-    """Interpolant (nu = 0) or its derivative (nu = 1), with power-law tails."""
-    power_law = coefficient_eval if nu == 0 else coefficient_deriv
+def _profile(term: CoefficientTerm, ell, nu: int):
+    """d^nu a / d ell^nu (nu = 0 or 1) at lengths ell > 0, a float or an array.
 
-    def tail(end, x):  # d^nu/d ell^nu of v_end * (ell / k_end)**p
-        knot, law = end
-        return power_law(law, x / knot) / knot**nu
-
-    if not isinstance(ell, np.ndarray):
-        if ell < term.knots[0]:
-            return tail(term.tail_low, ell)
-        if ell > term.knots[-1]:
-            return tail(term.tail_high, ell)
-        return float(_pchip(term, ell, nu))
-    low, high = ell < term.knots[0], ell > term.knots[-1]
-    inside = ~(low | high)
-    out = np.empty(ell.shape)
-    out[inside] = _pchip(term, ell[inside], nu)  # no cubic far outside: no overflow
-    for mask, end in ((low, term.tail_low), (high, term.tail_high)):
-        if mask.any():
-            out[mask] = tail(end, ell[mask])
-    return out
-
-
-def _power(ell, p: float):
-    """ell**p for a float or an array ell, inf where it overflows.
-
-    A float goes through a NumPy scalar, whose power equals Python's
-    where Python's is finite but returns inf where Python's raises
-    OverflowError, as the array power does.
+    Every profile is its end law b * (ell / knot)**p beyond its end
+    knots; a tabulated profile is the PCHIP interpolant between them.
     """
-    return ell**p if isinstance(ell, np.ndarray) else float(np.float64(ell) ** p)
+    x = np.asarray(ell, dtype=float)
+    lo, hi = float(x.min(initial=math.inf)), float(x.max(initial=0.0))  # NaN if any is
+    if not (lo > 0.0 and hi < math.inf):
+        bad = x[~((x > 0) & (x < math.inf))].flat[0]
+        raise ContractError(f"curve length must be positive and finite, got {bad}")
+    if isinstance(term, Tabulated):
+        low, high = x < term._knots[0], x > term._knots[-1]
+        inside = ~(low | high)
+        out = np.empty(x.shape)
+        out[inside] = _pchip(term, x[inside], nu)  # no cubic far outside: no overflow
+        for mask, end in ((low, "zero"), (high, "infinity")):
+            if mask.any():
+                out[mask] = _law(*_end_law(term, end), x[mask], nu, lo, hi)
+    else:
+        out = _law(*_end_law(term, "zero"), x, nu, lo, hi)
+    return out if isinstance(ell, np.ndarray) else float(out)
 
 
 def coefficient_eval(term: CoefficientTerm, ell):
-    """Evaluate a coefficient profile at curve length ell > 0.
+    """The coefficient a(ell) at curve length ell > 0.
 
     `ell` is a float (returns a float) or an array (returns an array of
-    the same shape).  Quadrature and path kernels pass arrays.  A power
-    law that overflows evaluates to inf.
+    the same shape).  Beyond its end knots a profile is b * (ell / k)**p:
+    a power law with k = 1, a constant with p = 0, a tabulated profile
+    with its fitted tails.  A zero coefficient evaluates to 0, an
+    overflowing one to inf.
     """
-    _check_lengths(ell)
-    if isinstance(term, PowerLaw):
-        return term.b * _power(ell, term.p)
-    if isinstance(term, Constant):
-        return np.full(ell.shape, term.b) if isinstance(ell, np.ndarray) else term.b
-    return _tabulated(term, ell, 0)
+    return _profile(term, ell, 0)
 
 
 def coefficient_deriv(term: CoefficientTerm, ell):
     """d a / d ell at ell > 0 (used by the path-energy gradient); float or array."""
-    _check_lengths(ell)
-    if isinstance(term, PowerLaw):
-        return term.b * term.p * _power(ell, term.p - 1.0)
-    if isinstance(term, Constant):
-        return np.zeros(ell.shape) if isinstance(ell, np.ndarray) else 0.0
-    return _tabulated(term, ell, 1)
+    return _profile(term, ell, 1)
 
 
 @dataclass(frozen=True)
@@ -289,7 +300,7 @@ def _form(cfg: MetricConfig, grid, samples, h, g=None, scale=None):
         q = {k: _q_form(grid.weight, uh[k], ug[k], s) for k in cfg.terms}
         coeffs = {k: coefficient_eval(term, lengths) for k, term in cfg.terms.items()}
         values = sum(coeffs[k] * (1.0 if scale is None else scale[k]) * q[k] for k in cfg.terms)
-    if not (np.isfinite(values).all() if isinstance(values, np.ndarray) else math.isfinite(values)):
+    if not np.isfinite(values).all():
         i = np.argmin(np.isfinite(values))  # the first curve whose value is not finite
         ell, value = np.ravel(lengths)[i], np.ravel(values)[i]
         raise NumericalError(f"metric value is not finite at curve length {ell}: {value}")

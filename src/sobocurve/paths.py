@@ -293,11 +293,13 @@ def energy_and_gradient(cfg: MetricConfig, path: CurvePath):
     return _stacked_energy_and_gradient(cfg, path.grid, path.samples, path.dt)[:2]
 
 
+_FD_STEP = 1e-6  # central-difference step of gradient_check
+
+
 def gradient_check(
     cfg: MetricConfig,
     path: CurvePath,
     n_coords: int = 20,
-    step: float = 1e-6,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Max relative deviation of the analytic gradient vs central FD."""
@@ -321,8 +323,8 @@ def gradient_check(
 
         # Richardson-extrapolated central differences: spike perturbations
         # are rough fields, so the plain h^2 truncation term is large.
-        fd_h = (energy_at(step) - energy_at(-step)) / (2.0 * step)
-        fd_2h = (energy_at(2 * step) - energy_at(-2 * step)) / (4.0 * step)
+        fd_h = (energy_at(_FD_STEP) - energy_at(-_FD_STEP)) / (2.0 * _FD_STEP)
+        fd_2h = (energy_at(2 * _FD_STEP) - energy_at(-2 * _FD_STEP)) / (4.0 * _FD_STEP)
         fd = (4.0 * fd_h - fd_2h) / 3.0
         an = grad[m - 1, j, axis]
         # Normalize against the gradient's sup norm so the FD oracle's own

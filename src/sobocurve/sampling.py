@@ -13,12 +13,15 @@ from .curves import DiscreteCurve, Grid, TangentField
 from .errors import ImmersionError, NumericalError
 
 _DECAY = 3.0
+# Fourier modes of a band-limited sample; tries before random_curve gives up.
+_MODES = 10
+_MAX_TRIES = 200
 
 
-def _band_limited(grid: Grid, rng: np.random.Generator, modes: int, dim: int) -> np.ndarray:
+def _band_limited(grid: Grid, rng: np.random.Generator, dim: int) -> np.ndarray:
     theta = grid.theta
     values = np.zeros((grid.n_points, dim))
-    for m in range(1, modes + 1):
+    for m in range(1, _MODES + 1):
         amp = (1.0 + m) ** -_DECAY
         a = rng.standard_normal(dim) * amp
         b = rng.standard_normal(dim) * amp
@@ -26,20 +29,14 @@ def _band_limited(grid: Grid, rng: np.random.Generator, modes: int, dim: int) ->
     return values
 
 
-def random_curve(
-    grid: Grid,
-    rng: np.random.Generator,
-    modes: int = 10,
-    dim: int = 2,
-    max_tries: int = 200,
-) -> DiscreteCurve:
+def random_curve(grid: Grid, rng: np.random.Generator, dim: int = 2) -> DiscreteCurve:
     """Random smooth immersion; the unit circle plus a band-limited bump."""
     theta = grid.theta
     circle = np.zeros((grid.n_points, dim))
     circle[:, 0] = np.cos(theta)
     circle[:, 1] = np.sin(theta)
-    for _ in range(max_tries):
-        samples = circle + _band_limited(grid, rng, modes, dim)
+    for _ in range(_MAX_TRIES):
+        samples = circle + _band_limited(grid, rng, dim)
         try:
             c = DiscreteCurve(grid, samples)
         except ImmersionError:
@@ -49,13 +46,8 @@ def random_curve(
     raise NumericalError("failed to sample an immersed random curve")
 
 
-def random_field(
-    grid: Grid,
-    rng: np.random.Generator,
-    modes: int = 10,
-    dim: int = 2,
-) -> TangentField:
+def random_field(grid: Grid, rng: np.random.Generator, dim: int = 2) -> TangentField:
     """Random band-limited tangent field with a constant part."""
-    values = _band_limited(grid, rng, modes, dim)
+    values = _band_limited(grid, rng, dim)
     values += rng.standard_normal(dim) * 0.5
     return TangentField(grid, values)

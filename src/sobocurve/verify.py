@@ -104,14 +104,14 @@ def _check_convergence_order(rng):
     return ok, f"refinement error ratios {['%.1f' % r for r in ratios]}"
 
 
-def _check_poincare(rng, n_curves=20, n_fields=2):
+def _check_poincare(rng):
     grid = Grid(512)
     slack = 1.0 + 1e-3
     ok = True
-    for _ in range(n_curves):
+    for _ in range(20):  # curves, each with two fields
         c = random_curve(grid, rng)
         ell = curve_length(c)
-        for _ in range(n_fields):
+        for _ in range(2):
             h = random_field(grid, rng)
             s, _, u = _arc_jet(grid, c.samples, h.values, 4)
             l2 = [_q_form(grid.weight, uk, uk, s) for uk in u]  # |D_s^k h|^2_L2(ds)

@@ -1,5 +1,6 @@
 """Import hygiene: the package runs on NumPy alone, numpy.polynomial loads
-only where it is called, and no import goes unused.
+only where it is called, no import goes unused and no module-level
+private helper is left without a user.
 
 No module imports SciPy, no CLI subcommand loads it, and the package
 works with SciPy blocked from import; SciPy is a test-only dependency,
@@ -297,3 +298,55 @@ def test_no_unused_imports(module):
 def test_unused_import_scan_flags_dead_names():
     source = "import os\nfrom math import pi, tau\nimport numpy as np\nprint(pi, np.e)\n"
     assert unused_imports(source) == ["os (line 1)", "tau (line 2)"]
+
+
+def dead_helpers(sources: dict) -> list[str]:
+    """Module-level ``_private`` functions and constants that no source uses.
+
+    `sources` maps module names to source text.  A name counts as used
+    where any module loads it, reads it as an attribute or imports it.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found += [
+                f"{module}.{name}" for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in used
+            ]
+    return sorted(found)
+
+
+def test_no_dead_helpers():
+    sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+    assert dead_helpers(sources) == []
+
+
+def test_dead_helper_scan_flags_unused_private_names():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n_SCALE: float = 2.0\n__all__ = []\n"
+            "def _power(x):\n    return x ** _SCALE\n"
+            "def _shared():\n    return 1\n"
+            "def _by_attribute():\n    return 2\n"
+            "def public():\n    _local = 0\n    return _local\n"
+        ),
+        "b": "from .a import _shared\nfrom . import a\nprint(_shared(), a._by_attribute())\n",
+    }
+    assert dead_helpers(sources) == ["a._LIMIT", "a._power"]

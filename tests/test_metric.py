@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -110,6 +111,76 @@ def test_tabulated_far_tails_do_not_overflow():
                 fn(table, ell), [fn(table, float(x)) for x in ell], rtol=1e-15, atol=0.0
             )
     assert coefficient_eval(table, 1e110) == pytest.approx(1e110, rel=1e-9)
+
+
+def _tail_reference(knot, law, ell, nu):
+    """d^nu/d ell^nu of law.b * (ell / knot)**law.p in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e = Decimal(law.p) - nu
+        value = Decimal(law.b) * (e * (Decimal(ell).ln() - Decimal(knot).ln())).exp()
+        return float(value * Decimal(law.p) / Decimal(knot) if nu else value)
+
+
+def test_tails_beyond_the_float_range_of_ell_over_knot():
+    # ell / knot overflows on the first table's upper tail and underflows
+    # on the second's lower tail, although each value is a normal float.
+    small = Tabulated((1e-60, 2e-60, 3e-60, 4e-60), (1.0, 1.1, 1.2, 1.3))
+    large = Tabulated((1e60, 2e60, 3e60, 4e60), (1.0, 1.1, 1.2, 1.3))
+    assert coefficient_eval(small, 1e260) == pytest.approx(9.573236676106e88, rel=1e-12)
+    cases = [
+        (small, small.tail_high, [1e260, 1e300, 1.7e308], [2.5e-60, 1e-50, 1e200]),
+        (large, large.tail_low, [1e-260, 1e-300, 5e-324], [2.5e60, 1e50, 1e-200]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for table, (knot, law), far, near in cases:
+            for nu, fn in ((0, coefficient_eval), (1, coefficient_deriv)):
+                expect = [_tail_reference(knot, law, x, nu) for x in far]
+                np.testing.assert_allclose([fn(table, x) for x in far], expect, rtol=1e-13)
+                got = fn(table, np.array(far + near))
+                np.testing.assert_allclose(got[:3], expect, rtol=1e-13)
+                # Elements with a normal quotient take the plain power, unchanged.
+                assert got[3:].tolist() == [fn(table, np.array([x]))[0] for x in near]
+            assert coefficient_deriv(table, near[2]) == (
+                law.b * law.p * (near[2] / knot) ** (law.p - 1.0) / knot
+            )
+
+
+def test_zero_coefficient_is_exactly_zero():
+    # b = 0, or b * p = 0 for the derivative, gives 0 also where ell**p
+    # or ell**(p - 1) overflows: no 0 * inf.
+    ell = np.array([7.5, 1e-310, 1e-300, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for term in (PowerLaw(0.0, 700.0), PowerLaw(0.0, -700.0)):
+            for fn in (coefficient_eval, coefficient_deriv):
+                assert fn(term, 7.5) == 0.0 and isinstance(fn(term, 7.5), float)
+                assert fn(term, ell).tolist() == [0.0] * 4
+        for term in (PowerLaw(2.0, 0.0), Constant(2.0)):
+            assert coefficient_deriv(term, 1e-310) == 0.0
+            assert coefficient_deriv(term, ell).tolist() == [0.0] * 4
+
+
+def test_zero_term_adds_nothing_to_the_metric():
+    from sobocurve.counterexample import scaled_leg_length
+    from sobocurve.paths import energy_and_gradient
+
+    base = {0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, 1.0)}
+    plain = MetricConfig(2, base)
+    padded = MetricConfig(2, {**base, 1: PowerLaw(0.0, 700.0)})  # 7.5**700 overflows
+    grid = _GRID
+    c = sc.make_circle(7.5 / (2.0 * math.pi), (0, 0), grid)
+    _, h, g = _sample(3)
+    c1 = sc.make_bumpy_circle(1.2, 0.1, 2, grid)
+    path = sc.linear_path(c, c1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sc.eval_metric(padded, c, h, g) == sc.eval_metric(plain, c, h, g)
+        for got, want in zip(energy_and_gradient(padded, path), energy_and_gradient(plain, path)):
+            assert np.array_equal(got, want)
+        legs = [scaled_leg_length(cfg, 1.0, c.samples, c1.samples, grid, 8) for cfg in (padded, plain)]
+        assert legs[0] == legs[1]
 
 
 def test_tabulated_contracts():
