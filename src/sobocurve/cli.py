@@ -26,13 +26,16 @@ from .paths import SolverOptions, geodesic_bvp, path_to_dict, radial_path_length
 from .verify import run_suite
 
 
-def _emit(data, output: str | None):
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+def _write(text: str, output: str | None):
     if output:
         with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(data, output: str | None):
+    _write(json.dumps(data, indent=2, sort_keys=True) + "\n", output)
 
 
 def _cmd_analyze(args) -> int:
@@ -97,12 +100,7 @@ def _cmd_verify(args) -> int:
         status = "PASS" if row["ok"] else "FAIL"
         lines.append(f"{status}  {row['name']}: {row['detail']}")
     lines.append("all passed" if report["all_ok"] else "FAILURES present")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     return 0 if report["all_ok"] else 3
 
 
@@ -123,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metric", required=True)
         p.add_argument("--from", required=True)
         p.add_argument("--to", required=True)
-        p.add_argument("--T", type=int, default=32)
-        p.add_argument("--max-iters", type=int, default=500)
+        p.add_argument("--T", type=int, default=SolverOptions.T)
+        p.add_argument("--max-iters", type=int, default=SolverOptions.max_iters)
         p.add_argument(
             "--gap-tol",
             type=float,
@@ -149,10 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, choices=["grow", "shrink"])
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--lambda0", type=int, default=3)
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=3)
+    p.add_argument("--eps", type=float, default=CounterexampleParams.eps)
+    p.add_argument("--lambda0", type=int, default=CounterexampleParams.lambda0)
+    p.add_argument("--b", type=int, default=CounterexampleParams.b)
+    p.add_argument("--nmax", type=int, default=CounterexampleParams.n_max)
     p.add_argument("--T", type=int, default=64)
     p.add_argument("--csv")
     p.add_argument("--output")

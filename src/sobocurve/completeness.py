@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .metric import MetricConfig, Tabulated, _end_law, coefficient_eval
+from .metric import MetricConfig, PowerLaw, Tabulated, _end_law, coefficient_eval
 
 DIVERGENT = "divergent"
 CONVERGENT = "convergent"
@@ -221,11 +221,8 @@ def analyze(cfg: MetricConfig) -> CompletenessReport:
     """Classify a metric configuration against the divergence conditions."""
     verdicts_zero, verdicts_inf = {}, {}
     for k in range(cfg.n + 1):
-        term = cfg.terms.get(k)
-        if term is None:
-            zero = IntegralVerdict(CONVERGENT, "analytic_power_law", value=0.0)
-            verdicts_zero[k], verdicts_inf[k] = zero, zero
-        elif not isinstance(term, Tabulated):
+        term = cfg.terms.get(k, PowerLaw(0.0, 0.0))  # an absent term is a_k = 0
+        if not isinstance(term, Tabulated):
             _, law = _end_law(term, "zero")
             both = classify_power_law(k, law.p, law.b)
             verdicts_zero[k], verdicts_inf[k] = both["I0"], both["Iinf"]

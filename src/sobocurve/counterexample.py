@@ -129,21 +129,16 @@ class ScaledCurve:
 @dataclass(frozen=True)
 class CounterexampleSequence:
     params: CounterexampleParams
-    curves: tuple  # c_0 .. c_{n_max}
-    intermediates: tuple  # ctilde_0 .. ctilde_{n_max - 1}
+    curves: tuple  # c_0 .. c_{n_max}; leg n passes through shape n at radius r_{n+1}
 
 
 def build_sequence(params: CounterexampleParams) -> CounterexampleSequence:
     grid = params.grid()
     curves = []
-    intermediates = []
     for n in range(params.n_max + 1):
         shape = make_bumpy_circle(1.0, params.eps, params.lambda_n(n), grid)
         curves.append(ScaledCurve(params.radius_n(n), shape))
-        if n < params.n_max:
-            # Same bump frequency, next radius.
-            intermediates.append(ScaledCurve(params.radius_n(n + 1), shape))
-    return CounterexampleSequence(params, tuple(curves), tuple(intermediates))
+    return CounterexampleSequence(params, tuple(curves))
 
 
 def scaled_leg_length(
@@ -181,7 +176,7 @@ def scaled_leg_length(
 
 def _leg_lengths(cfg: MetricConfig, seq: CounterexampleSequence, n: int, T: int):
     grid = seq.curves[0].shape.grid
-    c_n, ctilde, c_next = seq.curves[n], seq.intermediates[n], seq.curves[n + 1]
+    c_n, c_next = seq.curves[n], seq.curves[n + 1]
     # Leg 1 is radial: shapes r_n*u -> r_{n+1}*u, expressed in units of r_n.
     a = c_next.scale / c_n.scale
     d1 = scaled_leg_length(
@@ -189,7 +184,7 @@ def _leg_lengths(cfg: MetricConfig, seq: CounterexampleSequence, n: int, T: int)
     )
     # Leg 2 swaps the bump frequency at fixed radius r_{n+1}.
     d2 = scaled_leg_length(
-        cfg, ctilde.scale, ctilde.shape.samples, c_next.shape.samples, grid, T
+        cfg, c_next.scale, c_n.shape.samples, c_next.shape.samples, grid, T
     )
     return d1, d2
 
@@ -353,9 +348,7 @@ def pointwise_bounds_check(seq: CounterexampleSequence) -> dict:
         ds2_ratios.append(ds2_max / lam**4)
 
         # Leg 2 (bump swap, r_{n+1} units): |gamma'| >= (1-2 eps).
-        min_speed, ds2_max = _leg_bounds(
-            seq.intermediates[n].shape.samples, seq.curves[n + 1].shape.samples, grid
-        )
+        min_speed, ds2_max = _leg_bounds(u.samples, seq.curves[n + 1].shape.samples, grid)
         ok2 = np.all(min_speed >= (1.0 - 2.0 * eps) / fd_tol)
         checks.append({"name": f"leg2_speed_lower_n{n}", "ok": bool(ok2)})
         # true value = ds2 / r_{n+1}; normalized constant vs r_n^-1 lambda_n^4:

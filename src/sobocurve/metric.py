@@ -142,7 +142,9 @@ def _fit_tail(knots: np.ndarray, values: np.ndarray, end: int) -> tuple:
 CoefficientTerm = Union[PowerLaw, Constant, Tabulated]
 
 
-_TINY = float(np.finfo(float).tiny)  # ell / knot below it has lost digits
+_TINY = float(np.finfo(float).tiny)  # a float below it has lost digits
+# ln of the normal float range, narrowed by 1 so that no rounding crosses it.
+_LN_NORMAL = (math.log(_TINY) + 1.0, math.log(np.finfo(float).max) - 1.0)
 
 
 def _end_law(term: CoefficientTerm, end: str) -> tuple:
@@ -160,22 +162,28 @@ def _law(knot: float, law: PowerLaw | Constant, x: np.ndarray, nu: int, lo: floa
     """d^nu/d ell^nu of law.b * (ell / knot)**law.p at lengths x within [lo, hi].
 
     A zero factor (b, or b * p for nu = 1) gives zeros, never 0 * inf.
-    Where ell / knot is not a normal float it is not formed: there the
-    value is b p^nu exp((p - nu) ln ell - p ln knot), good to about 1e-13
-    relative (the exponent is one rounded float).  Overflow gives inf.
+    Where ell / knot is not a normal float, (ell / knot)**(p - nu)
+    overflows, or for nu = 1 underflows before the division by knot,
+    the value is b p^nu exp((p - nu) ln ell - p ln knot), good to about
+    1e-13 relative (the exponent is one rounded float).  Overflow gives inf.
     """
     factor = law.b if nu == 0 else law.b * law.p
     if factor == 0.0:
         return np.full(x.shape, factor)
     e = law.p - nu
-    if lo / knot >= _TINY and hi / knot < math.inf:  # every quotient is normal
-        return factor * (x / knot) ** e / knot**nu
-    with np.errstate(over="ignore"):
+    if _TINY <= lo / knot <= hi / knot < math.inf:  # x is not empty, every quotient normal
+        ends = e * math.log(lo / knot), e * math.log(hi / knot)  # ln power is monotone in ell
+        if nu == 0 or _LN_NORMAL[0] < min(ends) and max(ends) < _LN_NORMAL[1]:
+            return factor * (x / knot) ** e / knot**nu
+    with np.errstate(all="ignore"):
         q = x / knot
-    normal = (q >= _TINY) & (q < math.inf)
+        power = q**e
+    plain = (q >= _TINY) & (q < math.inf) & (power < math.inf)
+    if nu:  # for nu = 0 an underflowed power is the value itself
+        plain &= power >= _TINY
     out = np.empty(x.shape)
-    out[normal] = factor * (x[normal] / knot) ** e / knot**nu
-    out[~normal] = factor * np.exp(e * np.log(x[~normal]) - law.p * math.log(knot))
+    out[plain] = factor * power[plain] / knot**nu
+    out[~plain] = factor * np.exp(e * np.log(x[~plain]) - law.p * math.log(knot))
     return out
 
 

@@ -154,6 +154,11 @@ def test_report_serialization():
     rows = data["per_k"]
     assert len(rows) == 2 * 3
     assert {row["end"] for row in rows} == {"zero", "infinity"}
+    # The absent k = 1 term is a_1 = 0: both ends converge to 0.
+    assert [row for row in rows if row["k"] == 1] == [
+        {"k": 1, "end": end, "verdict": "convergent", "method": "analytic_power_law", "value": 0.0}
+        for end in ("zero", "infinity")
+    ]
 
 
 def test_w_eval_closed_form():

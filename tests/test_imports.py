@@ -1,6 +1,6 @@
 """Import hygiene: the package runs on NumPy alone, numpy.polynomial loads
-only where it is called, no import goes unused and no module-level
-private helper is left without a user.
+only where it is called, no import goes unused, no module-level
+private helper is left without a user and no option field goes unset.
 
 No module imports SciPy, no CLI subcommand loads it, and the package
 works with SciPy blocked from import; SciPy is a test-only dependency,
@@ -9,6 +9,7 @@ because the test process itself has SciPy loaded already.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,6 +19,8 @@ from pathlib import Path
 import pytest
 
 import sobocurve as sc
+from sobocurve.counterexample import CounterexampleParams
+from sobocurve.paths import SolverOptions
 
 PACKAGE_DIR = Path(sc.__file__).resolve().parent
 
@@ -350,3 +353,39 @@ def test_dead_helper_scan_flags_unused_private_names():
         "b": "from .a import _shared\nfrom . import a\nprint(_shared(), a._by_attribute())\n",
     }
     assert dead_helpers(sources) == ["a._LIMIT", "a._power"]
+
+
+def unpassed_fields(sources: dict, fields: dict) -> list[str]:
+    """Fields that no call in `sources` passes to their class by keyword.
+
+    `fields` maps a class name to its field names; a call counts when it
+    names the class directly, as in ``SolverOptions(T=8)``.
+    """
+    passed = {name: set() for name in fields}
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in passed:
+                passed[node.func.id].update(kw.arg for kw in node.keywords)
+    return sorted(
+        f"{name}.{field}" for name, names in fields.items()
+        for field in names if field not in passed[name]
+    )
+
+
+def test_every_option_field_is_set_by_the_package():
+    # A field that only tests set is an option no user of the package can reach.
+    fields = {
+        cls.__name__: [f.name for f in dataclasses.fields(cls)]
+        for cls in (SolverOptions, CounterexampleParams)
+    }
+    sources = {path.stem: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+    assert unpassed_fields(sources, fields) == []
+
+
+def test_unpassed_field_scan_flags_fields_set_nowhere():
+    sources = {
+        "a": "opts = Options(T=8, gap_tol=1e-9)\nOptions(max_iters=3)\n",
+        "b": "Other(seed=1)\nmodule.Options(start=None)\nOptions(8)\n",
+    }
+    fields = {"Options": ["T", "gap_tol", "max_iters", "start", "seed"]}
+    assert unpassed_fields(sources, fields) == ["Options.seed", "Options.start"]

@@ -125,12 +125,17 @@ def _tail_reference(knot, law, ell, nu):
 def test_tails_beyond_the_float_range_of_ell_over_knot():
     # ell / knot overflows on the first table's upper tail and underflows
     # on the second's lower tail, although each value is a normal float.
+    # On the third's upper tail, at 1e240, ell / knot is normal but the
+    # derivative's power (ell / knot)**(p - 1) underflows before the
+    # division by the knot brings it back in range.
     small = Tabulated((1e-60, 2e-60, 3e-60, 4e-60), (1.0, 1.1, 1.2, 1.3))
     large = Tabulated((1e60, 2e60, 3e60, 4e60), (1.0, 1.1, 1.2, 1.3))
+    tiny = Tabulated((1e-66, 2e-66, 4e-66, 5.95e-66), (1.0, 1.0, 0.97, 0.93))
     assert coefficient_eval(small, 1e260) == pytest.approx(9.573236676106e88, rel=1e-12)
     cases = [
         (small, small.tail_high, [1e260, 1e300, 1.7e308], [2.5e-60, 1e-50, 1e200]),
         (large, large.tail_low, [1e-260, 1e-300, 5e-324], [2.5e60, 1e50, 1e-200]),
+        (tiny, tiny.tail_high, [1e240, 1e250, 1.7e308], [1e-60, 1e100, 1e200]),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

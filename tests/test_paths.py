@@ -277,26 +277,11 @@ def test_geodesic_distance_symmetry():
     assert abs(d01 - d10) <= 1e-6 * d01
 
 
-def test_geodesic_initial_path_endpoint_mismatch():
-    c0, c1 = circle_pair(64)
-    other = sc.make_circle(3.0, (0, 0), c0.grid)
-    bad = sc.linear_path(c0, other, 8)
-    with pytest.raises(ContractError, match="endpoints do not match"):
-        sc.geodesic_bvp(CFG, c0, c1, sc.SolverOptions(T=8, initial_path=bad))
-
-
-def test_geodesic_initial_path_grid_mismatch():
-    c0, c1 = ellipse_pair(64)
-    init = sc.linear_path(*ellipse_pair(32), 8)
-    with pytest.raises(ContractError, match="initial path lives on"):
-        sc.geodesic_bvp(CFG, c0, c1, sc.SolverOptions(T=8, initial_path=init))
-
-
-def test_geodesic_initial_path_T_mismatch():
-    c0, c1 = circle_pair(64)
-    init = sc.linear_path(c0, c1, 8)
-    with pytest.raises(ContractError, match="T=8"):
-        sc.geodesic_bvp(CFG, c0, c1, sc.SolverOptions(T=16, initial_path=init))
+@pytest.mark.parametrize("n0, n1", [(64, 32), (32, 64)])
+def test_geodesic_endpoints_on_different_grids(n0, n1):
+    c0, c1 = sc.make_circle(1.0, (0, 0), sc.Grid(n0)), sc.make_circle(2.0, (0, 0), sc.Grid(n1))
+    with pytest.raises(ContractError, match="endpoint curves live on different grids"):
+        sc.geodesic_bvp(CFG, c0, c1)
 
 
 SI = scale_invariant_profile(2, [1.0, 0.0, 1.0])
@@ -606,8 +591,9 @@ def test_geodesic_falls_back_when_only_the_finer_pass_degenerates():
     linear = sc.linear_path(c0, c1, T)
     with pytest.raises(ImmersionError):
         paths_module._constant_speed_start(SI, linear)
-    res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=T, max_iters=3))
-    ref = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=T, max_iters=3, initial_path=linear))
+    opts = sc.SolverOptions(T=T, max_iters=3)
+    res = sc.geodesic_bvp(SI, c0, c1, opts)
+    ref = paths_module._minimize(SI, c0, c1, linear, opts)
     assert res.to_dict() == ref.to_dict()
     assert np.array_equal(res.path.samples, ref.path.samples)
 
@@ -636,8 +622,7 @@ def test_geodesic_rise_not_explained_by_curvature_is_line_search(monkeypatch):
         return (energy if len(calls) == 1 else energy + 1e-6 * calls[0]), grad, values
 
     monkeypatch.setattr(paths_module, "_stacked_energy_and_gradient", bumped)
-    opts = sc.SolverOptions(T=8, gap_tol=1e-16, initial_path=start)
-    res = sc.geodesic_bvp(SI, c0, c1, opts)
+    res = paths_module._minimize(SI, c0, c1, start, sc.SolverOptions(T=8, gap_tol=1e-16))
     assert res.termination == "line_search"
     assert not res.converged
     assert res.iterations == 1 and res.energy == calls[0]
