@@ -58,7 +58,6 @@ from .paths import (
 from .counterexample import (
     CounterexampleParams,
     CounterexampleSequence,
-    ScaledCurve,
     SequenceReport,
     build_sequence,
     counterexample_metric,

@@ -15,6 +15,7 @@ import sys
 from .completeness import analyze
 from .counterexample import (
     CounterexampleParams,
+    LEG_T,
     build_sequence,
     pointwise_bounds_check,
     verify_sequence,
@@ -151,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda0", type=int, default=CounterexampleParams.lambda0)
     p.add_argument("--b", type=int, default=CounterexampleParams.b)
     p.add_argument("--nmax", type=int, default=CounterexampleParams.n_max)
-    p.add_argument("--T", type=int, default=64)
+    p.add_argument("--T", type=int, default=LEG_T)
     p.add_argument("--csv")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_counterexample)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DiscreteCurve, Grid, _arc_jet, curve_length, derivative, make_bumpy_circle
+from .curves import Grid, _arc_jet, curve_length, derivative, make_bumpy_circle
 from .errors import ContractError, NumericalError
 from .metric import MetricConfig, PowerLaw, _form
 
@@ -31,6 +31,8 @@ SHRINK = "shrink"
 MAX_LAMBDA = 48
 MAX_N = 2048
 MAX_T = 64
+# Intervals per linear leg in `verify_sequence` and the CLI.
+LEG_T = 64
 
 
 def counterexample_metric(p: float) -> MetricConfig:
@@ -115,30 +117,19 @@ class CounterexampleParams:
 
 
 @dataclass(frozen=True)
-class ScaledCurve:
-    """A curve stored as scale * shape to keep coordinates O(1)."""
-
-    scale: float
-    shape: DiscreteCurve
-
-    @property
-    def length(self) -> float:
-        return self.scale * curve_length(self.shape)
-
-
-@dataclass(frozen=True)
 class CounterexampleSequence:
+    """The radius-1 bumpy circles u_n on `params.grid()`; c_n = radius_n(n) * u_n."""
+
     params: CounterexampleParams
-    curves: tuple  # c_0 .. c_{n_max}; leg n passes through shape n at radius r_{n+1}
+    shapes: tuple
 
 
 def build_sequence(params: CounterexampleParams) -> CounterexampleSequence:
     grid = params.grid()
-    curves = []
-    for n in range(params.n_max + 1):
-        shape = make_bumpy_circle(1.0, params.eps, params.lambda_n(n), grid)
-        curves.append(ScaledCurve(params.radius_n(n), shape))
-    return CounterexampleSequence(params, tuple(curves))
+    return CounterexampleSequence(params, tuple(
+        make_bumpy_circle(1.0, params.eps, params.lambda_n(n), grid)
+        for n in range(params.n_max + 1)
+    ))
 
 
 def scaled_leg_length(
@@ -174,19 +165,18 @@ def scaled_leg_length(
     return dt * float(np.sum(np.sqrt(values)))
 
 
+def _legs(seq: CounterexampleSequence, n: int):
+    """The two linear legs from c_n to c_{n+1}, each as (r_base, shape0, shape1)."""
+    r, r_next = seq.params.radius_n(n), seq.params.radius_n(n + 1)
+    u, u_next = seq.shapes[n].samples, seq.shapes[n + 1].samples
+    # Leg 1 is radial: r_n*u -> r_{n+1}*u, in units of r_n.  Leg 2 swaps
+    # the bump frequency at fixed radius r_{n+1}.
+    return (r, u, (r_next / r) * u), (r_next, u, u_next)
+
+
 def _leg_lengths(cfg: MetricConfig, seq: CounterexampleSequence, n: int, T: int):
-    grid = seq.curves[0].shape.grid
-    c_n, c_next = seq.curves[n], seq.curves[n + 1]
-    # Leg 1 is radial: shapes r_n*u -> r_{n+1}*u, expressed in units of r_n.
-    a = c_next.scale / c_n.scale
-    d1 = scaled_leg_length(
-        cfg, c_n.scale, c_n.shape.samples, a * c_n.shape.samples, grid, T
-    )
-    # Leg 2 swaps the bump frequency at fixed radius r_{n+1}.
-    d2 = scaled_leg_length(
-        cfg, c_next.scale, c_n.shape.samples, c_next.shape.samples, grid, T
-    )
-    return d1, d2
+    grid = seq.params.grid()
+    return tuple(scaled_leg_length(cfg, *leg, grid, T) for leg in _legs(seq, n))
 
 
 @dataclass(frozen=True)
@@ -233,7 +223,7 @@ WINDOW_FACTOR = 3.0
 
 
 def verify_sequence(
-    params: CounterexampleParams, seq: CounterexampleSequence, T: int = 64
+    params: CounterexampleParams, seq: CounterexampleSequence, T: int = LEG_T
 ) -> SequenceReport:
     """Quantitative checks of the incompleteness construction at desk scale."""
     if not isinstance(T, (int, np.integer)) or not 1 <= T <= MAX_T:
@@ -246,7 +236,7 @@ def verify_sequence(
     partial = 0.0
     for n in range(params.n_max + 1):
         lam = params.lambda_n(n)
-        ell = seq.curves[n].length
+        ell = params.radius_n(n) * curve_length(seq.shapes[n])
         entry = {
             "n": n,
             "lambda": lam,
@@ -318,7 +308,7 @@ def pointwise_bounds_check(seq: CounterexampleSequence) -> dict:
     later n may not exceed it by more than a factor 3.
     """
     params = seq.params
-    grid = seq.curves[0].shape.grid
+    grid = params.grid()
     eps = params.eps
     fd_tol = 1.0 + 1e-3
     checks = []
@@ -326,10 +316,10 @@ def pointwise_bounds_check(seq: CounterexampleSequence) -> dict:
     ds2_ratios = []
     for n in range(params.n_max + 1):
         lam = params.lambda_n(n)
-        u = seq.curves[n].shape
-        du = derivative(u.samples, grid)
+        u = seq.shapes[n].samples
+        du = derivative(u, grid)
         for name, values, bound in (
-            ("position", u.samples, 1 + eps),
+            ("position", u, 1 + eps),
             ("velocity", du, 2 + lam),
             ("acceleration", derivative(du, grid), 2 + 2 * lam + lam * lam),
         ):
@@ -338,9 +328,10 @@ def pointwise_bounds_check(seq: CounterexampleSequence) -> dict:
         if n == params.n_max:
             continue
 
+        (r, *leg1), (r_next, *leg2) = _legs(seq, n)
         # Leg 1 (radial, r_n units): |gamma'| >= (1-eps) * min(1, a).
-        a = seq.curves[n + 1].scale / seq.curves[n].scale
-        min_speed, ds2_max = _leg_bounds(u.samples, a * u.samples, grid)
+        a = r_next / r
+        min_speed, ds2_max = _leg_bounds(*leg1, grid)
         scale_t = (1.0 - _INTERIOR_T) + _INTERIOR_T * a
         ok1 = np.all(min_speed >= (1.0 - eps) * scale_t / fd_tol)
         checks.append({"name": f"leg1_speed_lower_n{n}", "ok": bool(ok1)})
@@ -348,12 +339,11 @@ def pointwise_bounds_check(seq: CounterexampleSequence) -> dict:
         ds2_ratios.append(ds2_max / lam**4)
 
         # Leg 2 (bump swap, r_{n+1} units): |gamma'| >= (1-2 eps).
-        min_speed, ds2_max = _leg_bounds(u.samples, seq.curves[n + 1].shape.samples, grid)
+        min_speed, ds2_max = _leg_bounds(*leg2, grid)
         ok2 = np.all(min_speed >= (1.0 - 2.0 * eps) / fd_tol)
         checks.append({"name": f"leg2_speed_lower_n{n}", "ok": bool(ok2)})
         # true value = ds2 / r_{n+1}; normalized constant vs r_n^-1 lambda_n^4:
-        r_ratio = seq.curves[n].scale / seq.curves[n + 1].scale
-        ds2_ratios[-1] = max(ds2_ratios[-1], ds2_max * r_ratio / lam**4)
+        ds2_ratios[-1] = max(ds2_ratios[-1], ds2_max * (r / r_next) / lam**4)
 
     base = ds2_ratios[0]
     # One-sided: the lambda^4 estimate is an upper bound and is not yet

@@ -36,11 +36,7 @@ class Grid:
 
     @property
     def spacing(self) -> float:
-        return TWO_PI / self.n_points
-
-    @property
-    def weight(self) -> float:
-        """Quadrature weight of the periodic trapezoid rule."""
+        """Grid step 2*pi/N, also the weight of the periodic trapezoid rule."""
         return TWO_PI / self.n_points
 
 
@@ -100,7 +96,7 @@ def _arc_jet(grid: Grid, samples: np.ndarray, field=None, n: int = 0):
         s_max = np.max(s, axis=-1)
     if np.any(s_max == 0.0) or np.any(np.min(s, axis=-1) < 1e-12 * s_max):
         raise ImmersionError(f"not an immersion at resolution N={grid.n_points}")
-    ell = grid.weight * np.sum(s, axis=-1)
+    ell = grid.spacing * np.sum(s, axis=-1)
     if field is None:
         return s, ell, []
     inv_s = (1.0 / s)[..., None]
@@ -170,11 +166,11 @@ def integrate_ds(c: DiscreteCurve, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     if f.shape[0] != c.grid.n_points:
         raise ContractError("integrand length does not match grid")
-    return c.grid.weight * float(np.dot(f, c.arc_speed))
+    return c.grid.spacing * float(np.dot(f, c.arc_speed))
 
 
 def curve_length(c: DiscreteCurve) -> float:
-    return c.grid.weight * float(np.sum(c.arc_speed))
+    return c.grid.spacing * float(np.sum(c.arc_speed))
 
 
 def make_circle(r: float, center, grid: Grid, dim: int = 2) -> DiscreteCurve:

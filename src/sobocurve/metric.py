@@ -305,7 +305,7 @@ def _form(cfg: MetricConfig, grid, samples, h, g=None, scale=None):
     with np.errstate(over="ignore", invalid="ignore"):
         s, lengths, u = _arc_jet(grid, samples, h if g is None else np.stack([h, g]), cfg.n)
         uh, ug = (u, u) if g is None else ([uk[0] for uk in u], [uk[1] for uk in u])
-        q = {k: _q_form(grid.weight, uh[k], ug[k], s) for k in cfg.terms}
+        q = {k: _q_form(grid.spacing, uh[k], ug[k], s) for k in cfg.terms}
         coeffs = {k: coefficient_eval(term, lengths) for k, term in cfg.terms.items()}
         values = sum(coeffs[k] * (1.0 if scale is None else scale[k]) * q[k] for k in cfg.terms)
     if not np.isfinite(values).all():

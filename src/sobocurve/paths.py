@@ -116,10 +116,13 @@ class GeodesicResult:
     energy: float
     length: float
     iterations: int
-    converged: bool
     gradient_norm_final: float
     energy_trace: list = field(default_factory=list)
     termination: str = "gradient"
+
+    @property
+    def converged(self) -> bool:
+        return self.termination in ("gradient", "energy_stall")
 
     def to_dict(self) -> dict:
         return {
@@ -183,7 +186,7 @@ def moments(c0: DiscreteCurve, n: int) -> np.ndarray:
     """
     s, _, u = _arc_jet(c0.grid, c0.samples, c0.samples, n)
     with np.errstate(over="ignore"):
-        out = np.array([_q_form(c0.grid.weight, uk, uk, s) for uk in u])
+        out = np.array([_q_form(c0.grid.spacing, uk, uk, s) for uk in u])
     if not np.all((out > 0) & (out < math.inf)):
         raise NumericalError(f"curve moments must be positive and finite, got {out}")
     return out
@@ -252,7 +255,7 @@ def _stacked_energy_and_gradient(cfg: MetricConfig, grid: Grid, stacked, dt: flo
     grad of shape (T-1, N, d) for the interior slices and values the
     per-interval G_m of `_forward`; raises NumericalError if E or grad is not finite.
     """
-    w = grid.weight
+    w = grid.spacing
     values, (cb, s, lengths, u, q, coeffs) = _forward(cfg, grid, stacked, dt)
     dcoeffs = {k: coefficient_deriv(term, lengths) for k, term in cfg.terms.items()}
     inv_s = 1.0 / s
@@ -333,14 +336,15 @@ def gradient_check(
     return worst
 
 
-def _spectral_preconditioner(cfg: MetricConfig, grid: Grid, c0, c1, T: int, dt: float):
+def _spectral_preconditioner(cfg: MetricConfig, grid: Grid, speeds, lengths):
     """Inverse of the frozen-coefficient energy Hessian, as a linear map.
 
     The Hessian of the discrete energy is approximately
     (2/dt) L_time (x) A, with L_time the Dirichlet second-difference
     matrix in t and A the spatial operator sum_k a_k (-D_s^2)^k weighted
-    by ds.  Freezing speed and length at their endpoint means makes A
-    diagonal under an FFT in theta, with the symbol of the order-4
+    by ds.  Freezing speed and length at the means of the end slices of
+    `speeds` (T+1, N) and `lengths` (T+1,), the path's `_arc_jet`, makes
+    A diagonal under an FFT in theta, with the symbol of the order-4
     D_theta read off its impulse response.  L_time is inverted by its
     closed-form Green's matrix min(i,j) (T - max(i,j)) / T.  The map
     seeds the quasi-Newton direction and defines the dual norm of the
@@ -348,16 +352,17 @@ def _spectral_preconditioner(cfg: MetricConfig, grid: Grid, c0, c1, T: int, dt: 
     where it goes.  Near the minimum E - E* ~ g.Pg / 2.
     """
     n_pts = grid.n_points
-    s_bar = 0.5 * (float(np.mean(c0.arc_speed)) + float(np.mean(c1.arc_speed)))
-    l_bar = 0.5 * (curve_length(c0) + curve_length(c1))
+    T = len(lengths) - 1
+    s_bar = 0.5 * (float(np.mean(speeds[0])) + float(np.mean(speeds[-1])))
+    l_bar = 0.5 * (float(lengths[0]) + float(lengths[-1]))
     modes = np.abs(np.fft.rfft(derivative(np.eye(1, n_pts)[0], grid)))
     symbol = sum(
         coefficient_eval(term, l_bar) * (modes / s_bar) ** (2 * k)
         for k, term in cfg.terms.items()
     )
-    symbol *= s_bar * grid.weight
+    symbol *= s_bar * grid.spacing
     j = np.arange(1, T)
-    green = (dt / (2 * T)) * np.minimum.outer(j, j) * (T - np.maximum.outer(j, j))
+    green = (1.0 / T / (2 * T)) * np.minimum.outer(j, j) * (T - np.maximum.outer(j, j))
 
     def apply(grad):
         spec = np.fft.rfft(np.tensordot(green, grad, axes=1), axis=1)
@@ -438,35 +443,29 @@ def geodesic_bvp(
             energy=0.0,
             length=0.0,
             iterations=0,
-            converged=True,
             gradient_norm_final=0.0,
             energy_trace=[0.0],
             termination="gradient",
         )
     linear = linear_path(c0, c1, opts.T)  # a degenerate segment fails here
     try:
-        return _minimize(cfg, c0, c1, _constant_speed_start(cfg, linear), opts)
+        return _minimize(cfg, _constant_speed_start(cfg, linear), opts)
     except (ImmersionError, NumericalError):
-        return _minimize(cfg, c0, c1, linear, opts)
+        return _minimize(cfg, linear, opts)
 
 
 # Trial steps that raise NumericalError fail the line search; P's coefficients may overflow.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _minimize(
-    cfg: MetricConfig,
-    c0: DiscreteCurve,
-    c1: DiscreteCurve,
-    path: CurvePath,
-    opts: SolverOptions,
-) -> GeodesicResult:
-    """The descent of `geodesic_bvp` from `path`, which must end in c0 and c1 (unchecked).
+def _minimize(cfg: MetricConfig, path: CurvePath, opts: SolverOptions) -> GeodesicResult:
+    """The descent of `geodesic_bvp` from `path`, whose end slices stay fixed.
 
     Raises NumericalError if the energy, its gradient or the
     preconditioned gradient at `path` is not finite.
     """
     grid = path.grid
     dt = path.dt
-    speed_floor = 1e-6 * float(np.mean(np.mean(_arc_jet(grid, path.samples)[0], axis=-1)))
+    speeds, lengths, _ = _arc_jet(grid, path.samples)
+    speed_floor = 1e-6 * float(np.mean(np.mean(speeds, axis=-1)))
 
     x = path.samples[1:-1].copy()
     ends = (path.samples[:1], path.samples[-1:])
@@ -487,7 +486,7 @@ def _minimize(
     # dx.dg > 0, so the direction stays a descent direction.  P is
     # linear, so each pair also keeps P dg = P g_try - P g, and the
     # recursion forms P q from them: one apply of P per accepted step.
-    precondition = _spectral_preconditioner(cfg, grid, c0, c1, path.T, dt)
+    precondition = _spectral_preconditioner(cfg, grid, speeds, lengths)
     memory = []
     gamma = 1.0
     iterations = 0
@@ -571,7 +570,6 @@ def _minimize(
         energy=energy,
         length=dt * float(np.sum(_speeds(values))),
         iterations=iterations,
-        converged=termination in ("gradient", "energy_stall"),
         gradient_norm_final=math.sqrt(dual / energy),
         energy_trace=trace,
         termination=termination,

@@ -114,7 +114,7 @@ def _check_poincare(rng):
         for _ in range(2):
             h = random_field(grid, rng)
             s, _, u = _arc_jet(grid, c.samples, h.values, 4)
-            l2 = [_q_form(grid.weight, uk, uk, s) for uk in u]  # |D_s^k h|^2_L2(ds)
+            l2 = [_q_form(grid.spacing, uk, uk, s) for uk in u]  # |D_s^k h|^2_L2(ds)
             sup1 = float(np.max(np.sum(u[1] ** 2, axis=1)))
             ok = ok and sup1 <= (ell / 4.0) * l2[2] * slack
             ok = ok and l2[1] <= (ell**2 / 4.0) * l2[2] * slack

@@ -98,25 +98,28 @@ def test_beta_negative_and_lambda_schedule():
 def test_sequence_lengths_track_r_lambda():
     params = grow_params(2)
     seq = build_sequence(params)
-    for n, curve in enumerate(seq.curves):
+    for n, shape in enumerate(seq.shapes):
         lam = params.lambda_n(n)
         r = params.radius_n(n)
-        ell = curve.length
+        ell = r * sc.curve_length(shape)
         ratio = ell / (r * lam)
         assert 0.5 <= ratio <= 3.0  # fixed window around r*lambda
 
 
 def test_scaled_curve_avoids_overflow():
-    # r_3 = 24^10 = 6.3e13; fourth powers of direct samples would overflow
-    # in the k=2 energies; the scaled representation must stay finite.
-    params = grow_params(3)
+    # r_3 = 24^200 = 1.1e276: the metric on the direct samples r_3 * u_3
+    # is not finite, while the legs, evaluated on the radius-1 shapes with
+    # the radii factored out, give finite distance bounds.
+    params = CounterexampleParams(case="grow", p=-1.0, alpha=200.0, n_max=3)
     seq = build_sequence(params)
-    last = seq.curves[-1]
-    assert np.isfinite(last.shape.samples).all()
-    assert np.isfinite(last.length)
-    assert last.length == pytest.approx(
-        last.scale * sc.curve_length(last.shape), rel=1e-12
-    )
+    direct = sc.DiscreteCurve(params.grid(), params.radius_n(3) * seq.shapes[3].samples)
+    h = sc.TangentField(direct.grid, direct.samples)
+    with pytest.raises(NumericalError, match="not finite"):
+        sc.eval_metric(counterexample_metric(params.p), direct, h, h)
+    report = verify_sequence(params, seq, T=16)
+    assert report.ok
+    dists = [e["dist_upper"] for e in report.entries[:-1]]
+    assert dists == pytest.approx([0.727, 0.567, 0.361], abs=1e-3)
 
 
 def test_scaled_leg_length_matches_direct_evaluation():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sobocurve as sc
 from sobocurve import paths as paths_module
+from sobocurve.curves import _arc_jet
 from sobocurve.errors import ContractError, ImmersionError, NumericalError
 from sobocurve.metric import (
     Constant,
@@ -437,7 +438,7 @@ def test_preconditioner_matches_dst_reference(n, T):
     l_bar = 0.5 * (sc.curve_length(c0) + sc.curve_length(c1))
     symbol = sum(
         coefficient_eval(term, l_bar) * (sigma / s_bar) ** (2 * k) for k, term in SI.terms.items()
-    ) * (s_bar * grid.weight)
+    ) * (s_bar * grid.spacing)
     lam_t = (2.0 / dt) * 4.0 * np.sin(np.pi * np.arange(1, T) / (2 * T)) ** 2
 
     def reference(g):
@@ -445,7 +446,8 @@ def test_preconditioner_matches_dst_reference(n, T):
         spec /= lam_t[:, None, None] * symbol[None, :, None]
         return idst(np.fft.irfft(spec, n=n, axis=1), type=1, axis=0)
 
-    apply = _spectral_preconditioner(SI, grid, c0, c1, T, dt)
+    speeds, lengths, _ = _arc_jet(grid, sc.linear_path(c0, c1, T).samples)
+    apply = _spectral_preconditioner(SI, grid, speeds, lengths)
     g = np.random.default_rng(n + T).standard_normal((T - 1, n, 2))
     expected = reference(g)
     assert np.max(np.abs(apply(g) - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -593,7 +595,7 @@ def test_geodesic_falls_back_when_only_the_finer_pass_degenerates():
         paths_module._constant_speed_start(SI, linear)
     opts = sc.SolverOptions(T=T, max_iters=3)
     res = sc.geodesic_bvp(SI, c0, c1, opts)
-    ref = paths_module._minimize(SI, c0, c1, linear, opts)
+    ref = paths_module._minimize(SI, linear, opts)
     assert res.to_dict() == ref.to_dict()
     assert np.array_equal(res.path.samples, ref.path.samples)
 
@@ -622,7 +624,7 @@ def test_geodesic_rise_not_explained_by_curvature_is_line_search(monkeypatch):
         return (energy if len(calls) == 1 else energy + 1e-6 * calls[0]), grad, values
 
     monkeypatch.setattr(paths_module, "_stacked_energy_and_gradient", bumped)
-    res = paths_module._minimize(SI, c0, c1, start, sc.SolverOptions(T=8, gap_tol=1e-16))
+    res = paths_module._minimize(SI, start, sc.SolverOptions(T=8, gap_tol=1e-16))
     assert res.termination == "line_search"
     assert not res.converged
     assert res.iterations == 1 and res.energy == calls[0]
