@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
-from .metric import MetricConfig, PowerLaw, Tabulated, _end_law, coefficient_eval
+from .errors import ContractError, NumericalError
+from .metric import MetricConfig, PowerLaw, Tabulated, _end_law, _lengths, _profile, coefficient_eval
 
 DIVERGENT = "divergent"
 CONVERGENT = "convergent"
@@ -40,9 +40,17 @@ GL_POINTS = 32
 
 
 def integrand(term, k: int, r):
-    """r^(1/2-k) * sqrt(a_k(r)); r > 0 is a float or an array."""
-    a = coefficient_eval(term, r)  # raises ContractError unless r > 0
-    return r ** (0.5 - k) * np.sqrt(a)
+    """r^(1/2-k) * sqrt(a_k(r)); r > 0 is a float or an array.
+
+    With r = m 4^K the value is m^(1/2-k) sqrt(a_k(r) r^(3-2k) / m^(3-2k))
+    / 4^K, `metric._profile` folding r^(3-2k) into a_k, so no intermediate
+    leaves the float range unless the value itself or its square does.
+    """
+    m, e = np.frexp(_lengths(r))  # raises ContractError unless r > 0
+    m, two_k = np.ldexp(m, e % 2), e - e % 2  # r = m 2^two_k, m in [0.5, 2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = _profile(term, m, 0, two_k, (3 - 2 * k) * two_k)
+    return np.ldexp(m ** (0.5 - k) * np.sqrt(a), -two_k)
 
 
 @functools.cache
@@ -59,9 +67,10 @@ def log_quad(f, edges):
     Gauss-Legendre in x = ln r, where a power law r^e becomes the smooth
     exp((e+1)x), so one decade needs no adaptivity.  f is called once, on
     an array of every node, under np.errstate(over="raise",
-    invalid="raise").  Each piece is integrated whole and as two halves;
-    returns (the halves' sums, |halves - whole|) as arrays, one entry per
-    piece, the second an error estimate.
+    invalid="raise"); a value that is not finite raises FloatingPointError
+    too.  Each piece is integrated whole and as two halves; returns (the
+    halves' sums, |halves - whole|) as arrays, one entry per piece, the
+    second an error estimate.
     """
     x, w = _gauss_legendre()
     t = np.log(np.asarray(edges, dtype=float))
@@ -75,6 +84,8 @@ def log_quad(f, edges):
     r = np.exp(nodes)
     with np.errstate(over="raise", invalid="raise"):
         g = f(r) * r  # dr = r dx
+    if not np.isfinite(g).all():
+        raise FloatingPointError("integrand is not finite")
     n = x.size
     whole = half[:, 0] * (g[:, :n] @ w)
     halves = quarter[:, 0] * (g[:, n : 2 * n] @ w + g[:, 2 * n :] @ w)
@@ -261,7 +272,8 @@ def w_eval(cfg: MetricConfig, r: float) -> float:
     """W(r) = sum_{k=1}^n integral_1^r rho^(1/2-k) sqrt(a_k(rho)) drho.
 
     Strictly increasing with W(1) = 0; diverges at both ends exactly when
-    the sufficient conditions hold.
+    the sufficient conditions hold.  Raises NumericalError if a quadrature
+    over- or underflows.
     """
     if not (math.isfinite(r) and r > 0):
         raise ContractError(f"W argument must be positive and finite, got {r}")
@@ -273,6 +285,9 @@ def w_eval(cfg: MetricConfig, r: float) -> float:
         term = cfg.terms.get(k)
         if term is None:
             continue
-        pieces, _ = log_quad(lambda rho: integrand(term, k, rho), _edges(lo, hi, _breaks(term)))
+        try:
+            pieces, _ = log_quad(lambda rho: integrand(term, k, rho), _edges(lo, hi, _breaks(term)))
+        except FloatingPointError as exc:
+            raise NumericalError(f"W quadrature failed on [{lo}, {hi}]: {exc}") from exc
         total += float(pieces.sum())
     return total if r > 1.0 else -total

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ImmersionError
+from .errors import ContractError, ImmersionError, NumericalError
 
 TWO_PI = 2.0 * np.pi
 
@@ -71,39 +71,34 @@ def derivative(values: np.ndarray, grid: Grid, axis: int = 0) -> np.ndarray:
 
 
 def _arc_jet(grid: Grid, samples: np.ndarray, field=None, n: int = 0):
-    """Speed, length and arc-length derivatives of batched curves.
+    """Speed, length and arc-length derivatives of batched curves, in power-of-two units.
 
-    `samples` has shape (..., N, d); returns (s, ell, u) with speed
-    s = |d samples/dtheta| of shape (..., N), length ell of shape (...)
-    and u = [field, D_s field, ..., D_s^n field] for a field that
-    broadcasts against `samples` (u = [] without one).  Raises
-    ImmersionError if the speed of any curve (nearly) vanishes.
+    `samples` has shape (..., N, d); each curve is divided by 2^e, e of
+    shape (...) the np.frexp exponent of its largest |d samples/dtheta|.
+    Returns (e, s, ell, u): speed / 2^e of shape (..., N), length / 2^e of
+    shape (...) and u = [field, D_s field, ..., D_s^n field], D_s^k in
+    units of 2^(-k e), for a field that broadcasts against `samples` (u =
+    [] without one).  Raises ImmersionError if a curve's speed (nearly)
+    vanishes.
     """
     dc = derivative(samples, grid, axis=-2)
-    # einsum overflows to inf silently (no FP-error check, unlike dc * dc).
+    big = np.maximum(dc.max(axis=(-2, -1)), -dc.min(axis=(-2, -1)))  # no temporary
+    if not (big < np.inf).all():  # samples within 16x of the float maximum overflow
+        raise NumericalError("curve differences d samples/dtheta are not finite floats")
+    e = np.frexp(big)[1]  # 0 for an all-zero curve
+    np.ldexp(dc, -e[..., None, None], out=dc)
     s = np.sqrt(np.einsum("...d,...d->...", dc, dc))
-    s_max = np.max(s, axis=-1)
-    if not ((s_max >= 1e-140) & (s_max < np.inf)).all():
-        # The squares overflow above about 1e154, and below about 1e-140
-        # the squares of speeds near the immersion floor 1e-12 * s_max
-        # leave the normal range: scale each curve's differences by their
-        # largest component first, as np.hypot does.  An all-zero curve
-        # keeps scale 1 and fails the immersion test below.
-        scale = np.max(np.abs(dc), axis=(-2, -1), keepdims=True)
-        scale[scale == 0.0] = 1.0
-        unit = dc / scale
-        s = scale[..., 0] * np.sqrt(np.einsum("...d,...d->...", unit, unit))
-        s_max = np.max(s, axis=-1)
-    if np.any(s_max == 0.0) or np.any(np.min(s, axis=-1) < 1e-12 * s_max):
+    s_max = s.max(axis=-1)
+    if np.any(s_max == 0.0) or np.any(s.min(axis=-1) < 1e-12 * s_max):
         raise ImmersionError(f"not an immersion at resolution N={grid.n_points}")
     ell = grid.spacing * np.sum(s, axis=-1)
     if field is None:
-        return s, ell, []
+        return e, s, ell, []
     inv_s = (1.0 / s)[..., None]
     u = [field]
     for _ in range(n):
         u.append(derivative(u[-1], grid, axis=-2) * inv_s)
-    return s, ell, u
+    return e, s, ell, u
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,8 @@ class DiscreteCurve:
         if not np.all(np.isfinite(samples)):
             raise ContractError("curve samples must be finite")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "arc_speed", _arc_jet(self.grid, samples)[0])
+        e, s, _, _ = _arc_jet(self.grid, samples)
+        object.__setattr__(self, "arc_speed", np.ldexp(s, e, out=s))
 
     @property
     def dim(self) -> int:
@@ -158,7 +154,8 @@ def arc_derivative(c: DiscreteCurve, h: TangentField, k: int) -> TangentField:
         raise ContractError(f"derivative order must be >= 0, got {k}")
     if c.grid != h.grid:
         raise ContractError("curve and tangent field live on different grids")
-    return TangentField(c.grid, _arc_jet(c.grid, c.samples, h.values, k)[2][k])
+    e, _, _, u = _arc_jet(c.grid, c.samples, h.values, k)
+    return TangentField(c.grid, np.ldexp(u[k], -k * e) if k else h.values)
 
 
 def integrate_ds(c: DiscreteCurve, f: np.ndarray) -> float:

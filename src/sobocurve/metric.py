@@ -143,8 +143,6 @@ CoefficientTerm = Union[PowerLaw, Constant, Tabulated]
 
 
 _TINY = float(np.finfo(float).tiny)  # a float below it has lost digits
-# ln of the normal float range, narrowed by 1 so that no rounding crosses it.
-_LN_NORMAL = (math.log(_TINY) + 1.0, math.log(np.finfo(float).max) - 1.0)
 
 
 def _end_law(term: CoefficientTerm, end: str) -> tuple:
@@ -158,33 +156,43 @@ def _end_law(term: CoefficientTerm, end: str) -> tuple:
     return 1.0, term
 
 
-def _law(knot: float, law: PowerLaw | Constant, x: np.ndarray, nu: int, lo: float, hi: float):
-    """d^nu/d ell^nu of law.b * (ell / knot)**law.p at lengths x within [lo, hi].
+def _law(knot: float, law: PowerLaw | Constant, ell: np.ndarray, nu: int, shift, x):
+    """2^x d^nu/d ell^nu of law.b * (ell / knot)**law.p at the lengths ell * 2^shift.
 
-    A zero factor (b, or b * p for nu = 1) gives zeros, never 0 * inf.
-    Where ell / knot is not a normal float, (ell / knot)**(p - nu)
-    overflows, or for nu = 1 underflows before the division by knot,
-    the value is b p^nu exp((p - nu) ln ell - p ln knot), good to about
-    1e-13 relative (the exponent is one rounded float).  Overflow gives inf.
+    A zero factor (b, or b * p for nu = 1) gives zeros, never 0 * inf.  A
+    plain value with a normal ell 2^shift / knot is exact.  Elsewhere the
+    length, knot and factor are split into mantissas and powers of two, one
+    ldexp applying the latter: exact for integral p, else good to 1e-16
+    |p log2(ell / knot)|, for |p| below about 1000.  Overflow gives inf.
     """
     factor = law.b if nu == 0 else law.b * law.p
     if factor == 0.0:
-        return np.full(x.shape, factor)
-    e = law.p - nu
-    if _TINY <= lo / knot <= hi / knot < math.inf:  # x is not empty, every quotient normal
-        ends = e * math.log(lo / knot), e * math.log(hi / knot)  # ln power is monotone in ell
-        if nu == 0 or _LN_NORMAL[0] < min(ends) and max(ends) < _LN_NORMAL[1]:
-            return factor * (x / knot) ** e / knot**nu
-    with np.errstate(all="ignore"):
-        q = x / knot
-        power = q**e
-    plain = (q >= _TINY) & (q < math.inf) & (power < math.inf)
-    if nu:  # for nu = 0 an underflowed power is the value itself
-        plain &= power >= _TINY
-    out = np.empty(x.shape)
-    out[plain] = factor * power[plain] / knot**nu
-    out[~plain] = factor * np.exp(e * np.log(x[~plain]) - law.p * math.log(knot))
+        return np.zeros(ell.shape)
+    q = law.p - nu
+    ratio = np.ldexp(ell if knot == 1.0 else ell / knot, shift)
+    value = factor * ratio**q
+    if nu:
+        value = value / knot
+    out = np.ldexp(value, x)
+    mag = abs(value) if nu else value
+    ok = mag.min(initial=math.inf) >= _TINY and mag.max(initial=0.0) < math.inf
+    if knot != 1.0:  # a quotient that lost digits is no exact length either
+        ok = ok and ratio.min(initial=math.inf) >= _TINY and ratio.max(initial=0.0) < math.inf
+    if ok:
+        return out
+    redo = ~((mag >= _TINY) & (mag < math.inf) & (ratio >= _TINY) & (ratio < math.inf))
+    out = np.array(out)  # writable, also for 0-d lengths
+    (m, e), (mk, ek), (mf, ef) = np.frexp(ell[redo]), math.frexp(knot), math.frexp(factor)
+    y = q * (e + _pick(shift, redo) - ek)
+    n = np.clip(np.rint(y), -9999, 9999)  # beyond it the value is 0 or inf
+    inner = mf * (m / mk) ** q * np.exp2(y - n) / mk**nu
+    out[redo] = np.ldexp(inner, n.astype(int) + (ef - nu * ek) + _pick(x, redo))
     return out
+
+
+def _pick(a, mask):
+    """a[mask] for an array of the lengths' shape, a itself for a scalar."""
+    return a[mask] if np.ndim(a) else a
 
 
 def _pchip(term: Tabulated, ell, nu: int):
@@ -201,28 +209,38 @@ def _pchip(term: Tabulated, ell, nu: int):
     return c2 + c1 * s * 2 + c0 * (s * s) * 3
 
 
-def _profile(term: CoefficientTerm, ell, nu: int):
-    """d^nu a / d ell^nu (nu = 0 or 1) at lengths ell > 0, a float or an array.
+def _profile(term: CoefficientTerm, ell, nu: int, shift=0, x=0) -> np.ndarray:
+    """2^x d^nu a / d ell^nu (nu = 0 or 1) at the lengths ell * 2^shift.
 
-    Every profile is its end law b * (ell / knot)**p beyond its end
-    knots; a tabulated profile is the PCHIP interpolant between them.
+    The one place where a curve's size meets a coefficient: `ell` holds
+    positive finite lengths (`_lengths`), the integers `shift` and `x` are
+    scalars or arrays of its shape, and neither the true length nor the
+    true coefficient need be a float.  Callers set np.errstate(over,
+    divide, invalid="ignore").
     """
+    ell = np.asarray(ell)
+    if not isinstance(term, Tabulated):
+        return _law(*_end_law(term, "zero"), ell, nu, shift, x)
+    true = np.ldexp(ell, shift)  # 0 or inf beyond the float range: a tail
+    low, high = true < term._knots[0], true > term._knots[-1]
+    inside = ~(low | high)
+    out = np.empty(ell.shape)
+    # No cubic is evaluated far outside its knots: no overflow.
+    out[inside] = np.ldexp(_pchip(term, true[inside], nu), _pick(x, inside))
+    for mask, end in ((low, "zero"), (high, "infinity")):
+        if mask.any():
+            out[mask] = _law(*_end_law(term, end), ell[mask], nu, _pick(shift, mask), _pick(x, mask))
+    return out
+
+
+def _lengths(ell) -> np.ndarray:
+    """`ell` as a float array, or ContractError unless every entry is positive and finite."""
     x = np.asarray(ell, dtype=float)
-    lo, hi = float(x.min(initial=math.inf)), float(x.max(initial=0.0))  # NaN if any is
-    if not (lo > 0.0 and hi < math.inf):
+    lo, hi = (float(x.min(initial=math.inf)), float(x.max(initial=0.0))) if x.ndim else (x, x)
+    if not (lo > 0.0 and hi < math.inf):  # NaN fails too
         bad = x[~((x > 0) & (x < math.inf))].flat[0]
         raise ContractError(f"curve length must be positive and finite, got {bad}")
-    if isinstance(term, Tabulated):
-        low, high = x < term._knots[0], x > term._knots[-1]
-        inside = ~(low | high)
-        out = np.empty(x.shape)
-        out[inside] = _pchip(term, x[inside], nu)  # no cubic far outside: no overflow
-        for mask, end in ((low, "zero"), (high, "infinity")):
-            if mask.any():
-                out[mask] = _law(*_end_law(term, end), x[mask], nu, lo, hi)
-    else:
-        out = _law(*_end_law(term, "zero"), x, nu, lo, hi)
-    return out if isinstance(ell, np.ndarray) else float(out)
+    return x
 
 
 def coefficient_eval(term: CoefficientTerm, ell):
@@ -234,12 +252,18 @@ def coefficient_eval(term: CoefficientTerm, ell):
     with its fitted tails.  A zero coefficient evaluates to 0, an
     overflowing one to inf.
     """
-    return _profile(term, ell, 0)
+    return _at(term, ell, 0)
 
 
 def coefficient_deriv(term: CoefficientTerm, ell):
     """d a / d ell at ell > 0 (used by the path-energy gradient); float or array."""
-    return _profile(term, ell, 1)
+    return _at(term, ell, 1)
+
+
+def _at(term: CoefficientTerm, ell, nu: int):
+    with np.errstate(all="ignore"):
+        out = _profile(term, _lengths(ell), nu)
+    return out if isinstance(ell, np.ndarray) else float(out)
 
 
 @dataclass(frozen=True)
@@ -293,26 +317,35 @@ def _q_form(w: float, uh: np.ndarray, ug: np.ndarray, s: np.ndarray):
     return w * (inner[..., None, :] @ s[..., :, None])[..., 0, 0]
 
 
-def _form(cfg: MetricConfig, grid, samples, h, g=None, scale=None):
-    """G = sum_k a_k(ell) * scale_k * Q_k(h, g) per curve of a (..., N, d) stack.
+def _form(cfg: MetricConfig, grid, samples, h, g=None, unit: int = 0):
+    """G = sum_k a_k(ell) * Q_k(h, g) per curve of a (..., N, d) stack.
 
-    h and g (default h) broadcast against `samples`; `scale` (default 1)
-    maps k to a factor taken out of the grid arithmetic.  Returns G and
-    the pieces (s, lengths, u, q, coeffs): `_arc_jet`'s output, then Q_k
-    and a_k(lengths) by k.  Raises NumericalError if a G is not finite.
+    `samples` and the fields h and g (default h), which broadcast against
+    it, are in units of 2^unit.  `_arc_jet` divides each curve by 2^e and
+    each field is divided by 2^e_h, e_h the exponent of its largest entry,
+    so Q_k comes out as Q_k / 2^x_k, x_k = e_h + e_g + (1 - 2k) e + (3 - 2k)
+    unit, and the terms a_k(ell) 2^x_k (`_profile`) times it are summed in
+    true units: bit for bit plain arithmetic wherever that stays normal.
+    Returns G and the pieces (s, lengths, u, q, coeffs, e, e_h, x) by k
+    where keyed.  Raises NumericalError if a G is not finite.
     """
+    fields = h if g is None else np.stack([h, g])
+    eh = np.frexp(np.abs(fields).max(axis=(-2, -1)))[1]
     # Overflow or 0 * inf shows as a non-finite value, reported below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, lengths, u = _arc_jet(grid, samples, h if g is None else np.stack([h, g]), cfg.n)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        e, s, lengths, u = _arc_jet(grid, samples, np.ldexp(fields, -eh[..., None, None]), cfg.n)
         uh, ug = (u, u) if g is None else ([uk[0] for uk in u], [uk[1] for uk in u])
+        shift = e + unit  # the exponent of each curve's true unit
+        eh_sum = 2 * eh if g is None else eh[0] + eh[1]
+        x = {k: eh_sum + 2 * unit + (1 - 2 * k) * shift for k in cfg.terms}
         q = {k: _q_form(grid.spacing, uh[k], ug[k], s) for k in cfg.terms}
-        coeffs = {k: coefficient_eval(term, lengths) for k, term in cfg.terms.items()}
-        values = sum(coeffs[k] * (1.0 if scale is None else scale[k]) * q[k] for k in cfg.terms)
+        coeffs = {k: _profile(term, lengths, 0, shift, x[k]) for k, term in cfg.terms.items()}
+        values = sum(coeffs[k] * q[k] for k in cfg.terms)
     if not np.isfinite(values).all():
         i = np.argmin(np.isfinite(values))  # the first curve whose value is not finite
-        ell, value = np.ravel(lengths)[i], np.ravel(values)[i]
-        raise NumericalError(f"metric value is not finite at curve length {ell}: {value}")
-    return values, (s, lengths, u, q, coeffs)
+        ell = f"{np.ravel(lengths)[i]!r} * 2**{np.ravel(shift)[i]}"
+        raise NumericalError(f"metric value is not finite at curve length {ell}: {np.ravel(values)[i]}")
+    return values, (s, lengths, u, q, coeffs, e, eh, x)
 
 
 def eval_metric(
@@ -320,8 +353,7 @@ def eval_metric(
 ) -> float:
     """The bilinear form G_c(h, g) = sum_k a_k(ell) Q_k(h, g).
 
-    Raises NumericalError if it is not finite in floating point, as for
-    curves so large or small that a_k(ell) or Q_k overflows.
+    Raises NumericalError if the value itself is not a finite float.
     """
     if c.grid != h.grid or c.grid != g.grid:
         raise ContractError("curve and tangent fields live on different grids")

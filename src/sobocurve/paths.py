@@ -44,7 +44,7 @@ from .curves import (
 )
 from .completeness import _breaks, _edges, log_quad
 from .errors import ContractError, ImmersionError, NumericalError
-from .metric import MetricConfig, _form, _q_form, coefficient_deriv, coefficient_eval
+from .metric import MetricConfig, _form, _profile, _q_form
 
 
 @dataclass(frozen=True)
@@ -151,10 +151,10 @@ def linear_path(c0: DiscreteCurve, c1: DiscreteCurve, T: int) -> CurvePath:
     return CurvePath(c0.grid, (1.0 - t) * c0.samples + t * c1.samples)
 
 
-def _forward(cfg: MetricConfig, grid: Grid, stacked, dt: float):
+def _forward(cfg: MetricConfig, grid: Grid, stacked, dt: float, unit: int = 0):
     """`_form` at the T midpoint slices of a (T+1, N, d) path; midpoints lead its pieces."""
     cb = 0.5 * (stacked[:-1] + stacked[1:])
-    values, pieces = _form(cfg, grid, cb, (stacked[1:] - stacked[:-1]) / dt)
+    values, pieces = _form(cfg, grid, cb, (stacked[1:] - stacked[:-1]) / dt, unit=unit)
     return values, (cb, *pieces)
 
 
@@ -179,14 +179,22 @@ def reverse_path(path: CurvePath) -> CurvePath:
     return CurvePath(path.grid, path.samples[::-1])
 
 
+def _moments(c0: DiscreteCurve, n: int):
+    """(e, length / 2^e, M_k / 2^x_k, x_k) of c0 for k = 0..n (see `moments`), as in `_form`."""
+    ec = np.frexp(np.abs(c0.samples).max())[1]
+    e, s, ell0, u = _arc_jet(c0.grid, c0.samples, np.ldexp(c0.samples, -ec), n)
+    m = np.array([_q_form(c0.grid.spacing, uk, uk, s) for uk in u])
+    return e, ell0, m, [2 * ec + (1 - 2 * k) * e for k in range(n + 1)]
+
+
 def moments(c0: DiscreteCurve, n: int) -> np.ndarray:
     """M_k = integral |D_s^k c0|^2 ds for k = 0..n; all positive and finite.
 
     Raises NumericalError if one under- or overflows.
     """
-    s, _, u = _arc_jet(c0.grid, c0.samples, c0.samples, n)
+    _, _, m, x = _moments(c0, n)
     with np.errstate(over="ignore"):
-        out = np.array([_q_form(c0.grid.spacing, uk, uk, s) for uk in u])
+        out = np.ldexp(m, x)
     if not np.all((out > 0) & (out < math.inf)):
         raise NumericalError(f"curve moments must be positive and finite, got {out}")
     return out
@@ -198,7 +206,9 @@ def radial_path_length(
     """Length of the scaling path r*c0, r from R_from to R_to.
 
     Closed form: integral sqrt(sum_k a_k(r*ell0) r^(1-2k) M_k) dr with the
-    moments M_k of the base curve.
+    moments M_k of the base curve.  With each node split as r = m 4^K the
+    sum is formed in units of 2^-4K, which the square root halves exactly.
+    Raises NumericalError if the quadrature fails or the length reads 0.
     """
     if not all(math.isfinite(R) and R > 0 for R in (R_from, R_to)):
         raise ContractError(
@@ -206,26 +216,30 @@ def radial_path_length(
         )
     if R_from == R_to:
         return 0.0
-    ell0 = curve_length(c0)
-    mk = moments(c0, cfg.n)
+    e, ell0, mk, x = _moments(c0, cfg.n)
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf fails below
     def speed(r: np.ndarray) -> np.ndarray:
-        return np.sqrt(
-            sum(coefficient_eval(term, r * ell0) * r ** (1 - 2 * k) * mk[k]
-                for k, term in sorted(cfg.terms.items()))
+        m, exp = np.frexp(r)
+        m, two_k = np.ldexp(m, exp % 2), exp - exp % 2  # r = m 2^two_k, m in [0.5, 2)
+        total = sum(
+            _profile(term, m * ell0, 0, two_k + e, x[k] + (3 - 2 * k) * two_k)
+            * m ** (1 - 2 * k) * mk[k]
+            for k, term in sorted(cfg.terms.items())
         )
+        return np.ldexp(np.sqrt(total), -two_k)
 
     lo, hi = min(R_from, R_to), max(R_from, R_to)
     # a_k(r * ell0) breaks where r * ell0 does.
-    breaks = np.concatenate([np.asarray(_breaks(t)) / ell0 for t in cfg.terms.values()])
+    breaks = np.concatenate([np.asarray(_breaks(t)) / curve_length(c0) for t in cfg.terms.values()])
     try:
         pieces, errors = log_quad(speed, _edges(lo, hi, breaks))
     except FloatingPointError as exc:
         raise NumericalError(f"radial length quadrature failed on [{lo}, {hi}]: {exc}") from exc
     value, err = float(pieces.sum()), float(errors.sum())
-    if not math.isfinite(value) or err > 1e-4 * max(1.0, value):
+    if not 0.0 < value < math.inf or err > 1e-4 * max(1.0, value):
         raise NumericalError(
-            f"radial length quadrature failed on [{lo}, {hi}] (err={err})"
+            f"radial length quadrature failed on [{lo}, {hi}] (value={value}, err={err})"
         )
     return value
 
@@ -244,20 +258,25 @@ def radial_path_length(
 # antisymmetric).  The cb-gradient flows through s only: collect the
 # sensitivity phi_j = dG/ds_j and push it back via
 # ds_j = <t_j, (D dcb)_j>, t = D cb / s, giving grad_cb = -D(phi * t).
+# In `_form`'s units (a_k 2^x_k for a_k) the v- and cb-gradients come out
+# in units of 2^-e_h and 2^-e of the path's unit; one ldexp each undoes it.
 # ---------------------------------------------------------------------------
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _stacked_energy_and_gradient(cfg: MetricConfig, grid: Grid, stacked, dt: float):
-    """Energy and per-interval gradients for a stacked (T+1, N, d) path.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _stacked_energy_and_gradient(
+    cfg: MetricConfig, grid: Grid, stacked, dt: float, unit: int = 0
+):
+    """Energy and per-interval gradients for a stacked (T+1, N, d) path in units of 2^unit.
 
     Vectorized across the T intervals; returns (energy, grad, values) with
     grad of shape (T-1, N, d) for the interior slices and values the
     per-interval G_m of `_forward`; raises NumericalError if E or grad is not finite.
     """
     w = grid.spacing
-    values, (cb, s, lengths, u, q, coeffs) = _forward(cfg, grid, stacked, dt)
-    dcoeffs = {k: coefficient_deriv(term, lengths) for k, term in cfg.terms.items()}
+    values, (cb, s, lengths, u, q, coeffs, e, eh, x) = _forward(cfg, grid, stacked, dt, unit)
+    shift = e + unit
+    dcoeffs = {k: _profile(term, lengths, 1, shift, x[k] + shift) for k, term in cfg.terms.items()}
     inv_s = 1.0 / s
 
     grad_v = np.zeros_like(u[0])
@@ -276,8 +295,10 @@ def _stacked_energy_and_gradient(cfg: MetricConfig, grid: Grid, stacked, dt: flo
         grad_v += 2.0 * a_k[:, :, None] * y
         phi += a_k * w * np.sum(u[k] * u[k], axis=2)
 
-    tangent = derivative(cb, grid, axis=1) * inv_s[:, :, None]
-    grad_cb = -derivative(phi[:, :, None] * tangent, grid, axis=1)
+    tangent = np.ldexp(derivative(cb, grid, axis=1), -e[:, None, None]) * inv_s[:, :, None]
+    grad_cb = derivative(phi[:, :, None] * tangent, grid, axis=1)
+    np.ldexp(-grad_cb, -e[:, None, None], out=grad_cb)
+    np.ldexp(grad_v, -eh[:, None, None], out=grad_v)
 
     energy = dt * float(np.sum(values))
     grad = dt * 0.5 * (grad_cb[:-1] + grad_cb[1:]) + (grad_v[:-1] - grad_v[1:])
@@ -336,15 +357,15 @@ def gradient_check(
     return worst
 
 
-def _spectral_preconditioner(cfg: MetricConfig, grid: Grid, speeds, lengths):
+def _spectral_preconditioner(cfg: MetricConfig, grid: Grid, speeds, lengths, unit: int):
     """Inverse of the frozen-coefficient energy Hessian, as a linear map.
 
     The Hessian of the discrete energy is approximately
     (2/dt) L_time (x) A, with L_time the Dirichlet second-difference
     matrix in t and A the spatial operator sum_k a_k (-D_s^2)^k weighted
     by ds.  Freezing speed and length at the means of the end slices of
-    `speeds` (T+1, N) and `lengths` (T+1,), the path's `_arc_jet`, makes
-    A diagonal under an FFT in theta, with the symbol of the order-4
+    `speeds` (T+1, N) and `lengths` (T+1,), in units of 2^unit, makes A
+    diagonal under an FFT in theta, with the symbol of the order-4
     D_theta read off its impulse response.  L_time is inverted by its
     closed-form Green's matrix min(i,j) (T - max(i,j)) / T.  The map
     seeds the quasi-Newton direction and defines the dual norm of the
@@ -356,8 +377,8 @@ def _spectral_preconditioner(cfg: MetricConfig, grid: Grid, speeds, lengths):
     s_bar = 0.5 * (float(np.mean(speeds[0])) + float(np.mean(speeds[-1])))
     l_bar = 0.5 * (float(lengths[0]) + float(lengths[-1]))
     modes = np.abs(np.fft.rfft(derivative(np.eye(1, n_pts)[0], grid)))
-    symbol = sum(
-        coefficient_eval(term, l_bar) * (modes / s_bar) ** (2 * k)
+    symbol = sum(  # in the path's unit, a_k scales as 2^((3 - 2k) unit)
+        _profile(term, l_bar, 0, unit, (3 - 2 * k) * unit) * (modes / s_bar) ** (2 * k)
         for k, term in cfg.terms.items()
     )
     symbol *= s_bar * grid.spacing
@@ -430,9 +451,8 @@ def geodesic_bvp(
     step can lower E beyond roundoff; "line_search" or "max_iters"
     otherwise (not converged).  gradient_norm_final is sqrt(g.Pg / E),
     so the predicted gap is gradient_norm_final^2 / 2.  Raises
-    NumericalError if the energy or its gradient at the start is not
-    finite, as for valid curves so large or small that a coefficient
-    over- or underflows.
+    NumericalError if the energy or its gradient at the start is not a
+    finite float.
     """
     if opts is None:
         opts = SolverOptions()
@@ -459,24 +479,30 @@ def geodesic_bvp(
 def _minimize(cfg: MetricConfig, path: CurvePath, opts: SolverOptions) -> GeodesicResult:
     """The descent of `geodesic_bvp` from `path`, whose end slices stay fixed.
 
+    It runs on the path divided by 2^unit, unit the end slices' larger
+    `_arc_jet` exponent, so its sums and norms stay in range at any size.
     Raises NumericalError if the energy, its gradient or the
     preconditioned gradient at `path` is not finite.
     """
     grid = path.grid
     dt = path.dt
-    speeds, lengths, _ = _arc_jet(grid, path.samples)
+    e, speeds, lengths, _ = _arc_jet(grid, path.samples)
+    unit = int(max(e[0], e[-1]))
+    speeds, lengths = np.ldexp(speeds, (e - unit)[:, None]), np.ldexp(lengths, e - unit)
     speed_floor = 1e-6 * float(np.mean(np.mean(speeds, axis=-1)))
 
-    x = path.samples[1:-1].copy()
-    ends = (path.samples[:1], path.samples[-1:])
+    samples = np.ldexp(path.samples, -unit)
+    x = samples[1:-1]
+    ends = (samples[:1], samples[-1:])
 
     def stack(x_arr):
         return np.concatenate([ends[0], x_arr, ends[1]])
 
     def eval_at(x_arr):
-        if np.min(_arc_jet(grid, x_arr)[0]) < speed_floor:
+        e_x, s_x, _, _ = _arc_jet(grid, x_arr)
+        if np.min(np.ldexp(np.min(s_x, axis=-1), e_x)) < speed_floor:
             raise ImmersionError("interior slice below speed floor")
-        return _stacked_energy_and_gradient(cfg, grid, stack(x_arr), dt)
+        return _stacked_energy_and_gradient(cfg, grid, stack(x_arr), dt, unit)
 
     energy, grad, values = eval_at(x)
     trace = [energy]
@@ -486,7 +512,7 @@ def _minimize(cfg: MetricConfig, path: CurvePath, opts: SolverOptions) -> Geodes
     # dx.dg > 0, so the direction stays a descent direction.  P is
     # linear, so each pair also keeps P dg = P g_try - P g, and the
     # recursion forms P q from them: one apply of P per accepted step.
-    precondition = _spectral_preconditioner(cfg, grid, speeds, lengths)
+    precondition = _spectral_preconditioner(cfg, grid, speeds, lengths, unit)
     memory = []
     gamma = 1.0
     iterations = 0
@@ -566,7 +592,7 @@ def _minimize(cfg: MetricConfig, path: CurvePath, opts: SolverOptions) -> Geodes
         energy = energy_try
         trace.append(energy)
     return GeodesicResult(
-        path=CurvePath(grid, stack(x)),
+        path=CurvePath(grid, np.ldexp(stack(x), unit)),
         energy=energy,
         length=dt * float(np.sum(_speeds(values))),
         iterations=iterations,

@@ -386,33 +386,67 @@ def test_invalid_argument_exit_2(files, capsys, argv, message):
 
 
 def test_counterexample_non_finite_leg_exit_3(capsys):
-    # r_1 = 6^390 is a normal float, but in leg 1's k = 0 term a_0(ell)
-    # underflows to 0 and its integral overflows; the CLI used to print
-    # NaN as dist_leg1.
-    code, out, err = run(capsys, GROW[:6] + ["390", "--nmax", "1"])
+    # r_1 = 6^396.1 = 1.7e308 is a normal float, but the samples
+    # r_1 (1 + eps sin) of leg 1 overflow; the CLI used to print NaN as
+    # dist_leg1 for such legs.
+    code, out, err = run(capsys, GROW[:6] + ["396.1", "--nmax", "1"])
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("radius", [1e-160, 1e-120, 1e-100, 1e120, 1e200])
-def test_out_of_range_scale_exit_3_without_warning(tmp_path, capsys, radius):
-    # Under a_0 = ell^-3, a_2 = ell some coefficient, moment or gradient
-    # term over- or underflows at these radii, though the circles are valid.
+def _scale_runs(tmp_path, cfg, radius):
+    """`distance` between circles of radius and 2 radius, and `radial` from the first."""
     grid = sc.Grid(64)
     metric = tmp_path / "metric.json"
-    metric.write_text(json.dumps(sc.config_to_dict(sc.scale_invariant_profile(2, [1.0, 0.0, 1.0]))))
+    metric.write_text(json.dumps(sc.config_to_dict(cfg)))
     c0, c1 = tmp_path / "c0.json", tmp_path / "c1.json"
     sc.save_curve(sc.make_circle(radius, (0, 0), grid), c0)
     sc.save_curve(sc.make_circle(2 * radius, (0, 0), grid), c1)
-    runs = [["distance", "--metric", str(metric), "--from", str(c0), "--to", str(c1), "--T", "8"]]
-    if radius != 1e-100:  # the radial closed form still holds there
-        runs.append(["radial", "--metric", str(metric), "--curve", str(c0),
-                     "--from-scale", "1.0", "--to-scale", "2.0"])
-    for argv in runs:
+    return [
+        ["distance", "--metric", str(metric), "--from", str(c0), "--to", str(c1), "--T", "8"],
+        ["radial", "--metric", str(metric), "--curve", str(c0), "--from-scale", "1.0",
+         "--to-scale", "2.0"],
+    ]
+
+
+@pytest.mark.parametrize("radius", [1e-160, 1e-120, 1e-100, 1e120, 1e200])
+def test_out_of_range_scale_exit_3_without_warning(tmp_path, capsys, radius):
+    # Under a_0 = ell^-13, a_2 = ell^9 the metric grows like radius^-10 +
+    # radius^8, so G and the radial speed are not floats at these radii,
+    # though the circles are valid.
+    cfg = sc.MetricConfig(2, {0: sc.PowerLaw(1.0, -13.0), 2: sc.PowerLaw(1.0, 9.0)})
+    for argv in _scale_runs(tmp_path, cfg, radius):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, argv)
         assert code == 3
         assert out == ""
         assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("radius", [1e-160, 1e-120, 1e-100, 1e120, 1e150, 1e200])
+def test_extreme_scale_matches_unit_scale(tmp_path, capsys, radius):
+    # The scale-invariant metric gives the radius-1 distance and radial
+    # length at every radius whose samples are floats.
+    cfg = sc.scale_invariant_profile(2, [1.0, 0.0, 1.0])
+    unit = [json.loads(run(capsys, argv)[1]) for argv in _scale_runs(tmp_path, cfg, 1.0)]
+    for argv, want in zip(_scale_runs(tmp_path, cfg, radius), unit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, argv)
+        assert code == 0
+        got = json.loads(out)
+        for key in ("length", "radial_length"):
+            if key in want:
+                assert got[key] == pytest.approx(want[key], rel=1e-12)
+
+
+def test_radial_far_above_the_unit_scale(tmp_path, capsys):
+    # From 1e150 to 2e150 the radial length under SI is that from 1 to 2;
+    # it used to print 0.0.
+    cfg = sc.scale_invariant_profile(2, [1.0, 0.0, 1.0])
+    argv = _scale_runs(tmp_path, cfg, 1.0)[1][:-4] + ["--from-scale", "1e150", "--to-scale", "2e150"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["radial_length"] == pytest.approx(4.356555690231021, rel=1e-12)

@@ -171,6 +171,15 @@ def test_w_eval_closed_form():
         w_eval(cfg, 0.0)
 
 
+def test_w_eval_scale_invariant_is_log_at_every_decade():
+    # Under SI the W integrand is 1/r: W(r) = ln r, with no intermediate
+    # r^(1/2-k) or a_k(r) leaving the float range.
+    cfg = sc.scale_invariant_profile(2, [1.0, 0.0, 1.0])
+    for j in range(-300, 301):
+        r = 10.0**j
+        assert w_eval(cfg, r) == pytest.approx(math.log(r), rel=1e-12)
+
+
 def test_w_monotone_random_profiles():
     rng = np.random.default_rng(19)
     for _ in range(50):

@@ -76,9 +76,17 @@ def test_params_accept_alpha_at_float_range_edge():
 
 
 def test_non_finite_leg_length_raises():
-    params = CounterexampleParams(case="grow", p=0.0, alpha=390.0, n_max=1)
+    # r_1 = 6^396.1 = 1.7e308 is a normal float; r_1 (1 + eps) is not.
+    params = CounterexampleParams(case="grow", p=0.0, alpha=396.1, n_max=1)
     with pytest.raises(NumericalError, match="not finite"):
         verify_sequence(params, build_sequence(params), T=8)
+
+
+def test_legs_at_float_range_edge_are_finite():
+    # r_1 = 6^390 = 3.0e303: the legs run on the true curves r * u.
+    params = CounterexampleParams(case="grow", p=0.0, alpha=390.0, n_max=1)
+    entry = verify_sequence(params, build_sequence(params), T=8).entries[0]
+    assert 0.0 < entry["dist_leg2"] < entry["dist_leg1"] < 1.0
 
 
 @pytest.mark.parametrize("T", [0, -3, 65, 16.0])
@@ -108,14 +116,17 @@ def test_sequence_lengths_track_r_lambda():
 
 def test_scaled_curve_avoids_overflow():
     # r_3 = 24^200 = 1.1e276: the metric on the direct samples r_3 * u_3
-    # is not finite, while the legs, evaluated on the radius-1 shapes with
-    # the radii factored out, give finite distance bounds.
+    # is the scale-invariant a_0 term ell^-3 Q_0 of the shape (a_2 Q_2
+    # falls like r^-2), and the legs give finite distance bounds.
     params = CounterexampleParams(case="grow", p=-1.0, alpha=200.0, n_max=3)
     seq = build_sequence(params)
-    direct = sc.DiscreteCurve(params.grid(), params.radius_n(3) * seq.shapes[3].samples)
+    shape = seq.shapes[3]
+    direct = sc.DiscreteCurve(params.grid(), params.radius_n(3) * shape.samples)
     h = sc.TangentField(direct.grid, direct.samples)
-    with pytest.raises(NumericalError, match="not finite"):
-        sc.eval_metric(counterexample_metric(params.p), direct, h, h)
+    q0 = sc.integrate_ds(shape, np.sum(shape.samples**2, axis=1))
+    assert sc.eval_metric(counterexample_metric(params.p), direct, h, h) == pytest.approx(
+        sc.curve_length(shape) ** -3 * q0, rel=1e-12
+    )
     report = verify_sequence(params, seq, T=16)
     assert report.ok
     dists = [e["dist_upper"] for e in report.entries[:-1]]
@@ -152,8 +163,8 @@ def test_scaled_leg_length_rejects_non_finite_base_scale(r_base):
 
 
 def test_scaled_leg_length_overflowing_factor_raises():
-    # r_base^(0 + 3 - 0) = 1e750 overflows: a NumericalError, not an
-    # OverflowError from the factor or a RuntimeWarning from the kernel.
+    # With a_0 = 1, G ~ Q_0 ~ r^3 = 1e750 is not a float: a NumericalError,
+    # not an OverflowError or a RuntimeWarning from the kernel.
     cfg = sc.MetricConfig(2, {0: PowerLaw(1.0, 0.0), 2: PowerLaw(1.0, 1.0)})
     grid = sc.Grid(128)
     shape = sc.make_bumpy_circle(1.0, 0.25, 3, grid).samples
@@ -164,7 +175,7 @@ def test_scaled_leg_length_overflowing_factor_raises():
 
 
 def test_scaled_leg_length_zero_term_with_overflowing_factor_adds_nothing():
-    # a_1 = 0 * ell^2 has factor r^(2 + 3 - 2) = 1e600 at r = 1e200.
+    # a_1 = 0 * ell^2 would be 1e400 at r = 1e200.
     grid = sc.Grid(128)
     shape = sc.make_bumpy_circle(1.0, 0.25, 3, grid).samples
     terms = {0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, 0.0)}

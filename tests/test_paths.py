@@ -174,6 +174,15 @@ def test_radial_path_length_closed_form():
         sc.radial_path_length(CFG, c, 0.0, 1.0)
 
 
+def test_radial_path_length_scale_invariant_at_every_decade():
+    # Under SI the radial length from R to 2R does not depend on R.
+    c = sc.make_circle(1.0, (0, 0), sc.Grid(64))
+    unit = sc.radial_path_length(SI, c, 1.0, 2.0)
+    for j in range(-300, 301):
+        R = 10.0**j
+        assert sc.radial_path_length(SI, c, R, 2.0 * R) == pytest.approx(unit, rel=1e-12)
+
+
 def test_radial_path_length_tabulated_matches_knot_split_reference():
     # a_2(ell) is piecewise cubic between the knots, i.e. between r = knots / ell0.
     from scipy.integrate import quad
@@ -308,25 +317,56 @@ def _sweep_values(radius):
     "radius", [1e-160, 1e-120, 1e-100, 1e-50, 1.0, 1e50, 1e100, 1e120, 1e200]
 )
 def test_evaluators_scale_invariant_or_raise(name, radius):
-    # SI is scale-invariant: every evaluator returns its radius-1 value
-    # where floating point reaches it and raises NumericalError where it
-    # does not, never a NaN or a RuntimeWarning.  At 1e-100 only the
-    # gradient overflows (its a_0' ~ ell^-4).
+    # SI is scale-invariant: every evaluator returns its radius-1 value at
+    # every radius whose samples are floats, never a NaN, a RuntimeWarning
+    # or a NumericalError (raised only where G, E or the gradient is
+    # itself not a finite float).
     expected = _sweep_values(1.0)[name]()
-    out_of_range = radius in (1e-160, 1e-120, 1e120, 1e200) or (
-        name == "energy_and_gradient" and radius == 1e-100
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if out_of_range:
-            with pytest.raises(NumericalError, match="not finite"):
-                _sweep_values(radius)[name]()
-            return
         value = _sweep_values(radius)[name]()
     if name == "energy_and_gradient":
-        (value, grad), expected = value, expected[0]
-        assert np.isfinite(grad).all()
+        (value, grad), (expected, expected_grad) = value, expected
+        # Rounding radius * samples moves this near-stationary gradient by ~1e-9 of its size.
+        scale = np.max(np.abs(expected_grad))
+        np.testing.assert_allclose(radius * grad, expected_grad, rtol=0.0, atol=1e-8 * scale)
     assert value == pytest.approx(expected, rel=1e-12)
+
+
+def _offset_pair(n=64, seed=0):
+    """A random curve c0 and 1.3 c0 + noise, moved so no sample is near 0."""
+    c0, c1 = random_pair(n, seed)
+    return [sc.DiscreteCurve(c.grid, c.samples + 10.0) for c in (c0, c1)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(j=st.integers(-1000, 1000))
+def test_property_path_evaluators_scale_exactly(j):
+    # Scaling by 2^j is exact on these samples and on the gradient's
+    # entries, so energy, length and R * grad are the R = 1 values up to
+    # libm's pow(ell, p < 0), which is covariant under powers of two only
+    # to 1 ulp (see test_metric.py::test_property_scale_invariant_profile).
+    base = sc.linear_path(*_offset_pair(), 8)
+    scaled = sc.CurvePath(base.grid, np.ldexp(base.samples, j))
+    got, want = ([sc.path_energy(SI, p), sc.path_length(SI, p),
+                  *paths_module.energy_and_gradient(SI, p)] for p in (scaled, base))
+    assert got[:3] == pytest.approx(want[:3], rel=1e-15, abs=0.0)
+    np.testing.assert_allclose(np.ldexp(got[3], j), want[3], rtol=0.0, atol=1e-15 * np.abs(want[3]).max())
+
+
+@pytest.mark.parametrize("j", [-1000, -500, -300, -280, -266, -100, 100, 266, 280, 300, 500, 1000])
+def test_geodesic_bitwise_at_power_of_two_scales(j):
+    # The descent runs on the path divided by one power of two, so the
+    # solve at R = 2^j is the R = 1 solve scaled, bit for bit.
+    c0, c1 = _offset_pair(32, 1)
+    opts = sc.SolverOptions(T=8)
+    base = sc.geodesic_bvp(SI, c0, c1, opts)
+    res = sc.geodesic_bvp(
+        SI, *(sc.DiscreteCurve(c.grid, np.ldexp(c.samples, j)) for c in (c0, c1)), opts
+    )
+    assert base.converged and res.iterations == base.iterations
+    assert res.length == base.length and res.energy_trace == base.energy_trace
+    assert np.array_equal(np.ldexp(res.path.samples, -j), base.path.samples)
 
 
 def random_pair(n, seed):
@@ -446,8 +486,8 @@ def test_preconditioner_matches_dst_reference(n, T):
         spec /= lam_t[:, None, None] * symbol[None, :, None]
         return idst(np.fft.irfft(spec, n=n, axis=1), type=1, axis=0)
 
-    speeds, lengths, _ = _arc_jet(grid, sc.linear_path(c0, c1, T).samples)
-    apply = _spectral_preconditioner(SI, grid, speeds, lengths)
+    e, speeds, lengths, _ = _arc_jet(grid, sc.linear_path(c0, c1, T).samples)
+    apply = _spectral_preconditioner(SI, grid, np.ldexp(speeds, e[:, None]), np.ldexp(lengths, e), 0)
     g = np.random.default_rng(n + T).standard_normal((T - 1, n, 2))
     expected = reference(g)
     assert np.max(np.abs(apply(g) - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -638,11 +678,11 @@ def test_geodesic_line_search_backtracks_on_numerical_error(monkeypatch):
     exact = paths_module._stacked_energy_and_gradient
     calls = []
 
-    def failing(cfg, grid, stacked, dt):
+    def failing(cfg, grid, stacked, dt, unit):
         calls.append(stacked[1:-1])
         if len(calls) == 2:
             raise NumericalError("metric value is not finite")
-        return exact(cfg, grid, stacked, dt)
+        return exact(cfg, grid, stacked, dt, unit)
 
     monkeypatch.setattr(paths_module, "_stacked_energy_and_gradient", failing)
     res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=8))

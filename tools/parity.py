@@ -9,7 +9,11 @@ Prints one sha256 line per group of outputs:
             benchmark's scale-invariant metric, each as `to_dict()` JSON
             plus the bytes of its path samples;
 - cli:      stdout and exit code of `sobocurve.cli.main` for four
-            counterexample cases and `verify --seed 3`.
+            counterexample cases and `verify --seed 3`;
+- library:  `coefficient_eval` and `coefficient_deriv` of ten profiles on
+            lengths 1e-6 to 1e6, `analyze` of 200 seeded random metrics,
+            and `eval_metric`, `radial_path_length` and `w_eval` at scales
+            1e-100 to 1e100, the evaluators outside the solver in range.
 
 Run it in a checkout of each tree and diff the output: a refactor that
 keeps every number keeps every line.  The script reads `bench/` and
@@ -28,9 +32,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
-from sobocurve import SolverOptions, geodesic_bvp, scale_invariant_profile  # noqa: E402
+from sobocurve import (  # noqa: E402
+    Constant,
+    DiscreteCurve,
+    Grid,
+    MetricConfig,
+    PowerLaw,
+    SolverOptions,
+    Tabulated,
+    TangentField,
+    analyze,
+    coefficient_eval,
+    eval_metric,
+    geodesic_bvp,
+    make_circle,
+    radial_path_length,
+    scale_invariant_profile,
+    w_eval,
+)
 from sobocurve.cli import main  # noqa: E402
+from sobocurve.metric import coefficient_deriv  # noqa: E402
+from sobocurve.sampling import random_curve, random_field  # noqa: E402
 from sobocurve.verify import run_suite  # noqa: E402
 
 SUITE_SEEDS = range(400)
@@ -70,6 +94,55 @@ def cli_digest() -> str:
     return h.hexdigest()
 
 
+def _table(rng: np.random.Generator) -> Tabulated:
+    knots = np.cumprod(rng.uniform(1.2, 4.0, 6)) * rng.uniform(1e-3, 1.0)
+    values = rng.uniform(0.5, 2.0, 6) * knots ** rng.uniform(-6.0, 6.0)
+    return Tabulated(tuple(knots.tolist()), tuple(values.tolist()))
+
+
+def _random_metric(rng: np.random.Generator) -> MetricConfig:
+    """Order 2-4; a power law, constant or table at each k, absent for some 0 < k < n."""
+    n = int(rng.integers(2, 5))
+    terms = {}
+    for k in range(n + 1):
+        form = int(rng.integers(0, 3 if k in (0, n) else 4))
+        if form == 0:
+            terms[k] = PowerLaw(float(rng.uniform(0.1, 3.0)), float(rng.uniform(-8.0, 8.0)))
+        elif form == 1:
+            terms[k] = Constant(float(rng.uniform(0.1, 3.0)))
+        elif form == 2:
+            terms[k] = _table(rng)
+    return MetricConfig(n, terms)
+
+
+def library_digest() -> str:
+    h = hashlib.sha256()
+    rng = np.random.default_rng(0)
+    profiles = [PowerLaw(1.0, -3.0), PowerLaw(1.0, 1.0), PowerLaw(2.5, 1.7), PowerLaw(0.3, -0.5),
+                PowerLaw(1e-10, -2.0), Constant(2.0), *(_table(rng) for _ in range(4))]
+    lengths = np.geomspace(1e-6, 1e6, 241)
+    for term in profiles:
+        for fn in (coefficient_eval, coefficient_deriv):
+            h.update(fn(term, lengths).tobytes())
+            h.update(repr([fn(term, float(x)) for x in lengths[::20]]).encode())
+    for _ in range(200):
+        h.update(json.dumps(analyze(_random_metric(rng)).to_dict(), sort_keys=True).encode())
+    grid = Grid(64)
+    metrics = [scale_invariant_profile(2, [1.0, 0.0, 1.0]), MetricConfig(2, {0: Constant(1.0), 2: Constant(2.0)})]
+    c, f = random_curve(grid, rng), random_field(grid, rng)
+    circle = make_circle(1.0, (0, 0), grid)
+    for cfg in metrics:
+        for j in range(-100, 101, 5):
+            s = 10.0**j
+            curve, field = DiscreteCurve(grid, s * c.samples), TangentField(grid, s * f.values)
+            values = [eval_metric(cfg, curve, field, field), radial_path_length(cfg, circle, s, 2.0 * s),
+                      w_eval(cfg, s)]
+            h.update(repr(values).encode())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
-    for name, digest in (("suite", suite_digest), ("geodesic", geodesic_digest), ("cli", cli_digest)):
+    digests = (("suite", suite_digest), ("geodesic", geodesic_digest), ("cli", cli_digest),
+               ("library", library_digest))
+    for name, digest in digests:
         print(f"{name} {digest()}", flush=True)
