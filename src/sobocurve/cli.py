@@ -74,12 +74,7 @@ def _cmd_radial(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     params = CounterexampleParams(
-        case=args.case,
-        p=args.p,
-        alpha=args.alpha,
-        eps=args.eps,
-        lambda0=args.lambda0,
-        b=args.b,
+        case=args.case, p=args.p, alpha=args.alpha, eps=args.eps, lambda0=args.lambda0, b=args.b,
         n_max=args.nmax,
     )
     seq = build_sequence(params)

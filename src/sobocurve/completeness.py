@@ -39,18 +39,23 @@ CRITICAL_TOL = 1e-12
 GL_POINTS = 32
 
 
+def _split(r):
+    """r = m 4^K as (m, 2K), m in [0.5, 2): a square root halves 4^K exactly."""
+    m, e = np.frexp(r)
+    return np.ldexp(m, e % 2), e - e % 2
+
+
 def integrand(term, k: int, r):
     """r^(1/2-k) * sqrt(a_k(r)); r > 0 is a float or an array.
 
-    With r = m 4^K the value is m^(1/2-k) sqrt(a_k(r) r^(3-2k) / m^(3-2k))
-    / 4^K, `metric._profile` folding r^(3-2k) into a_k, so no intermediate
-    leaves the float range unless the value itself or its square does.
+    With r = m 4^K and a_k(r) = f 2^E (np.frexp) the value is m^(1/2-k)
+    sqrt(f 2^(E mod 2)) 2^((1-2k) K + E // 2): no intermediate leaves the
+    float range unless the value does.
     """
-    m, e = np.frexp(_lengths(r))  # raises ContractError unless r > 0
-    m, two_k = np.ldexp(m, e % 2), e - e % 2  # r = m 2^two_k, m in [0.5, 2)
+    m, two_k = _split(_lengths(r))  # raises ContractError unless r > 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a = _profile(term, m, 0, two_k, (3 - 2 * k) * two_k)
-    return np.ldexp(m ** (0.5 - k) * np.sqrt(a), -two_k)
+        f, e = _profile(term, m, 0, two_k, None)
+    return np.ldexp(m ** (0.5 - k) * np.sqrt(np.ldexp(f, e % 2)), (1 - 2 * k) * two_k // 2 + e // 2)
 
 
 @functools.cache
@@ -131,19 +136,13 @@ def classify_power_law(k: int, p: float, b: float = 1.0) -> dict:
         zero = IntegralVerdict(CONVERGENT, "analytic_power_law", value=0.0)
         return {"I0": zero, "Iinf": zero}
     e = 0.5 - k + p / 2.0
-    if e <= -1.0:
-        i0 = IntegralVerdict(DIVERGENT, "analytic_power_law", value=math.inf)
-    else:
-        i0 = IntegralVerdict(
-            CONVERGENT, "analytic_power_law", value=math.sqrt(b) / (e + 1.0)
-        )
-    if e >= -1.0:
-        iinf = IntegralVerdict(DIVERGENT, "analytic_power_law", value=math.inf)
-    else:
-        iinf = IntegralVerdict(
-            CONVERGENT, "analytic_power_law", value=-math.sqrt(b) / (e + 1.0)
-        )
-    return {"I0": i0, "Iinf": iinf}
+
+    def verdict(diverges: bool, sign: float) -> IntegralVerdict:
+        if diverges:
+            return IntegralVerdict(DIVERGENT, "analytic_power_law", value=math.inf)
+        return IntegralVerdict(CONVERGENT, "analytic_power_law", value=sign * math.sqrt(b) / (e + 1.0))
+
+    return {"I0": verdict(e <= -1.0, 1.0), "Iinf": verdict(e >= -1.0, -1.0)}
 
 
 def numeric_integral_evidence(term, k: int, end: str) -> IntegralVerdict:
@@ -218,14 +217,8 @@ class CompletenessReport:
 
 def _any_divergent(verdicts: dict, ks) -> bool | None:
     """True if some k diverges, False if all converge, None if blocked."""
-    saw_inconclusive = False
-    for k in ks:
-        v = verdicts[k].verdict
-        if v == DIVERGENT:
-            return True
-        if v == INCONCLUSIVE:
-            saw_inconclusive = True
-    return None if saw_inconclusive else False
+    found = {verdicts[k].verdict for k in ks}
+    return True if DIVERGENT in found else None if INCONCLUSIVE in found else False
 
 
 def analyze(cfg: MetricConfig) -> CompletenessReport:
@@ -257,14 +250,7 @@ def analyze(cfg: MetricConfig) -> CompletenessReport:
     else:
         classification = GAP
     return CompletenessReport(
-        n=cfg.n,
-        verdicts_zero=verdicts_zero,
-        verdicts_inf=verdicts_inf,
-        condition_I0=cond0,
-        condition_Iinf=condinf,
-        necessary_I0_any_k=nec0,
-        necessary_Iinf_any_k=necinf,
-        classification=classification,
+        cfg.n, verdicts_zero, verdicts_inf, cond0, condinf, nec0, necinf, classification
     )
 
 

@@ -40,13 +40,6 @@ def counterexample_metric(p: float) -> MetricConfig:
     return MetricConfig(n=2, terms={0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, p)})
 
 
-def _next_pow2(x: int) -> int:
-    n = 16
-    while n < x:
-        n *= 2
-    return n
-
-
 @dataclass(frozen=True)
 class CounterexampleParams:
     case: str
@@ -113,7 +106,8 @@ class CounterexampleParams:
         return float(self.lambda_n(n)) ** self.alpha
 
     def grid(self) -> Grid:
-        return Grid(min(_next_pow2(32 * self.lambda_n(self.n_max)), MAX_N))
+        # The least power of two >= 16 that resolves the top frequency (N >= 32 lambda).
+        return Grid(min(max(16, 1 << (32 * self.lambda_n(self.n_max) - 1).bit_length()), MAX_N))
 
 
 @dataclass(frozen=True)
@@ -188,18 +182,13 @@ class SequenceReport:
         }
 
     def csv_rows(self) -> list:
-        rows = [["n", "lambda_n", "ell_n", "dist_upper_n", "bound_n"]]
-        for e in self.entries:
-            rows.append(
-                [
-                    e["n"],
-                    e["lambda"],
-                    repr(e["ell"]),
-                    repr(e["dist_upper"]) if e["dist_upper"] is not None else "",
-                    repr(e["bound"]) if e["bound"] is not None else "",
-                ]
-            )
-        return rows
+        def cell(v):
+            return "" if v is None else repr(v)
+
+        return [["n", "lambda_n", "ell_n", "dist_upper_n", "bound_n"]] + [
+            [e["n"], e["lambda"], repr(e["ell"]), cell(e["dist_upper"]), cell(e["bound"])]
+            for e in self.entries
+        ]
 
 
 # Length-ratio window half-width fitted on the n = 0 curve; the ratio
@@ -256,16 +245,12 @@ def verify_sequence(
     constants = [e["fitted_constant"] for e in entries if e["fitted_constant"]]
     stable = max(constants) / min(constants) <= 3.0
 
-    lengths = [e["ell"] for e in entries]
+    steps = [(a["ell"], b["ell"]) for a, b in zip(entries, entries[1:])]
     factor = float(params.b) ** (1.0 + params.alpha)
     if params.case == GROW:
-        trend = all(
-            lengths[i + 1] >= lengths[i] * factor / 2.0 for i in range(len(lengths) - 1)
-        )
+        trend = all(after >= before * factor / 2.0 for before, after in steps)
     else:
-        trend = all(
-            lengths[i + 1] <= lengths[i] * factor * 2.0 for i in range(len(lengths) - 1)
-        ) and factor * 2.0 < 1.0
+        trend = all(after <= before * factor * 2.0 for before, after in steps) and factor * 2.0 < 1.0
 
     dists = [e["dist_upper"] for e in entries if e["dist_upper"] is not None]
     cauchy = all(dists[i + 1] < dists[i] for i in range(1, len(dists) - 1))

@@ -156,43 +156,36 @@ def _end_law(term: CoefficientTerm, end: str) -> tuple:
     return 1.0, term
 
 
-def _law(knot: float, law: PowerLaw | Constant, ell: np.ndarray, nu: int, shift, x):
-    """2^x d^nu/d ell^nu of law.b * (ell / knot)**law.p at the lengths ell * 2^shift.
+def _law(knot: float, law: PowerLaw | Constant, ell: np.ndarray, nu: int, shift):
+    """(v, n), v 2^n the d^nu/d ell^nu of law.b * (ell / knot)**law.p at the lengths ell * 2^shift.
 
-    A zero factor (b, or b * p for nu = 1) gives zeros, never 0 * inf.  A
-    plain value with a normal ell 2^shift / knot is exact.  Elsewhere the
-    length, knot and factor are split into mantissas and powers of two, one
-    ldexp applying the latter: exact for integral p, else good to 1e-16
-    |p log2(ell / knot)|, for |p| below about 1000.  Overflow gives inf.
+    A zero factor (b, or b * p for nu = 1) gives zeros, never 0 * inf.
+    Where ell / knot, ell 2^shift / knot and the value are normal floats
+    the value is plain arithmetic and n = 0.  Elsewhere the length, knot
+    and factor are split into mantissas and powers of two, n collecting
+    the latter: exact for integral p, else good to 1e-16 |p log2(ell /
+    knot)|, for |p| below about 1000.
     """
     factor = law.b if nu == 0 else law.b * law.p
     if factor == 0.0:
-        return np.zeros(ell.shape)
+        return np.zeros(ell.shape), 0
     q = law.p - nu
-    ratio = np.ldexp(ell if knot == 1.0 else ell / knot, shift)
+    quot = ell if knot == 1.0 else ell / knot  # a subnormal quotient has lost digits
+    ratio = np.ldexp(quot, shift)
     value = factor * ratio**q
     if nu:
         value = value / knot
-    out = np.ldexp(value, x)
-    mag = abs(value) if nu else value
-    ok = mag.min(initial=math.inf) >= _TINY and mag.max(initial=0.0) < math.inf
-    if knot != 1.0:  # a quotient that lost digits is no exact length either
-        ok = ok and ratio.min(initial=math.inf) >= _TINY and ratio.max(initial=0.0) < math.inf
-    if ok:
-        return out
-    redo = ~((mag >= _TINY) & (mag < math.inf) & (ratio >= _TINY) & (ratio < math.inf))
-    out = np.array(out)  # writable, also for 0-d lengths
+    parts = (abs(value) if nu else value, ratio) + (() if knot == 1.0 else (quot,))
+    if all(a.min(initial=math.inf) >= _TINY and a.max(initial=0.0) < math.inf for a in parts):
+        return value, 0
+    redo = ~np.logical_and.reduce([(a >= _TINY) & (a < math.inf) for a in parts])
+    value, n = np.array(value), np.zeros(ell.shape, dtype=int)  # writable, also for 0-d lengths
     (m, e), (mk, ek), (mf, ef) = np.frexp(ell[redo]), math.frexp(knot), math.frexp(factor)
-    y = q * (e + _pick(shift, redo) - ek)
-    n = np.clip(np.rint(y), -9999, 9999)  # beyond it the value is 0 or inf
-    inner = mf * (m / mk) ** q * np.exp2(y - n) / mk**nu
-    out[redo] = np.ldexp(inner, n.astype(int) + (ef - nu * ek) + _pick(x, redo))
-    return out
-
-
-def _pick(a, mask):
-    """a[mask] for an array of the lengths' shape, a itself for a scalar."""
-    return a[mask] if np.ndim(a) else a
+    y = q * (e + np.broadcast_to(shift, ell.shape)[redo] - ek)
+    power = np.clip(np.rint(y), -9999, 9999)  # beyond it the value is 0 or inf
+    value[redo] = mf * (m / mk) ** q * np.exp2(y - power) / mk**nu
+    n[redo] = power.astype(int) + (ef - nu * ek)
+    return value, n
 
 
 def _pchip(term: Tabulated, ell, nu: int):
@@ -209,8 +202,8 @@ def _pchip(term: Tabulated, ell, nu: int):
     return c2 + c1 * s * 2 + c0 * (s * s) * 3
 
 
-def _profile(term: CoefficientTerm, ell, nu: int, shift=0, x=0) -> np.ndarray:
-    """2^x d^nu a / d ell^nu (nu = 0 or 1) at the lengths ell * 2^shift.
+def _profile(term: CoefficientTerm, ell, nu: int, shift=0, x=0):
+    """2^x d^nu a / d ell^nu (nu = 0 or 1) at the lengths ell * 2^shift; for x=None its np.frexp pair.
 
     The one place where a curve's size meets a coefficient: `ell` holds
     positive finite lengths (`_lengths`), the integers `shift` and `x` are
@@ -220,17 +213,21 @@ def _profile(term: CoefficientTerm, ell, nu: int, shift=0, x=0) -> np.ndarray:
     """
     ell = np.asarray(ell)
     if not isinstance(term, Tabulated):
-        return _law(*_end_law(term, "zero"), ell, nu, shift, x)
-    true = np.ldexp(ell, shift)  # 0 or inf beyond the float range: a tail
-    low, high = true < term._knots[0], true > term._knots[-1]
-    inside = ~(low | high)
-    out = np.empty(ell.shape)
-    # No cubic is evaluated far outside its knots: no overflow.
-    out[inside] = np.ldexp(_pchip(term, true[inside], nu), _pick(x, inside))
-    for mask, end in ((low, "zero"), (high, "infinity")):
-        if mask.any():
-            out[mask] = _law(*_end_law(term, end), ell[mask], nu, _pick(shift, mask), _pick(x, mask))
-    return out
+        v, n = _law(*_end_law(term, "zero"), ell, nu, shift)
+    else:
+        shift = np.broadcast_to(shift, ell.shape)
+        true = np.ldexp(ell, shift)  # 0 or inf beyond the float range: a tail
+        low, high = true < term._knots[0], true > term._knots[-1]
+        inside = ~(low | high)
+        v, n = np.empty(ell.shape), np.zeros(ell.shape, dtype=int)
+        v[inside] = _pchip(term, true[inside], nu)  # no cubic far outside its knots: no overflow
+        for mask, end in ((low, "zero"), (high, "infinity")):
+            if mask.any():
+                v[mask], n[mask] = _law(*_end_law(term, end), ell[mask], nu, shift[mask])
+    if x is None:
+        f, e = np.frexp(v)
+        return f, e + n
+    return np.ldexp(v, n + x)
 
 
 def _lengths(ell) -> np.ndarray:
@@ -362,21 +359,14 @@ def eval_metric(
 
 def config_to_dict(cfg: MetricConfig) -> dict:
     terms = []
-    for k in sorted(cfg.terms):
-        term = cfg.terms[k]
+    for k, term in sorted(cfg.terms.items()):
         if isinstance(term, PowerLaw):
-            terms.append({"k": k, "form": "power", "b": term.b, "p": term.p})
+            entry = {"form": "power", "b": term.b, "p": term.p}
         elif isinstance(term, Constant):
-            terms.append({"k": k, "form": "const", "b": term.b})
+            entry = {"form": "const", "b": term.b}
         else:
-            terms.append(
-                {
-                    "k": k,
-                    "form": "table",
-                    "knots": list(term.knots),
-                    "values": list(term.values),
-                }
-            )
+            entry = {"form": "table", "knots": list(term.knots), "values": list(term.values)}
+        terms.append({"k": k, **entry})
     return {"n": cfg.n, "terms": terms}
 
 

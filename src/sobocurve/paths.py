@@ -38,11 +38,10 @@ from .curves import (
     Grid,
     _arc_jet,
     _integral,
-    curve_length,
     curve_to_dict,
     derivative,
 )
-from .completeness import _breaks, _edges, log_quad
+from .completeness import _breaks, _edges, _split, log_quad
 from .errors import ContractError, ImmersionError, NumericalError
 from .metric import MetricConfig, _form, _profile, _q_form
 
@@ -125,15 +124,9 @@ class GeodesicResult:
         return self.termination in ("gradient", "energy_stall")
 
     def to_dict(self) -> dict:
-        return {
-            "energy": self.energy,
-            "length": self.length,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "gradient_norm_final": self.gradient_norm_final,
-            "energy_trace": self.energy_trace,
-            "termination": self.termination,
-        }
+        keys = ("energy", "length", "iterations", "converged", "gradient_norm_final",
+                "energy_trace", "termination")
+        return {key: getattr(self, key) for key in keys}
 
 
 def linear_path(c0: DiscreteCurve, c1: DiscreteCurve, T: int) -> CurvePath:
@@ -206,9 +199,11 @@ def radial_path_length(
     """Length of the scaling path r*c0, r from R_from to R_to.
 
     Closed form: integral sqrt(sum_k a_k(r*ell0) r^(1-2k) M_k) dr with the
-    moments M_k of the base curve.  With each node split as r = m 4^K the
-    sum is formed in units of 2^-4K, which the square root halves exactly.
-    Raises NumericalError if the quadrature fails or the length reads 0.
+    moments M_k of the base curve.  Each term is formed as v 2^E, r = m 4^K
+    split as in `completeness.integrand` and a_k as its np.frexp pair, and
+    the sum in units of 2^top, top the even exponent of its largest term,
+    which the square root halves exactly.  Raises NumericalError if the
+    quadrature fails or the length reads 0.
     """
     if not all(math.isfinite(R) and R > 0 for R in (R_from, R_to)):
         raise ContractError(
@@ -220,18 +215,18 @@ def radial_path_length(
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf fails below
     def speed(r: np.ndarray) -> np.ndarray:
-        m, exp = np.frexp(r)
-        m, two_k = np.ldexp(m, exp % 2), exp - exp % 2  # r = m 2^two_k, m in [0.5, 2)
-        total = sum(
-            _profile(term, m * ell0, 0, two_k + e, x[k] + (3 - 2 * k) * two_k)
-            * m ** (1 - 2 * k) * mk[k]
-            for k, term in sorted(cfg.terms.items())
-        )
-        return np.ldexp(np.sqrt(total), -two_k)
+        m, two_k = _split(r)
+        terms = []
+        for k, term in sorted(cfg.terms.items()):
+            f, exp = _profile(term, m * ell0, 0, two_k + e, None)
+            terms.append((f * m ** (1 - 2 * k) * mk[k], exp + x[k] + (1 - 2 * k) * two_k))
+        top = np.max([np.where(v == 0, -(2**30), exp + np.frexp(v)[1]) for v, exp in terms], axis=0)
+        top -= top % 2
+        return np.ldexp(np.sqrt(sum(np.ldexp(v, exp - top) for v, exp in terms)), top // 2)
 
     lo, hi = min(R_from, R_to), max(R_from, R_to)
     # a_k(r * ell0) breaks where r * ell0 does.
-    breaks = np.concatenate([np.asarray(_breaks(t)) / curve_length(c0) for t in cfg.terms.values()])
+    breaks = np.concatenate([np.asarray(_breaks(t)) / np.ldexp(ell0, e) for t in cfg.terms.values()])
     try:
         pieces, errors = log_quad(speed, _edges(lo, hi, breaks))
     except FloatingPointError as exc:
@@ -458,15 +453,7 @@ def geodesic_bvp(
         opts = SolverOptions()
     if np.array_equal(c0.samples, c1.samples):
         path = CurvePath(c0.grid, np.repeat(c0.samples[None], opts.T + 1, axis=0))
-        return GeodesicResult(
-            path=path,
-            energy=0.0,
-            length=0.0,
-            iterations=0,
-            gradient_norm_final=0.0,
-            energy_trace=[0.0],
-            termination="gradient",
-        )
+        return GeodesicResult(path, 0.0, 0.0, 0, 0.0, [0.0], "gradient")
     linear = linear_path(c0, c1, opts.T)  # a degenerate segment fails here
     try:
         return _minimize(cfg, _constant_speed_start(cfg, linear), opts)

@@ -77,9 +77,7 @@ def _check_exact_identities(rng):
         shifted = DiscreteCurve(grid, c.samples + rng.standard_normal(2))
         worst = max(worst, float(np.max(np.abs(shifted.arc_speed - c.arc_speed))))
         angle = float(rng.uniform(0, 2 * np.pi))
-        rot = np.array(
-            [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
-        )
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
         rc = DiscreteCurve(grid, c.samples @ rot.T)
         rh = TangentField(grid, h.values @ rot.T)
         lhs = arc_derivative(rc, rh, 2).values
@@ -149,9 +147,7 @@ def _check_metric_algebra(rng):
         if quad < l2 * (1 - 1e-12):
             worst = max(worst, 1.0)
         angle = float(rng.uniform(0, 2 * np.pi))
-        rot = np.array(
-            [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
-        )
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
         shift = rng.standard_normal(2)
         rc = DiscreteCurve(grid, c.samples @ rot.T + shift)
         rh = TangentField(grid, h.values @ rot.T)
@@ -179,12 +175,8 @@ def _check_classifier_agreement(rng):
 
 
 def _check_completeness_reports(rng):
-    gap1 = analyze(
-        MetricConfig(2, {0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, 0.0)})
-    )
-    gap2 = analyze(
-        MetricConfig(2, {0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, 2.0)})
-    )
+    gap1 = analyze(MetricConfig(2, {0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, 0.0)}))
+    gap2 = analyze(MetricConfig(2, {0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, 2.0)}))
     suff = analyze(scale_invariant_profile(2, [1.0, 0.0, 1.0]))
     ok = (
         gap1.classification == GAP
@@ -208,9 +200,7 @@ def _check_w_function(rng):
         ok = ok and w_eval(cfg, 1.0) == 0.0
         ok = ok and w_eval(cfg, 2.0) > w_eval(cfg, 1.5)
         ok = ok and w_eval(cfg, 0.5) < 0.0
-    cfg = MetricConfig(
-        2, {0: Constant(1.0), 1: PowerLaw(1.0, -2.0), 2: PowerLaw(1.0, 3.0)}
-    )
+    cfg = MetricConfig(2, {0: Constant(1.0), 1: PowerLaw(1.0, -2.0), 2: PowerLaw(1.0, 3.0)})
     ok = ok and abs(w_eval(cfg, 1e-6)) >= 10.0 * abs(w_eval(cfg, 1e-3))
     ok = ok and abs(w_eval(cfg, 1e6)) >= 10.0 * abs(w_eval(cfg, 1e3))
     return ok, "W(1)=0, monotone, unbounded under divergence"

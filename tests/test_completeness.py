@@ -180,6 +180,17 @@ def test_w_eval_scale_invariant_is_log_at_every_decade():
         assert w_eval(cfg, r) == pytest.approx(math.log(r), rel=1e-12)
 
 
+def test_integrand_and_w_eval_far_from_the_unit_scale():
+    # a_1 = ell^2 makes the integrand r^(1/2), whose square times r^2 would
+    # overflow past r = 1e102; with a_2 = ell, W(r) = (2/3)(r^1.5 - 1) + ln r.
+    for j in range(-300, 301):
+        r = 10.0**j
+        assert integrand(PowerLaw(1.0, 2.0), 1, r) == pytest.approx(math.sqrt(r), rel=1e-13)
+    cfg = MetricConfig(2, {0: Constant(1.0), 1: PowerLaw(1.0, 2.0), 2: PowerLaw(1.0, 1.0)})
+    for r in (1e150, 1e200):
+        assert w_eval(cfg, r) == pytest.approx((2.0 / 3.0) * (r**1.5 - 1.0) + math.log(r), rel=1e-12)
+
+
 def test_w_monotone_random_profiles():
     rng = np.random.default_rng(19)
     for _ in range(50):

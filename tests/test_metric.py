@@ -17,6 +17,7 @@ from sobocurve.metric import (
     MetricConfig,
     PowerLaw,
     Tabulated,
+    _profile,
     coefficient_deriv,
     coefficient_eval,
 )
@@ -39,6 +40,17 @@ def test_power_law_tail_with_small_factor_does_not_overflow():
     # joins the exponent before the power is applied.
     assert coefficient_deriv(PowerLaw(1e-10, -2.0), 1e-105) == pytest.approx(-2e305, rel=1e-13)
     assert coefficient_eval(PowerLaw(1e-10, -3.0), 1e-105) == pytest.approx(1e305, rel=1e-13)
+
+
+def test_tail_law_near_the_float_maximum_keeps_the_digits_of_its_quotient():
+    # In power-of-two units the lengths ell * 2^1064 lie above the top knot
+    # 1e306, where ell / 1e306 ~ 1e-320 keeps only a dozen bits: the tail
+    # law (slope 1/2) must not be taken from that quotient.
+    table = Tabulated((1e300, 1e302, 1e304, 1e306), (1.0, 10.0, 100.0, 1000.0))
+    ell, shift = np.array([1e-14, 3e-14]), 1064
+    for nu, public in ((0, coefficient_eval), (1, coefficient_deriv)):
+        want = public(table, np.ldexp(ell, shift))
+        np.testing.assert_allclose(_profile(table, ell, nu, shift), want, rtol=1e-13, atol=0.0)
 
 
 def test_power_law_overflow_is_inf_and_finite_values_match_python():

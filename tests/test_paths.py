@@ -183,6 +183,17 @@ def test_radial_path_length_scale_invariant_at_every_decade():
         assert sc.radial_path_length(SI, c, R, 2.0 * R) == pytest.approx(unit, rel=1e-12)
 
 
+def test_radial_path_length_far_above_the_unit_scale_matches_closed_form():
+    # Under CFG the radial speed is sqrt(M_0 r + M_2 r^-3); from R = 1e150 on
+    # the second term is below roundoff, so the length is sqrt(M_0) (2/3)
+    # ((2R)^1.5 - R^1.5): a float, though (r * speed)^2 ~ r^3 is not.
+    c = sc.make_circle(1.0, (0, 0), sc.Grid(64))
+    m0 = sc.moments(c, 2)[0]
+    for R in (1e150, 1e200):
+        closed = np.sqrt(m0) * (2.0 / 3.0) * ((2.0 * R) ** 1.5 - R**1.5)
+        assert sc.radial_path_length(CFG, c, R, 2.0 * R) == pytest.approx(closed, rel=1e-12)
+
+
 def test_radial_path_length_tabulated_matches_knot_split_reference():
     # a_2(ell) is piecewise cubic between the knots, i.e. between r = knots / ell0.
     from scipy.integrate import quad

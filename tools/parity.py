@@ -12,8 +12,10 @@ Prints one sha256 line per group of outputs:
             counterexample cases and `verify --seed 3`;
 - library:  `coefficient_eval` and `coefficient_deriv` of ten profiles on
             lengths 1e-6 to 1e6, `analyze` of 200 seeded random metrics,
-            and `eval_metric`, `radial_path_length` and `w_eval` at scales
-            1e-100 to 1e100, the evaluators outside the solver in range.
+            `eval_metric`, `radial_path_length` and `w_eval` at scales
+            1e-100 to 1e100, and `radial_path_length` and `w_eval` under
+            a_0 = 1, a_2 = 2 out to 1e200 and 1e-200: the evaluators
+            outside the solver in range.
 
 Run it in a checkout of each tree and diff the output: a refactor that
 keeps every number keeps every line.  The script reads `bench/` and
@@ -138,6 +140,10 @@ def library_digest() -> str:
             values = [eval_metric(cfg, curve, field, field), radial_path_length(cfg, circle, s, 2.0 * s),
                       w_eval(cfg, s)]
             h.update(repr(values).encode())
+    for j in range(105, 201, 5):  # past 1e100, where a_0 = 1, a_2 = 2 still gives floats
+        s = 10.0**j
+        values = [radial_path_length(metrics[1], circle, s, 2.0 * s), w_eval(metrics[1], s), w_eval(metrics[1], 1.0 / s)]
+        h.update(repr(values).encode())
     return h.hexdigest()
 
 
