@@ -48,11 +48,18 @@ def _split(r):
 def integrand(term, k: int, r):
     """r^(1/2-k) * sqrt(a_k(r)); r > 0 is a float or an array.
 
-    With r = m 4^K and a_k(r) = f 2^E (np.frexp) the value is m^(1/2-k)
-    sqrt(f 2^(E mod 2)) 2^((1-2k) K + E // 2): no intermediate leaves the
-    float range unless the value does.
+    Plain arithmetic unless a step over- or underflows.  Then, with r = m
+    4^K and a_k(r) = f 2^E (np.frexp), it is m^(1/2-k) sqrt(f 2^(E mod 2))
+    2^((1-2k) K + E // 2): no intermediate leaves the float range unless
+    the value does.
     """
-    m, two_k = _split(_lengths(r))  # raises ContractError unless r > 0
+    r = _lengths(r)  # raises ContractError unless r > 0
+    with np.errstate(over="raise", under="raise"):
+        try:
+            return r ** (0.5 - k) * np.sqrt(_profile(term, r, 0))
+        except FloatingPointError:
+            pass
+    m, two_k = _split(r)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         f, e = _profile(term, m, 0, two_k, None)
     return np.ldexp(m ** (0.5 - k) * np.sqrt(np.ldexp(f, e % 2)), (1 - 2 * k) * two_k // 2 + e // 2)

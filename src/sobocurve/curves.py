@@ -82,7 +82,7 @@ def _arc_jet(grid: Grid, samples: np.ndarray, field=None, n: int = 0):
     vanishes.
     """
     dc = derivative(samples, grid, axis=-2)
-    big = np.maximum(dc.max(axis=(-2, -1)), -dc.min(axis=(-2, -1)))  # no temporary
+    big = np.abs(dc).max(axis=(-2, -1))
     if not (big < np.inf).all():  # samples within 16x of the float maximum overflow
         raise NumericalError("curve differences d samples/dtheta are not finite floats")
     e = np.frexp(big)[1]  # 0 for an all-zero curve

@@ -164,28 +164,26 @@ def _law(knot: float, law: PowerLaw | Constant, ell: np.ndarray, nu: int, shift)
     the value is plain arithmetic and n = 0.  Elsewhere the length, knot
     and factor are split into mantissas and powers of two, n collecting
     the latter: exact for integral p, else good to 1e-16 |p log2(ell /
-    knot)|, for |p| below about 1000.
+    knot)|, for |p| below about 1000.  Callers set np.errstate as for `_profile`.
     """
     factor = law.b if nu == 0 else law.b * law.p
     if factor == 0.0:
         return np.zeros(ell.shape), 0
     q = law.p - nu
-    quot = ell if knot == 1.0 else ell / knot  # a subnormal quotient has lost digits
+    with np.errstate(over="raise", under="raise"):  # flags a step that loses digits
+        try:
+            return factor * np.ldexp(ell if knot == 1.0 else ell / knot, shift) ** q / knot**nu, 0
+        except FloatingPointError:
+            pass
+    quot = ell / knot
     ratio = np.ldexp(quot, shift)
-    value = factor * ratio**q
-    if nu:
-        value = value / knot
-    parts = (abs(value) if nu else value, ratio) + (() if knot == 1.0 else (quot,))
-    if all(a.min(initial=math.inf) >= _TINY and a.max(initial=0.0) < math.inf for a in parts):
-        return value, 0
-    redo = ~np.logical_and.reduce([(a >= _TINY) & (a < math.inf) for a in parts])
-    value, n = np.array(value), np.zeros(ell.shape, dtype=int)  # writable, also for 0-d lengths
-    (m, e), (mk, ek), (mf, ef) = np.frexp(ell[redo]), math.frexp(knot), math.frexp(factor)
-    y = q * (e + np.broadcast_to(shift, ell.shape)[redo] - ek)
+    plain = factor * ratio**q / knot**nu
+    ok = np.logical_and.reduce([(a >= _TINY) & (a < math.inf) for a in (abs(plain), ratio, quot)])
+    (m, e), (mk, ek), (mf, ef) = np.frexp(ell), math.frexp(knot), math.frexp(factor)
+    y = q * (e + shift - ek)
     power = np.clip(np.rint(y), -9999, 9999)  # beyond it the value is 0 or inf
-    value[redo] = mf * (m / mk) ** q * np.exp2(y - power) / mk**nu
-    n[redo] = power.astype(int) + (ef - nu * ek)
-    return value, n
+    mantissa = mf * (m / mk) ** q * np.exp2(y - power) / mk**nu
+    return np.where(ok, plain, mantissa), np.where(ok, 0, power.astype(int) + (ef - nu * ek))
 
 
 def _pchip(term: Tabulated, ell, nu: int):
@@ -215,15 +213,15 @@ def _profile(term: CoefficientTerm, ell, nu: int, shift=0, x=0):
     if not isinstance(term, Tabulated):
         v, n = _law(*_end_law(term, "zero"), ell, nu, shift)
     else:
-        shift = np.broadcast_to(shift, ell.shape)
         true = np.ldexp(ell, shift)  # 0 or inf beyond the float range: a tail
         low, high = true < term._knots[0], true > term._knots[-1]
         inside = ~(low | high)
-        v, n = np.empty(ell.shape), np.zeros(ell.shape, dtype=int)
+        v, n = np.empty(ell.shape), np.zeros(ell.shape, dtype=np.intc)
         v[inside] = _pchip(term, true[inside], nu)  # no cubic far outside its knots: no overflow
         for mask, end in ((low, "zero"), (high, "infinity")):
             if mask.any():
-                v[mask], n[mask] = _law(*_end_law(term, end), ell[mask], nu, shift[mask])
+                at = shift[mask] if np.ndim(shift) else shift
+                v[mask], n[mask] = _law(*_end_law(term, end), ell[mask], nu, at)
     if x is None:
         f, e = np.frexp(v)
         return f, e + n
@@ -319,7 +317,8 @@ def _form(cfg: MetricConfig, grid, samples, h, g=None, unit: int = 0):
 
     `samples` and the fields h and g (default h), which broadcast against
     it, are in units of 2^unit.  `_arc_jet` divides each curve by 2^e and
-    each field is divided by 2^e_h, e_h the exponent of its largest entry,
+    each field is divided by 2^e_h, e_h the exponent of its largest entry
+    (in place: a caller passing h alone passes an array of its own),
     so Q_k comes out as Q_k / 2^x_k, x_k = e_h + e_g + (1 - 2k) e + (3 - 2k)
     unit, and the terms a_k(ell) 2^x_k (`_profile`) times it are summed in
     true units: bit for bit plain arithmetic wherever that stays normal.
@@ -330,7 +329,7 @@ def _form(cfg: MetricConfig, grid, samples, h, g=None, unit: int = 0):
     eh = np.frexp(np.abs(fields).max(axis=(-2, -1)))[1]
     # Overflow or 0 * inf shows as a non-finite value, reported below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        e, s, lengths, u = _arc_jet(grid, samples, np.ldexp(fields, -eh[..., None, None]), cfg.n)
+        e, s, lengths, u = _arc_jet(grid, samples, np.ldexp(fields, -eh[..., None, None], out=fields), cfg.n)
         uh, ug = (u, u) if g is None else ([uk[0] for uk in u], [uk[1] for uk in u])
         shift = e + unit  # the exponent of each curve's true unit
         eh_sum = 2 * eh if g is None else eh[0] + eh[1]

@@ -199,10 +199,11 @@ def radial_path_length(
     """Length of the scaling path r*c0, r from R_from to R_to.
 
     Closed form: integral sqrt(sum_k a_k(r*ell0) r^(1-2k) M_k) dr with the
-    moments M_k of the base curve.  Each term is formed as v 2^E, r = m 4^K
-    split as in `completeness.integrand` and a_k as its np.frexp pair, and
-    the sum in units of 2^top, top the even exponent of its largest term,
-    which the square root halves exactly.  Raises NumericalError if the
+    moments M_k of the base curve, in plain arithmetic unless a step over-
+    or underflows.  Then each term is formed as v 2^E, r = m 4^K split as
+    in `completeness.integrand` and a_k as its np.frexp pair, and the sum
+    in units of 2^top, top the even exponent of its largest term, which
+    the square root halves exactly.  Raises NumericalError if the
     quadrature fails or the length reads 0.
     """
     if not all(math.isfinite(R) and R > 0 for R in (R_from, R_to)):
@@ -215,14 +216,21 @@ def radial_path_length(
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf fails below
     def speed(r: np.ndarray) -> np.ndarray:
+        terms = sorted(cfg.terms.items())
+        with np.errstate(over="raise", under="raise"):
+            try:
+                return np.sqrt(sum(_profile(term, r * ell0, 0, e, x[k]) * r ** (1 - 2 * k) * mk[k]
+                                   for k, term in terms))
+            except FloatingPointError:
+                pass
         m, two_k = _split(r)
-        terms = []
-        for k, term in sorted(cfg.terms.items()):
+        parts = []
+        for k, term in terms:
             f, exp = _profile(term, m * ell0, 0, two_k + e, None)
-            terms.append((f * m ** (1 - 2 * k) * mk[k], exp + x[k] + (1 - 2 * k) * two_k))
-        top = np.max([np.where(v == 0, -(2**30), exp + np.frexp(v)[1]) for v, exp in terms], axis=0)
+            parts.append((f * m ** (1 - 2 * k) * mk[k], exp + x[k] + (1 - 2 * k) * two_k))
+        top = np.max([np.where(v == 0, -(2**30), exp + np.frexp(v)[1]) for v, exp in parts], axis=0)
         top -= top % 2
-        return np.ldexp(np.sqrt(sum(np.ldexp(v, exp - top) for v, exp in terms)), top // 2)
+        return np.ldexp(np.sqrt(sum(np.ldexp(v, exp - top) for v, exp in parts)), top // 2)
 
     lo, hi = min(R_from, R_to), max(R_from, R_to)
     # a_k(r * ell0) breaks where r * ell0 does.
