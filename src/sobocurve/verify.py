@@ -178,15 +178,8 @@ def _check_completeness_reports(rng):
     gap1 = analyze(MetricConfig(2, {0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, 0.0)}))
     gap2 = analyze(MetricConfig(2, {0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, 2.0)}))
     suff = analyze(scale_invariant_profile(2, [1.0, 0.0, 1.0]))
-    ok = (
-        gap1.classification == GAP
-        and gap1.condition_I0 is True
-        and gap1.condition_Iinf is False
-        and gap2.classification == GAP
-        and gap2.condition_Iinf is True
-        and gap2.condition_I0 is False
-        and suff.classification == SUFFICIENT
-    )
+    got = [(r.classification, r.condition_I0, r.condition_Iinf) for r in (gap1, gap2)]
+    ok = got == [(GAP, True, False), (GAP, False, True)] and suff.classification == SUFFICIENT
     return ok, "gap/gap/sufficient classifications"
 
 
