@@ -160,11 +160,12 @@ def _law(knot: float, law: PowerLaw | Constant, ell: np.ndarray, nu: int, shift)
     """(v, n), v 2^n the d^nu/d ell^nu of law.b * (ell / knot)**law.p at the lengths ell * 2^shift.
 
     A zero factor (b, or b * p for nu = 1) gives zeros, never 0 * inf.
-    Where ell / knot, ell 2^shift / knot and the value are normal floats
-    the value is plain arithmetic and n = 0.  Elsewhere the length, knot
-    and factor are split into mantissas and powers of two, n collecting
+    Unless a plain step over- or underflows (the floating-point flags
+    tell), the value is plain arithmetic, n = 0.  Otherwise entries with
+    normal ell / knot, ell 2^shift / knot and value keep it; the rest split
+    length, knot and factor into mantissas and powers of two, n collecting
     the latter: exact for integral p, else good to 1e-16 |p log2(ell /
-    knot)|, for |p| below about 1000.  Callers set np.errstate as for `_profile`.
+    knot)| for |p| below about 1000.  Callers set np.errstate as for `_profile`.
     """
     factor = law.b if nu == 0 else law.b * law.p
     if factor == 0.0:

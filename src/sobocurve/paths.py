@@ -200,11 +200,10 @@ def radial_path_length(
 
     Closed form: integral sqrt(sum_k a_k(r*ell0) r^(1-2k) M_k) dr with the
     moments M_k of the base curve, in plain arithmetic unless a step over-
-    or underflows.  Then each term is formed as v 2^E, r = m 4^K split as
-    in `completeness.integrand` and a_k as its np.frexp pair, and the sum
-    in units of 2^top, top the even exponent of its largest term, which
-    the square root halves exactly.  Raises NumericalError if the
-    quadrature fails or the length reads 0.
+    or underflows; then as terms v 2^E (r = m 4^K as in `completeness.integrand`,
+    a_k its np.frexp pair) summed in units of the even exponent of the
+    largest, which the square root halves exactly.  Raises NumericalError
+    if the quadrature fails or the length reads 0.
     """
     if not all(math.isfinite(R) and R > 0 for R in (R_from, R_to)):
         raise ContractError(
