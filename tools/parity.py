@@ -130,7 +130,8 @@ def library_digest() -> str:
     for _ in range(200):
         h.update(json.dumps(analyze(_random_metric(rng)).to_dict(), sort_keys=True).encode())
     grid = Grid(64)
-    metrics = [scale_invariant_profile(2, [1.0, 0.0, 1.0]), MetricConfig(2, {0: Constant(1.0), 2: Constant(2.0)})]
+    metrics = [scale_invariant_profile(2, [1.0, 0.0, 1.0]),
+               MetricConfig(2, {0: Constant(1.0), 2: Constant(2.0)})]
     c, f = random_curve(grid, rng), random_field(grid, rng)
     circle = make_circle(1.0, (0, 0), grid)
     for cfg in metrics:
@@ -142,7 +143,8 @@ def library_digest() -> str:
             h.update(repr(values).encode())
     for j in range(105, 201, 5):  # past 1e100, where a_0 = 1, a_2 = 2 still gives floats
         s = 10.0**j
-        values = [radial_path_length(metrics[1], circle, s, 2.0 * s), w_eval(metrics[1], s), w_eval(metrics[1], 1.0 / s)]
+        values = [radial_path_length(metrics[1], circle, s, 2.0 * s), w_eval(metrics[1], s),
+                  w_eval(metrics[1], 1.0 / s)]
         h.update(repr(values).encode())
     return h.hexdigest()
 
