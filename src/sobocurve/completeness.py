@@ -14,6 +14,11 @@ are that law everywhere and are classified symbolically; a tabulated
 profile is its fitted tail law beyond each end knot, so each end is
 classified by the same rule, and a convergent end's value adds the
 closed-form tail integral and a quadrature between the knot and r = 1.
+
+These integrals, W and the length of the scaling path r*c
+(paths.radial_path_length) all integrate one speed per unit of ln r,
+_radial_speed; each fails only where that speed at a quadrature node,
+or the integral itself, is not a float.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .metric import MetricConfig, PowerLaw, Tabulated, _end_law, _lengths, _profile, coefficient_eval
+from .metric import MetricConfig, PowerLaw, Tabulated, _end_law, _profile
 
 DIVERGENT = "divergent"
 CONVERGENT = "convergent"
@@ -39,30 +44,32 @@ CRITICAL_TOL = 1e-12
 GL_POINTS = 32
 
 
-def _split(r):
-    """r = m 4^K as (m, 2K), m in [0.5, 2): a square root halves 4^K exactly."""
-    m, e = np.frexp(r)
-    return np.ldexp(m, e % 2), e - e % 2
+def _radial_speed(r, terms, e: int = 0, ell: float = 1.0):
+    """g(r) = sqrt(sum a_k(r ell 2^e) r^(3-2k) M_k 2^x_k) over terms (k, a_k, M_k, x_k).
 
-
-def integrand(term, k: int, r):
-    """r^(1/2-k) * sqrt(a_k(r)); r > 0 is a float or an array.
-
-    Plain arithmetic unless a step over- or underflows.  Then, with r = m
-    4^K and a_k(r) = f 2^E (np.frexp), it is m^(1/2-k) sqrt(f 2^(E mod 2))
-    2^((1-2k) K + E // 2): no intermediate leaves the float range unless
-    the value does.
+    r > 0 is a NumPy float or array.  g is the speed per unit of ln r of
+    the scaling path r*c, for a curve c of length ell 2^e and moments
+    M_k 2^x_k; for one term with ell = M_k = 1 it is r times the integrand
+    r^(1/2-k) sqrt(a_k(r)) of I_0k, I_infk and W.  Plain arithmetic unless a step over- or underflows.  Then, with
+    r = m 2^E and each a_k as its np.frexp pair, the terms are summed in
+    units of the even exponent of the largest, which the square root
+    halves exactly: g is inf or 0 only where it is itself not a float.
     """
-    r = _lengths(r)  # raises ContractError unless r > 0
     with np.errstate(over="raise", under="raise"):
         try:
-            return r ** (0.5 - k) * np.sqrt(_profile(term, r, 0))
+            return np.sqrt(sum(_profile(a, r * ell, 0, e, x) * r ** (3 - 2 * k) * mk
+                               for k, a, mk, x in terms))
         except FloatingPointError:
             pass
-    m, two_k = _split(r)
+    m, er = np.frexp(r)
+    parts = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        f, e = _profile(term, m, 0, two_k, None)
-    return np.ldexp(m ** (0.5 - k) * np.sqrt(np.ldexp(f, e % 2)), (1 - 2 * k) * two_k // 2 + e // 2)
+        for k, a, mk, x in terms:
+            f, n = _profile(a, m * ell, 0, er + e, None)
+            parts.append((f * m ** (3 - 2 * k) * mk, n + x + (3 - 2 * k) * er))
+        top = np.max([np.where(v == 0, -(2**30), n + np.frexp(v)[1]) for v, n in parts], axis=0)
+        top -= top % 2
+        return np.ldexp(np.sqrt(sum(np.ldexp(v, n - top) for v, n in parts)), top // 2)
 
 
 @functools.cache
@@ -74,15 +81,15 @@ def _gauss_legendre():
 
 
 def log_quad(f, edges):
-    """Integrate f(r) dr over each piece [edges[i], edges[i+1]] of 0 < edges ascending.
+    """Integrate f(r) d(ln r) over each piece [edges[i], edges[i+1]] of 0 < edges ascending.
 
     Gauss-Legendre in x = ln r, where a power law r^e becomes the smooth
-    exp((e+1)x), so one decade needs no adaptivity.  f is called once, on
-    an array of every node, under np.errstate(over="raise",
-    invalid="raise"); a value that is not finite raises FloatingPointError
-    too.  Each piece is integrated whole and as two halves; returns (the
-    halves' sums, |halves - whole|) as arrays, one entry per piece, the
-    second an error estimate.
+    exp(e x), so one decade needs no adaptivity.  f is called once, on an
+    array of every node, under np.errstate(over="raise", invalid="raise");
+    a value that is not finite raises FloatingPointError too.  Each piece
+    is integrated whole and as two halves; returns (the halves' sums,
+    |halves - whole|) as arrays, one entry per piece, the second an error
+    estimate.
     """
     x, w = _gauss_legendre()
     t = np.log(np.asarray(edges, dtype=float))
@@ -93,9 +100,8 @@ def log_quad(f, edges):
     nodes = np.concatenate(
         [mid + half * x, a + quarter * (1.0 + x), mid + quarter * (1.0 + x)], axis=1
     )
-    r = np.exp(nodes)
     with np.errstate(over="raise", invalid="raise"):
-        g = f(r) * r  # dr = r dx
+        g = f(np.exp(nodes))
     if not np.isfinite(g).all():
         raise FloatingPointError("integrand is not finite")
     n = x.size
@@ -104,16 +110,19 @@ def log_quad(f, edges):
     return halves, np.abs(halves - whole)
 
 
-def _edges(lo: float, hi: float, breaks=()) -> np.ndarray:
-    """lo, hi and every power of ten and break point strictly between them, ascending."""
+def _radial_integral(terms, lo: float, hi: float, e: int = 0, ell: float = 1.0) -> tuple:
+    """(value, error estimate) of integral_lo^hi _radial_speed d(ln r), as floats.
+
+    One log_quad over pieces split at every power of ten and at every r
+    where r ell 2^e is the knot of a tabulated a_k.
+    """
+    size = np.ldexp(ell, e)
+    knots = [np.asarray(a.knots) / size for _, a, _, _ in terms if isinstance(a, Tabulated)]
     decades = 10.0 ** np.arange(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)
-    inner = np.concatenate([decades, np.asarray(breaks, dtype=float)])
-    return np.unique(np.concatenate([[lo], inner[(inner > lo) & (inner < hi)], [hi]]))
-
-
-def _breaks(term) -> tuple:
-    """Where a profile is not smooth: a Tabulated profile's knots."""
-    return term.knots if isinstance(term, Tabulated) else ()
+    inner = np.concatenate([decades, *knots])
+    edges = np.unique(np.concatenate([[lo], inner[(inner > lo) & (inner < hi)], [hi]]))
+    pieces, errors = log_quad(lambda r: _radial_speed(r, terms, e, ell), edges)
+    return float(pieces.sum()), float(errors.sum())
 
 
 @dataclass(frozen=True)
@@ -172,16 +181,13 @@ def numeric_integral_evidence(term, k: int, end: str) -> IntegralVerdict:
     if abs(e + 1.0) <= CRITICAL_TOL or (e + 1.0 < 0.0) == (end == "zero"):
         return IntegralVerdict(DIVERGENT, "numeric_evidence", value=math.inf, evidence=evidence)
     c = min(knot, 1.0) if end == "zero" else max(knot, 1.0)
+    terms = [(k, term, 1.0, 0)]
+    # Over (0, c] or [c, inf) the integrand is (g(c) / c) (r / c)^e, g = _radial_speed.
+    value, error = float(_radial_speed(np.float64(c), terms)) / abs(e + 1.0), 0.0
     try:
-        # Over (0, c] or [c, inf) the integrand is f(c) (r / c)^e.
-        with np.errstate(over="raise"):
-            value = c ** (1.5 - k) * math.sqrt(coefficient_eval(law, c / knot)) / abs(e + 1.0)
-        error = 0.0
         if c != 1.0:  # the stretch between the end knot and r = 1
-            edges = _edges(min(c, 1.0), max(c, 1.0), _breaks(term))
-            pieces, errors = log_quad(lambda r: integrand(term, k, r), edges)
-            value += float(pieces.sum())
-            error = float(errors.sum())
+            stretch, error = _radial_integral(terms, min(c, 1.0), max(c, 1.0))
+            value += stretch
         if not math.isfinite(value):
             raise OverflowError(f"integral overflows: {value}")
     except ArithmeticError as exc:  # overflow
@@ -273,14 +279,9 @@ def w_eval(cfg: MetricConfig, r: float) -> float:
     if r == 1.0:
         return 0.0
     lo, hi = sorted((1.0, r))
-    total = 0.0
-    for k in range(1, cfg.n + 1):
-        term = cfg.terms.get(k)
-        if term is None:
-            continue
-        try:
-            pieces, _ = log_quad(lambda rho: integrand(term, k, rho), _edges(lo, hi, _breaks(term)))
-        except FloatingPointError as exc:
-            raise NumericalError(f"W quadrature failed on [{lo}, {hi}]: {exc}") from exc
-        total += float(pieces.sum())
+    try:
+        total = sum(_radial_integral([(k, term, 1.0, 0)], lo, hi)[0]
+                    for k, term in sorted(cfg.terms.items()) if k >= 1)
+    except FloatingPointError as exc:
+        raise NumericalError(f"W quadrature failed on [{lo}, {hi}]: {exc}") from exc
     return total if r > 1.0 else -total

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Grid, _arc_jet, curve_length, derivative, make_bumpy_circle
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, _require_int
 from .metric import MetricConfig, PowerLaw, _form
 
 GROW = "grow"
@@ -58,6 +58,8 @@ class CounterexampleParams:
                 raise ContractError(f"{name} must be finite, got {value}")
         if not (0.0 < self.eps < 1.0 / 3.0):
             raise ContractError(f"eps must lie in (0, 1/3), got {self.eps}")
+        for name in ("lambda0", "b", "n_max"):
+            _require_int(name, getattr(self, name))
         if self.lambda0 <= 2 or self.b <= 1:
             raise ContractError("need integer lambda0 > 2 and b > 1")
         if self.n_max < 1:

@@ -41,8 +41,8 @@ from .curves import (
     curve_to_dict,
     derivative,
 )
-from .completeness import _breaks, _edges, _split, log_quad
-from .errors import ContractError, ImmersionError, NumericalError
+from .completeness import _radial_integral
+from .errors import ContractError, ImmersionError, NumericalError, _require_int
 from .metric import MetricConfig, _form, _profile, _q_form
 
 
@@ -101,6 +101,8 @@ class SolverOptions:
     T: int = 32
 
     def __post_init__(self):
+        _require_int("max_iters", self.max_iters)
+        _require_int("T", self.T)
         if self.max_iters < 1:
             raise ContractError("max_iters must be >= 1")
         if not 0 < self.gap_tol < math.inf:
@@ -138,6 +140,7 @@ def linear_path(c0: DiscreteCurve, c1: DiscreteCurve, T: int) -> CurvePath:
             f"endpoint curves live in different dimensions: d={c0.samples.shape[1]} "
             f"and d={c1.samples.shape[1]}"
         )
+    _require_int("T", T)
     if T < 1:
         raise ContractError("T must be >= 1")
     t = (np.arange(T + 1) / T)[:, None, None]
@@ -199,11 +202,10 @@ def radial_path_length(
     """Length of the scaling path r*c0, r from R_from to R_to.
 
     Closed form: integral sqrt(sum_k a_k(r*ell0) r^(1-2k) M_k) dr with the
-    moments M_k of the base curve, in plain arithmetic unless a step over-
-    or underflows; then as terms v 2^E (r = m 4^K as in `completeness.integrand`,
-    a_k its np.frexp pair) summed in units of the even exponent of the
-    largest, which the square root halves exactly.  Raises NumericalError
-    if the quadrature fails or the length reads 0.
+    moments M_k of the base curve, integrated per unit of ln r by
+    `completeness._radial_integral`, which fails only where that speed
+    times r is not a float at a quadrature node.  Raises NumericalError if
+    the quadrature fails or the length reads 0.
     """
     if not all(math.isfinite(R) and R > 0 for R in (R_from, R_to)):
         raise ContractError(
@@ -212,33 +214,12 @@ def radial_path_length(
     if R_from == R_to:
         return 0.0
     e, ell0, mk, x = _moments(c0, cfg.n)
-
-    @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf fails below
-    def speed(r: np.ndarray) -> np.ndarray:
-        terms = sorted(cfg.terms.items())
-        with np.errstate(over="raise", under="raise"):
-            try:
-                return np.sqrt(sum(_profile(term, r * ell0, 0, e, x[k]) * r ** (1 - 2 * k) * mk[k]
-                                   for k, term in terms))
-            except FloatingPointError:
-                pass
-        m, two_k = _split(r)
-        parts = []
-        for k, term in terms:
-            f, exp = _profile(term, m * ell0, 0, two_k + e, None)
-            parts.append((f * m ** (1 - 2 * k) * mk[k], exp + x[k] + (1 - 2 * k) * two_k))
-        top = np.max([np.where(v == 0, -(2**30), exp + np.frexp(v)[1]) for v, exp in parts], axis=0)
-        top -= top % 2
-        return np.ldexp(np.sqrt(sum(np.ldexp(v, exp - top) for v, exp in parts)), top // 2)
-
+    terms = [(k, term, mk[k], x[k]) for k, term in sorted(cfg.terms.items())]
     lo, hi = min(R_from, R_to), max(R_from, R_to)
-    # a_k(r * ell0) breaks where r * ell0 does.
-    breaks = np.concatenate([np.asarray(_breaks(t)) / np.ldexp(ell0, e) for t in cfg.terms.values()])
     try:
-        pieces, errors = log_quad(speed, _edges(lo, hi, breaks))
+        value, err = _radial_integral(terms, lo, hi, e, ell0)
     except FloatingPointError as exc:
         raise NumericalError(f"radial length quadrature failed on [{lo}, {hi}]: {exc}") from exc
-    value, err = float(pieces.sum()), float(errors.sum())
     if not 0.0 < value < math.inf or err > 1e-4 * max(1.0, value):
         raise NumericalError(
             f"radial length quadrature failed on [{lo}, {hi}] (value={value}, err={err})"

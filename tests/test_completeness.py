@@ -16,24 +16,28 @@ from sobocurve.completeness import (
     INCONCLUSIVE,
     NECESSARY_FAIL,
     SUFFICIENT,
-    integrand,
+    _radial_speed,
     log_quad,
     w_eval,
 )
 from sobocurve.errors import ContractError
-from sobocurve.metric import Constant, MetricConfig, PowerLaw, Tabulated
+from sobocurve.metric import Constant, MetricConfig, PowerLaw, Tabulated, coefficient_eval
 
 
 def two_term(q, p):
     return MetricConfig(2, {0: PowerLaw(1.0, q), 2: PowerLaw(1.0, p)})
 
 
+def speed(term, k, r):
+    """The integrand per unit of ln r, r^(3/2-k) sqrt(a_k(r)), at one r."""
+    return float(_radial_speed(np.float64(r), [(k, term, 1.0, 0)]))
+
+
 def test_integrand_closed_forms():
-    assert integrand(PowerLaw(1.0, -3.0), 0, 4.0) == pytest.approx(0.25, rel=1e-12)
-    assert integrand(Constant(1.0), 2, 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert integrand(Constant(0.0), 1, 3.0) == 0.0
-    with pytest.raises(ContractError):
-        integrand(Constant(1.0), 0, 0.0)
+    assert speed(PowerLaw(1.0, -3.0), 0, 4.0) == pytest.approx(1.0, rel=1e-12)
+    assert speed(Constant(1.0), 2, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert speed(Constant(4.0), 1, 9.0) == pytest.approx(6.0, rel=1e-12)
+    assert speed(Constant(0.0), 1, 3.0) == 0.0
 
 
 def test_classify_power_law_table():
@@ -181,14 +185,23 @@ def test_w_eval_scale_invariant_is_log_at_every_decade():
 
 
 def test_integrand_and_w_eval_far_from_the_unit_scale():
-    # a_1 = ell^2 makes the integrand r^(1/2), whose square times r^2 would
-    # overflow past r = 1e102; with a_2 = ell, W(r) = (2/3)(r^1.5 - 1) + ln r.
+    # a_2 = ell^3 makes the integrand per unit of ln r sqrt(r^3 r^-1) = r,
+    # though r^3 leaves the float range past r = 1e103 and below 1e-103;
+    # with a_1 = ell^2 and a_2 = ell, W(r) = (2/3)(r^1.5 - 1) + ln r.
     for j in range(-300, 301):
         r = 10.0**j
-        assert integrand(PowerLaw(1.0, 2.0), 1, r) == pytest.approx(math.sqrt(r), rel=1e-13)
+        assert speed(PowerLaw(1.0, 3.0), 2, r) == pytest.approx(r, rel=1e-13)
     cfg = MetricConfig(2, {0: Constant(1.0), 1: PowerLaw(1.0, 2.0), 2: PowerLaw(1.0, 1.0)})
     for r in (1e150, 1e200):
         assert w_eval(cfg, r) == pytest.approx((2.0 / 3.0) * (r**1.5 - 1.0) + math.log(r), rel=1e-12)
+
+
+def test_w_eval_far_below_the_unit_scale():
+    # Under a_0 = a_2 = 1, W(r) = -2 (r^-1/2 - 1): a float at r = 1e-300,
+    # though the integrand r^-3/2 is not; its value per unit of ln r is.
+    cfg = MetricConfig(2, {0: Constant(1.0), 2: Constant(1.0)})
+    r = 1e-300
+    assert w_eval(cfg, r) == pytest.approx(-2.0 * (r**-0.5 - 1.0), rel=1e-13)
 
 
 def test_w_monotone_random_profiles():
@@ -215,30 +228,45 @@ def test_w_unbounded_under_divergence():
 
 
 def test_numeric_evidence_overflow_is_inconclusive():
-    # The lower tail ~ ell^3.01 converges at k = 3, but the integrand
-    # overflows on the stretch from the knot at 1e-200 up to r = 1.
-    table = Tabulated((1e-200, 1e-100, 1e-50, 1.0), (1e-300, 10.0, 20.0, 30.0))
-    v = sc.numeric_integral_evidence(table, 3, "zero")
+    # The lower tail ~ ell^8 converges at k = 5 and its value at the knot
+    # 1e-100 is a float, but the integral over the stretch up to r = 1 is
+    # not: per unit of ln r the integrand reaches 1e309 at r = 1e-98.
+    table = Tabulated((1e-100, 1e-99, 1e-98, 1.0), (1e-84, 1e-76, 1e-68, 1.0))
+    v = sc.numeric_integral_evidence(table, 5, "zero")
     assert v.verdict == INCONCLUSIVE and "error" in v.evidence
 
 
 def test_numeric_evidence_tail_overflow_is_inconclusive_without_warning():
-    # The lower tail ~ ell^-2 converges at k = 0, but its value at r = 1,
-    # 200 decades below the end knot, overflows.
-    table = Tabulated((1e200, 2e200, 4e200, 8e200), (1.0, 1 / 4, 1 / 16, 1 / 64))
+    # The lower tail ~ ell^-2.5 converges at k = 0, but its integral up to
+    # r = 1, 250 decades below the end knot, is about 1e313.
+    j = np.arange(4)
+    table = Tabulated(tuple(1e250 * 2.0**j), tuple(2.0 ** (-2.5 * j)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = sc.numeric_integral_evidence(table, 0, "zero")
     assert v.verdict == INCONCLUSIVE and "overflow" in v.evidence["error"]
 
 
+def test_numeric_evidence_tail_converges_where_only_the_integrand_overflows():
+    # The lower tail ~ ell^-2 converges at k = 0 to 2 sqrt(a_0(1)) = 2e200
+    # over (0, 1]: a_0(1) = 1e400 is not a float, the value is.
+    table = Tabulated((1e200, 2e200, 4e200, 8e200), (1.0, 1 / 4, 1 / 16, 1 / 64))
+    v = sc.numeric_integral_evidence(table, 0, "zero")
+    assert v.verdict == CONVERGENT
+    assert v.value == pytest.approx(2e200, rel=1e-10)
+
+
 def test_numeric_evidence_propagates_unrelated_errors(monkeypatch):
     import sobocurve.completeness as completeness
 
-    def broken(term, k, r):
-        raise TypeError("not a quadrature failure")
+    real = completeness._radial_speed
 
-    monkeypatch.setattr(completeness, "integrand", broken)
+    def broken(r, *args):
+        if np.ndim(r):  # the quadrature's nodes, not the tail's one point
+            raise TypeError("not a quadrature failure")
+        return real(r, *args)
+
+    monkeypatch.setattr(completeness, "_radial_speed", broken)
     knots = np.geomspace(0.25, 4.0, 8)
     table = Tabulated(tuple(knots), tuple(knots**2.5))
     with pytest.raises(TypeError, match="not a quadrature failure"):
@@ -250,9 +278,9 @@ def test_log_quad_power_law_decades_exact(e):
     edges = 10.0 ** np.arange(-8, 9)
     calls = []
 
-    def f(r):
+    def f(r):  # integrated per unit of ln r: r^e dr
         calls.append(r.shape)
-        return r**e
+        return r ** (e + 1.0)
 
     pieces, errors = log_quad(f, edges)
     lo = edges[:-1]
@@ -266,7 +294,11 @@ def test_log_quad_power_law_decades_exact(e):
 
 
 def knot_split_reference(term, k, lo, hi):
-    """integral_lo^hi of the integrand by adaptive quad in ln r, split at decades and knots."""
+    """integral_lo^hi r^(1/2-k) sqrt(a_k(r)) dr by adaptive quad in ln r.
+
+    The integrand per unit of ln r, r^(3/2-k) sqrt(a_k(r)), comes from the
+    public coefficient_eval; the pieces split at decades and knots.
+    """
     from scipy.integrate import quad
 
     points = {lo, hi} | {10.0**m for m in range(-20, 21) if lo < 10.0**m < hi}
@@ -275,7 +307,7 @@ def knot_split_reference(term, k, lo, hi):
     total = 0.0
     for a, b in zip(points[:-1], points[1:]):
         piece, _ = quad(
-            lambda x: math.exp(x) * integrand(term, k, math.exp(x)),
+            lambda x: math.exp((1.5 - k) * x) * math.sqrt(coefficient_eval(term, math.exp(x))),
             math.log(a), math.log(b), epsrel=1e-13, epsabs=0.0, limit=200,
         )
         total += piece

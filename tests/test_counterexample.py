@@ -52,6 +52,15 @@ def test_param_validation():
         CounterexampleParams(case="grow", p=0.0, alpha=10.0, n_max=6)
 
 
+@pytest.mark.parametrize("name, bad", [("lambda0", 3.5), ("b", 2.5), ("n_max", 2.5),
+                                       ("lambda0", 3.0), ("b", True), ("n_max", "2")])
+def test_params_reject_non_integer_counts(name, bad):
+    # lambda0 = 3.5 or b = 2.5 used to fail in grid() with AttributeError.
+    kwargs = {"case": "grow", "p": 0.0, "alpha": 10.0, "n_max": 2, name: bad}
+    with pytest.raises(ContractError, match=f"^{name} must be an integer"):
+        CounterexampleParams(**kwargs)
+
+
 @pytest.mark.parametrize("name", ["p", "alpha"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_params_reject_non_finite_exponents(name, bad):

@@ -84,6 +84,23 @@ def test_solver_options_reject_bad_gap_tol(gap_tol):
         sc.SolverOptions(gap_tol=gap_tol)
 
 
+@pytest.mark.parametrize("name", ["T", "max_iters"])
+@pytest.mark.parametrize("bad", [4.5, 4.0, True, "4"])
+def test_solver_options_and_linear_path_reject_non_integer_counts(name, bad):
+    # T = 4.5 used to give a 5-interval path that missed c1 by 0.089.
+    with pytest.raises(ContractError, match=f"^{name} must be an integer"):
+        sc.SolverOptions(**{name: bad})
+    if name == "T":
+        c0 = sc.make_circle(1.0, (0, 0), sc.Grid(32))
+        with pytest.raises(ContractError, match="^T must be an integer"):
+            sc.linear_path(c0, sc.make_circle(1.7, (0.1, 0), sc.Grid(32)), bad)
+
+
+def test_solver_options_accept_numpy_integers():
+    opts = sc.SolverOptions(max_iters=np.int64(7), T=np.int32(4))
+    assert (opts.max_iters, opts.T) == (7, 4)
+
+
 def test_path_dict_grid_holds_only_N():
     c0, c1 = circle_pair(64)
     data = path_to_dict(sc.linear_path(c0, c1, 4))
@@ -192,6 +209,17 @@ def test_radial_path_length_far_above_the_unit_scale_matches_closed_form():
     for R in (1e150, 1e200):
         closed = np.sqrt(m0) * (2.0 / 3.0) * ((2.0 * R) ** 1.5 - R**1.5)
         assert sc.radial_path_length(CFG, c, R, 2.0 * R) == pytest.approx(closed, rel=1e-12)
+
+
+def test_radial_path_length_far_below_the_unit_scale_matches_closed_form():
+    # From R = 1e-300 the radial speed is sqrt(M_2) r^-3/2 to roundoff, so the
+    # length is 2 sqrt(M_2) (R^-1/2 - (2R)^-1/2) ~ 1e150: a float, though the
+    # speed ~ 1e450 is not (its value per unit of ln r is).
+    c = sc.make_circle(1.0, (0, 0), sc.Grid(64))
+    m2 = sc.moments(c, 2)[2]
+    R = 1e-300
+    closed = 2.0 * np.sqrt(m2) * (R**-0.5 - (2.0 * R) ** -0.5)
+    assert sc.radial_path_length(CFG, c, R, 2.0 * R) == pytest.approx(closed, rel=1e-12)
 
 
 def test_radial_path_length_tabulated_matches_knot_split_reference():
