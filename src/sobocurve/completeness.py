@@ -118,7 +118,8 @@ def _radial_integral(terms, lo: float, hi: float, e: int = 0, ell: float = 1.0) 
     """
     size = np.ldexp(ell, e)
     knots = [np.asarray(a.knots) / size for _, a, _, _ in terms if isinstance(a, Tabulated)]
-    decades = 10.0 ** np.arange(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)
+    top = min(math.ceil(math.log10(hi)), 308)  # 1e309 is not a float
+    decades = 10.0 ** np.arange(math.floor(math.log10(lo)), top + 1)
     inner = np.concatenate([decades, *knots])
     edges = np.unique(np.concatenate([[lo], inner[(inner > lo) & (inner < hi)], [hi]]))
     pieces, errors = log_quad(lambda r: _radial_speed(r, terms, e, ell), edges)

@@ -3,12 +3,13 @@
 Two geometric sequences r_n = lambda_n^alpha, lambda_n = b^n * lambda0
 drive curves c_n = r_n (1 + eps sin(lambda_n theta)) (cos theta, sin theta)
 under the two-term metric a_0 = ell^-3, a_2 = ell^p.  With alpha chosen
-past the case threshold the two-leg linear-path distances are summable
-while the lengths run to infinity (grow, p < 1) or zero (shrink, p > 1).
+past the case threshold the two-leg distances are summable while the
+lengths run to infinity (grow, p < 1) or zero (shrink, p > 1).
 
-Radii reach lambda^(+-10..12) and beyond.  The legs are evaluated on the
-true curves r * shape: the metric kernel works in exact power-of-two
-units, so any radius whose samples are finite floats is in range.
+Leg 1 scales r_n u_n to r_{n+1} u_n, at its exact length
+`paths.radial_path_length`.  Leg 2 swaps u_n for u_{n+1} at radius r_{n+1}
+along the linear path (`scaled_leg_length`, on the true curves in the
+kernel's power-of-two units, so any c_n of finite floats is in range).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .curves import Grid, _arc_jet, curve_length, derivative, make_bumpy_circle
 from .errors import ContractError, NumericalError, _require_int
 from .metric import MetricConfig, PowerLaw, _form
+from .paths import radial_path_length
 
 GROW = "grow"
 SHRINK = "shrink"
@@ -31,7 +33,7 @@ SHRINK = "shrink"
 MAX_LAMBDA = 48
 MAX_N = 2048
 MAX_T = 64
-# Intervals per linear leg in `verify_sequence` and the CLI.
+# Intervals of leg 2, the linear bump swap, in `verify_sequence` and the CLI.
 LEG_T = 64
 
 
@@ -91,9 +93,11 @@ class CounterexampleParams:
                 r = self.radius_n(n)
             except OverflowError:
                 r = math.inf
-            if not sys.float_info.min <= r < math.inf:
+            # |c_n| and the length of c_n are at most r_n 2 pi (1 + eps (1 + lambda_n)).
+            ell_max = r * 2.0 * math.pi * (1.0 + self.eps * (1.0 + self.lambda_n(n)))
+            if not (sys.float_info.min <= r and ell_max < math.inf):
                 raise ContractError(
-                    f"alpha={self.alpha} puts r_{n} = {self.lambda_n(n)}^alpha outside "
+                    f"alpha={self.alpha} puts c_{n} = {self.lambda_n(n)}^alpha u_{n} outside "
                     "the normal float range"
                 )
 
@@ -152,15 +156,6 @@ def scaled_leg_length(
     return dt * float(np.sum(np.sqrt(values)))
 
 
-def _legs(seq: CounterexampleSequence, n: int):
-    """The two linear legs from c_n to c_{n+1}, each as (r, shape0, shape1)."""
-    r, r_next = seq.params.radius_n(n), seq.params.radius_n(n + 1)
-    u, u_next = seq.shapes[n].samples, seq.shapes[n + 1].samples
-    # Leg 1 is radial: r_n*u -> r_{n+1}*u, in units of r_n.  Leg 2 swaps
-    # the bump frequency at fixed radius r_{n+1}.
-    return (r, u, (r_next / r) * u), (r_next, u, u_next)
-
-
 @dataclass(frozen=True)
 class SequenceReport:
     params: CounterexampleParams
@@ -203,33 +198,35 @@ def verify_sequence(
     params: CounterexampleParams, seq: CounterexampleSequence, T: int = LEG_T
 ) -> SequenceReport:
     """Quantitative checks of the incompleteness construction at desk scale."""
-    if not isinstance(T, (int, np.integer)) or not 1 <= T <= MAX_T:
+    _require_int("T", T)
+    if not 1 <= T <= MAX_T:
         raise ContractError(f"T must be an integer in [1, {MAX_T}], got {T}")
     if seq.params != params:
         raise ContractError("sequence was built with different parameters")
-    beta = params.beta
     cfg = counterexample_metric(params.p)
     entries = []
     partial = 0.0
     for n in range(params.n_max + 1):
-        lam = params.lambda_n(n)
-        ell = params.radius_n(n) * curve_length(seq.shapes[n])
+        lam, r, u = params.lambda_n(n), params.radius_n(n), seq.shapes[n]
+        ell = r * curve_length(u)
         entry = {
             "n": n,
             "lambda": lam,
-            "r": params.radius_n(n),
+            "r": r,
             "ell": ell,
-            "ratio": ell / (params.radius_n(n) * lam),
+            "ratio": ell / (r * lam),
             "dist_upper": None,
             "bound": None,
             "fitted_constant": None,
             "partial_sum": None,
         }
         if n < params.n_max:
-            d1, d2 = (scaled_leg_length(cfg, *leg, params.grid(), T) for leg in _legs(seq, n))
+            r_next, u_next = params.radius_n(n + 1), seq.shapes[n + 1].samples
+            d1 = radial_path_length(cfg, u, r, r_next)
+            d2 = scaled_leg_length(cfg, r_next, u.samples, u_next, params.grid(), T)
             dist_upper = d1 + d2
             partial += dist_upper
-            bound = lam**-1.0 + lam ** (beta / 2.0)
+            bound = lam**-1.0 + lam ** (params.beta / 2.0)
             entry.update(
                 dist_leg1=d1,
                 dist_leg2=d2,
@@ -301,10 +298,10 @@ def pointwise_bounds_check(seq: CounterexampleSequence) -> dict:
         if n == params.n_max:
             continue
 
-        (r, *leg1), (r_next, *leg2) = _legs(seq, n)
+        r, r_next = params.radius_n(n), params.radius_n(n + 1)
         # Leg 1 (radial, r_n units): |gamma'| >= (1-eps) * min(1, a).
         a = r_next / r
-        min_speed, ds2_max = _leg_bounds(*leg1, grid)
+        min_speed, ds2_max = _leg_bounds(u, a * u, grid)
         scale_t = (1.0 - _INTERIOR_T) + _INTERIOR_T * a
         ok1 = np.all(min_speed >= (1.0 - eps) * scale_t / fd_tol)
         checks.append({"name": f"leg1_speed_lower_n{n}", "ok": bool(ok1)})
@@ -312,7 +309,7 @@ def pointwise_bounds_check(seq: CounterexampleSequence) -> dict:
         ds2_ratios.append(ds2_max / lam**4)
 
         # Leg 2 (bump swap, r_{n+1} units): |gamma'| >= (1-2 eps).
-        min_speed, ds2_max = _leg_bounds(*leg2, grid)
+        min_speed, ds2_max = _leg_bounds(u, seq.shapes[n + 1].samples, grid)
         ok2 = np.all(min_speed >= (1.0 - 2.0 * eps) / fd_tol)
         checks.append({"name": f"leg2_speed_lower_n{n}", "ok": bool(ok2)})
         # true value = ds2 / r_{n+1}; normalized constant vs r_n^-1 lambda_n^4:

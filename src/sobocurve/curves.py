@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ImmersionError, NumericalError
+from .errors import ContractError, ImmersionError, NumericalError, _require_int
 
 TWO_PI = 2.0 * np.pi
 
@@ -192,7 +192,8 @@ def make_bumpy_circle(r: float, eps: float, lam: int, grid: Grid) -> DiscreteCur
     """
     if r <= 0:
         raise ContractError(f"radius must be positive, got {r}")
-    if not isinstance(lam, (int, np.integer)) or lam < 1:
+    _require_int("bump frequency", lam)
+    if lam < 1:
         raise ContractError(f"bump frequency must be a positive integer, got {lam}")
     if not (0.0 < eps < 1.0 / 3.0):
         raise ContractError(f"eps must lie in (0, 1/3), got {eps}")

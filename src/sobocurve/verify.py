@@ -35,7 +35,7 @@ from .curves import (
     integrate_ds,
     make_circle,
 )
-from .errors import ContractError
+from .errors import ContractError, _require_int
 from .metric import MetricConfig, PowerLaw, Constant, Tabulated, _q_form, eval_metric, scale_invariant_profile
 from .paths import (
     SolverOptions,
@@ -301,7 +301,8 @@ CHECKS = [
 
 def run_suite(seed: int = 0) -> dict:
     """Run every invariant check with a seeded RNG; deterministic output."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    _require_int("seed", seed)
+    if seed < 0:
         raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
     results = []
     for name, fn in CHECKS:

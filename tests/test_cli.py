@@ -312,6 +312,10 @@ DISTANCE = ["distance", "--metric", "{metric}", "--from", "{c0}", "--to", "{c1}"
         (GROW + ["--alpha", "inf"], "alpha must be finite"),
         (GROW + ["--p", "nan"], "p must be finite"),
         (GROW[:6] + ["400", "--nmax", "1"], "normal float range"),
+        # r_1 = 6^alpha is a float, but the length (395) or the samples
+        # r_1 (1 + eps sin) (396.1) of c_1 are not.
+        (GROW[:6] + ["395", "--nmax", "1"], "normal float range"),
+        (GROW[:6] + ["396.1", "--nmax", "1"], "normal float range"),
         (["counterexample", "--case", "shrink", "--p", "2", "--alpha", "-1000", "--nmax", "1"],
          "normal float range"),
         (DISTANCE + ["--gap-tol", "inf"], "gap_tol"),
@@ -329,6 +333,8 @@ DISTANCE = ["distance", "--metric", "{metric}", "--from", "{c0}", "--to", "{c1}"
         "counterexample_alpha_inf",
         "counterexample_p_nan",
         "counterexample_alpha_overflows_radius",
+        "counterexample_alpha_overflows_length",
+        "counterexample_alpha_overflows_samples",
         "counterexample_alpha_underflows_radius",
         "distance_gap_tol_inf",
         "distance_gap_tol_nan",
@@ -383,16 +389,6 @@ def test_invalid_argument_exit_2(files, capsys, argv, message):
     }
     err = assert_validation_error(capsys, [arg.format(**names) for arg in argv])
     assert message in err
-
-
-def test_counterexample_non_finite_leg_exit_3(capsys):
-    # r_1 = 6^396.1 = 1.7e308 is a normal float, but the samples
-    # r_1 (1 + eps sin) of leg 1 overflow; the CLI used to print NaN as
-    # dist_leg1 for such legs.
-    code, out, err = run(capsys, GROW[:6] + ["396.1", "--nmax", "1"])
-    assert code == 3
-    assert out == ""
-    assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
 
 
 def _scale_runs(tmp_path, cfg, radius):

@@ -184,6 +184,15 @@ def test_w_eval_scale_invariant_is_log_at_every_decade():
         assert w_eval(cfg, r) == pytest.approx(math.log(r), rel=1e-12)
 
 
+def test_w_eval_to_the_top_of_the_float_range():
+    # W is proportional to ln r under SI; the decade grid stops at 1e308.
+    cfg = sc.scale_invariant_profile(2, [1.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = w_eval(cfg, 1.5e308)
+    assert value == pytest.approx(w_eval(cfg, 10.0) * math.log(1.5e308) / math.log(10.0), rel=1e-12)
+
+
 def test_integrand_and_w_eval_far_from_the_unit_scale():
     # a_2 = ell^3 makes the integrand per unit of ln r sqrt(r^3 r^-1) = r,
     # though r^3 leaves the float range past r = 1e103 and below 1e-103;

@@ -70,35 +70,70 @@ def test_params_reject_non_finite_exponents(name, bad):
 
 
 @pytest.mark.parametrize(
-    "case, p, alpha", [("grow", 0.0, 400.0), ("grow", 0.5, 2000.0), ("shrink", 2.0, -1000.0)]
+    "case, p, alpha",
+    [("grow", 0.0, 400.0), ("grow", 0.0, 396.1), ("grow", 0.0, 395.0), ("grow", 0.5, 2000.0),
+     ("shrink", 2.0, -1000.0)],
 )
 def test_params_reject_alpha_outside_float_range(case, p, alpha):
-    # 6^400 overflows, 3^-1000 underflows to 0.
+    # 6^400 overflows, 3^-1000 underflows to 0.  r_1 = 6^396.1 = 1.7e308 and
+    # 6^395 = 2.3e307 are floats, but the samples r_1 (1 + eps sin) of c_1
+    # and the length r_1 l(u_1) of c_1, respectively, are not.
     with pytest.raises(ContractError, match="normal float range"):
         CounterexampleParams(case=case, p=p, alpha=alpha, n_max=1)
 
 
 def test_params_accept_alpha_at_float_range_edge():
-    # r_1 = 6^390 = 3.0e303 and r_1 = 6^-390 = 3.3e-304 are normal floats.
+    # r_1 = 6^390 = 3.0e303, 6^394 = 3.9e306 and 6^-390 = 3.3e-304 are normal
+    # floats, and so are the lengths of c_1.
     CounterexampleParams(case="grow", p=0.0, alpha=390.0, n_max=1)
+    CounterexampleParams(case="grow", p=0.0, alpha=394.0, n_max=1)
     CounterexampleParams(case="shrink", p=2.0, alpha=-390.0, n_max=1)
 
 
-def test_non_finite_leg_length_raises():
-    # r_1 = 6^396.1 = 1.7e308 is a normal float; r_1 (1 + eps) is not.
-    params = CounterexampleParams(case="grow", p=0.0, alpha=396.1, n_max=1)
-    with pytest.raises(NumericalError, match="not finite"):
-        verify_sequence(params, build_sequence(params), T=8)
-
-
 def test_legs_at_float_range_edge_are_finite():
-    # r_1 = 6^390 = 3.0e303: the legs run on the true curves r * u.
+    # r_1 = 6^390 = 3.0e303: leg 1 is the radial length over a factor 2^390,
+    # leg 2 runs on the true curves r_1 * u.
     params = CounterexampleParams(case="grow", p=0.0, alpha=390.0, n_max=1)
     entry = verify_sequence(params, build_sequence(params), T=8).entries[0]
-    assert 0.0 < entry["dist_leg2"] < entry["dist_leg1"] < 1.0
+    assert entry["dist_leg1"] == pytest.approx(39.593, rel=1e-4)
+    assert 0.0 < entry["dist_leg2"] < entry["dist_leg1"]
 
 
-@pytest.mark.parametrize("T", [0, -3, 65, 16.0])
+@pytest.mark.parametrize("params", [grow_params(), shrink_params()], ids=["grow", "shrink"])
+def test_legs_are_radial_length_and_bump_swap(params):
+    # Leg 1 scales r_n u_n to r_{n+1} u_n: the exact radial length, free
+    # of T.  Leg 2 swaps u_n for u_{n+1} along the linear path at r_{n+1}.
+    cfg, grid, seq = counterexample_metric(params.p), params.grid(), build_sequence(params)
+    for T in (8, 16):
+        for e in verify_sequence(params, seq, T=T).entries[:-1]:
+            n = e["n"]
+            r, r_next = params.radius_n(n), params.radius_n(n + 1)
+            u, u_next = seq.shapes[n], seq.shapes[n + 1]
+            assert e["dist_leg1"] == sc.radial_path_length(cfg, u, r, r_next)
+            assert e["dist_leg2"] == scaled_leg_length(
+                cfg, r_next, u.samples, u_next.samples, grid, T
+            )
+            assert e["dist_upper"] == e["dist_leg1"] + e["dist_leg2"]
+
+
+def test_leg1_matches_geometrically_timed_path():
+    # An independent oracle: the scaling path r_n (r_{n+1}/r_n)^t u_n, timed
+    # so that the scale-free a_0 = ell^-3 part has constant speed; its
+    # midpoint length converges to leg 1 at second order in T.
+    params = grow_params(1)
+    cfg, seq = counterexample_metric(params.p), build_sequence(params)
+    leg1 = verify_sequence(params, seq, T=8).entries[0]["dist_leg1"]
+    r, ratio = params.radius_n(0), params.radius_n(1) / params.radius_n(0)
+    errors = []
+    for T in (128, 256):
+        t = (np.arange(T + 1) / T)[:, None, None]
+        path = sc.CurvePath(params.grid(), r * ratio**t * seq.shapes[0].samples)
+        errors.append(sc.path_length(cfg, path) - leg1)
+    assert abs(errors[1]) <= 2e-4
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+@pytest.mark.parametrize("T", [0, -3, 65, 16.0, True])
 def test_verify_sequence_rejects_bad_T(T):
     params = grow_params()
     with pytest.raises(ContractError, match="T must be an integer"):
@@ -138,8 +173,10 @@ def test_scaled_curve_avoids_overflow():
     )
     report = verify_sequence(params, seq, T=16)
     assert report.ok
+    legs1 = [e["dist_leg1"] for e in report.entries[:-1]]
+    assert legs1 == pytest.approx([20.304, 15.869, 10.108], abs=1e-3)
     dists = [e["dist_upper"] for e in report.entries[:-1]]
-    assert dists == pytest.approx([0.727, 0.567, 0.361], abs=1e-3)
+    assert dists == pytest.approx([20.337, 15.893, 10.123], abs=1e-3)
 
 
 def test_scaled_leg_length_matches_direct_evaluation():

@@ -212,6 +212,8 @@ def test_make_bumpy_circle_contracts():
         sc.make_bumpy_circle(-1.0, 0.25, 4, grid)
     with pytest.raises(ContractError):
         sc.make_bumpy_circle(1.0, 0.0, 4, grid)
+    with pytest.raises(ContractError, match="bump frequency must be an integer"):
+        sc.make_bumpy_circle(1.0, 0.25, True, grid)
     bumpy = sc.make_bumpy_circle(1.0, 0.25, 4, grid)
     assert float(np.min(bumpy.arc_speed)) >= 0.75
 

@@ -415,7 +415,7 @@ def test_config_integral_floats_accepted():
     assert cfg == MetricConfig(2, {0: Constant(1.0), 2: Constant(1.0)})
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
 def test_verify_suite_rejects_bad_seed(seed):
     from sobocurve.verify import run_suite
 

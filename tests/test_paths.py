@@ -200,6 +200,17 @@ def test_radial_path_length_scale_invariant_at_every_decade():
         assert sc.radial_path_length(SI, c, R, 2.0 * R) == pytest.approx(unit, rel=1e-12)
 
 
+def test_radial_path_length_to_the_top_of_the_float_range():
+    # Under SI the length per unit of ln r is constant.  The decade grid
+    # stops at 1e308, so no power of ten overflows past it.
+    c = sc.make_circle(1.0, (0, 0), sc.Grid(64))
+    per_decade = sc.radial_path_length(SI, c, 1.0, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = sc.radial_path_length(SI, c, 1.0, 1.5e308)
+    assert value == pytest.approx(per_decade * np.log(1.5e308) / np.log(10.0), rel=1e-12)
+
+
 def test_radial_path_length_far_above_the_unit_scale_matches_closed_form():
     # Under CFG the radial speed is sqrt(M_0 r + M_2 r^-3); from R = 1e150 on
     # the second term is below roundoff, so the length is sqrt(M_0) (2/3)
