@@ -35,6 +35,9 @@ MAX_N = 2048
 MAX_T = 64
 # Intervals of leg 2, the linear bump swap, in `verify_sequence` and the CLI.
 LEG_T = 64
+# Most samples per `_form` call in `scaled_leg_length`, so that its
+# temporaries stay small enough to be reused rather than mapped afresh.
+_BLOCK_POINTS = 8192
 
 
 def counterexample_metric(p: float) -> MetricConfig:
@@ -138,22 +141,26 @@ def scaled_leg_length(
     """Length of the linear path between r*shape0 and r*shape1.
 
     Evaluates `_form` on the T midpoint curves r((1 - t) shape0 + t shape1)
-    with the constant velocity r(shape1 - shape0); the kernel's
-    power-of-two units keep any radius whose samples are finite floats
-    out of the grid arithmetic.
+    with the constant velocity r(shape1 - shape0), in blocks of at most
+    `_BLOCK_POINTS` samples; the kernel's power-of-two units keep any
+    radius whose samples are finite floats out of the grid arithmetic.
     """
     if not 0 < r < math.inf:
         raise ContractError(f"base scale must be positive and finite, got {r}")
     dt = 1.0 / T
     t_mid = ((np.arange(T) + 0.5) * dt)[:, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowed samples raise below
-        gamma = (r * (1.0 - t_mid)) * shape0 + (r * t_mid) * shape1
-        velocity = r * (shape1 - shape0)
+    block = max(1, _BLOCK_POINTS // grid.n_points)
+    values = []
     try:
-        values, _ = _form(cfg, grid, gamma, velocity)
+        for i in range(0, T, block):
+            t = t_mid[i:i + block]
+            with np.errstate(over="ignore", invalid="ignore"):  # overflowed samples raise below
+                gamma = (r * (1.0 - t)) * shape0 + (r * t) * shape1
+                velocity = r * (shape1 - shape0)  # one per block: _form rescales h in place
+            values.append(_form(cfg, grid, gamma, velocity)[0])
     except NumericalError as exc:
         raise NumericalError(f"leg length is not finite at base scale {r}: {exc}") from exc
-    return dt * float(np.sum(np.sqrt(values)))
+    return dt * float(np.sum(np.sqrt(np.concatenate(values))))
 
 
 @dataclass(frozen=True)

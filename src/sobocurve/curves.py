@@ -89,9 +89,9 @@ def _arc_jet(grid: Grid, samples: np.ndarray, field=None, n: int = 0):
     np.ldexp(dc, -e[..., None, None], out=dc)
     s = np.sqrt(np.einsum("...d,...d->...", dc, dc))
     s_max = s.max(axis=-1)
-    if np.any(s_max == 0.0) or np.any(s.min(axis=-1) < 1e-12 * s_max):
+    if ((s_max == 0.0) | (s.min(axis=-1) < 1e-12 * s_max)).any():
         raise ImmersionError(f"not an immersion at resolution N={grid.n_points}")
-    ell = grid.spacing * np.sum(s, axis=-1)
+    ell = grid.spacing * s.sum(axis=-1)
     if field is None:
         return e, s, ell, []
     inv_s = (1.0 / s)[..., None]

@@ -2,10 +2,15 @@
 
 Curves are truncated Fourier series with coefficient decay
 (1+|m|)^-3, rejection-sampled until min|c'| >= 0.1 * mean|c'| so every
-sample is a comfortable discrete immersion.
+sample is a comfortable discrete immersion.  Each sample draws all its
+coefficients in one call, in the order of a mode-by-mode loop (a_m then
+b_m for m = 1, 2, ...), against a cos(m theta)/sin(m theta) basis cached
+per grid, whose m = 1 rows are also the base circle.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,25 +21,32 @@ _DECAY = 3.0
 # Fourier modes of a band-limited sample; tries before random_curve gives up.
 _MODES = 10
 _MAX_TRIES = 200
+_AMP = tuple((1.0 + m) ** -_DECAY for m in range(1, _MODES + 1))
+
+
+@lru_cache(maxsize=16)
+def _basis(grid: Grid) -> tuple:
+    """Read-only (_MODES, N) arrays cos(m theta) and sin(m theta), m = 1.._MODES."""
+    theta = grid.theta
+    basis = tuple(np.array([f(m * theta) for m in range(1, _MODES + 1)]) for f in (np.cos, np.sin))
+    for b in basis:
+        b.flags.writeable = False
+    return basis
 
 
 def _band_limited(grid: Grid, rng: np.random.Generator, dim: int) -> np.ndarray:
-    theta = grid.theta
-    values = np.zeros((grid.n_points, dim))
-    for m in range(1, _MODES + 1):
-        amp = (1.0 + m) ** -_DECAY
-        a = rng.standard_normal(dim) * amp
-        b = rng.standard_normal(dim) * amp
-        values += np.outer(np.cos(m * theta), a) + np.outer(np.sin(m * theta), b)
-    return values
+    cos, sin = _basis(grid)
+    ab = rng.standard_normal((_MODES, 2, dim)) * np.array(_AMP)[:, None, None]
+    terms = cos[:, :, None] * ab[:, None, 0] + sin[:, :, None] * ab[:, None, 1]
+    return np.add.reduce(terms, axis=0)  # modes summed in order m = 1, 2, ...
 
 
 def random_curve(grid: Grid, rng: np.random.Generator, dim: int = 2) -> DiscreteCurve:
     """Random smooth immersion; the unit circle plus a band-limited bump."""
-    theta = grid.theta
+    cos, sin = _basis(grid)
     circle = np.zeros((grid.n_points, dim))
-    circle[:, 0] = np.cos(theta)
-    circle[:, 1] = np.sin(theta)
+    circle[:, 0] = cos[0]  # 1 * theta == theta
+    circle[:, 1] = sin[0]
     for _ in range(_MAX_TRIES):
         samples = circle + _band_limited(grid, rng, dim)
         try:

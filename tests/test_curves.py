@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sobocurve as sc
-from sobocurve.curves import TWO_PI
+from sobocurve.curves import TWO_PI, _arc_jet
 from sobocurve.errors import ContractError, ImmersionError
 from sobocurve.sampling import random_curve, random_field
 
@@ -85,6 +85,22 @@ def test_cusp_rejected():
     samples[0:5] = samples[2]
     with pytest.raises(ImmersionError):
         sc.DiscreteCurve(grid, samples)
+
+
+@pytest.mark.parametrize("bad", ["zero", "stationary_sample"])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_batched_arc_jet_rejects_one_degenerate_curve(bad, position):
+    # A stack of three circles in which one curve is the zero curve
+    # (largest speed 0) or stalls at one sample (speed 0 there only).
+    grid = sc.Grid(64)
+    stack = np.stack([sc.make_circle(r, (0, 0), grid).samples for r in (1.0, 2.0, 0.5)])
+    _arc_jet(grid, stack)
+    if bad == "zero":
+        stack[position] = 0.0
+    else:
+        stack[position, 0:5] = stack[position, 2]
+    with pytest.raises(ImmersionError, match="not an immersion at resolution N=64"):
+        _arc_jet(grid, stack)
 
 
 def test_arc_derivative_unit_tangent_and_curvature():

@@ -15,7 +15,10 @@ Prints one sha256 line per group of outputs:
             `eval_metric`, `radial_path_length` and `w_eval` at scales
             1e-100 to 1e100, and `radial_path_length` and `w_eval` under
             a_0 = 1, a_2 = 2 out to 1e200 and 1e-200: the evaluators
-            outside the solver in range.
+            outside the solver in range; then the bytes of `random_curve`
+            and `random_field` for seeds 0-49 at N = 16, 128, 512 and
+            1024, and `scaled_leg_length` between bumpy circles at N = 1024
+            for T = 1, 7, 64 and 100 at three base scales.
 
 Run it in a checkout of each tree and diff the output: a refactor that
 keeps every number keeps every line.  The script reads `bench/` and
@@ -47,19 +50,23 @@ from sobocurve import (  # noqa: E402
     TangentField,
     analyze,
     coefficient_eval,
+    counterexample_metric,
     eval_metric,
     geodesic_bvp,
+    make_bumpy_circle,
     make_circle,
     radial_path_length,
     scale_invariant_profile,
     w_eval,
 )
 from sobocurve.cli import main  # noqa: E402
+from sobocurve.counterexample import scaled_leg_length  # noqa: E402
 from sobocurve.metric import coefficient_deriv  # noqa: E402
 from sobocurve.sampling import random_curve, random_field  # noqa: E402
 from sobocurve.verify import run_suite  # noqa: E402
 
 SUITE_SEEDS = range(400)
+SAMPLING_GRIDS = (16, 128, 512, 1024)
 CLI_CASES = (
     ["counterexample", "--case", "grow", "--p", "0", "--alpha", "10"],
     ["counterexample", "--case", "shrink", "--p", "2", "--alpha", "-12"],
@@ -145,6 +152,18 @@ def library_digest() -> str:
         s = 10.0**j
         values = [radial_path_length(metrics[1], circle, s, 2.0 * s), w_eval(metrics[1], s),
                   w_eval(metrics[1], 1.0 / s)]
+        h.update(repr(values).encode())
+    for n_pts in SAMPLING_GRIDS:
+        grid = Grid(n_pts)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            h.update(random_curve(grid, rng).samples.tobytes())
+            h.update(random_field(grid, rng).values.tobytes())
+    grid = Grid(1024)
+    shape0, shape1 = (make_bumpy_circle(1.0, 0.25, lam, grid).samples for lam in (3, 6))
+    for T in (1, 7, 64, 100):
+        values = [scaled_leg_length(counterexample_metric(0.0), r, shape0, shape1, grid, T)
+                  for r in (1.0, 7.5, 1e150)]
         h.update(repr(values).encode())
     return h.hexdigest()
 
