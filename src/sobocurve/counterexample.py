@@ -22,7 +22,7 @@ import numpy as np
 
 from .curves import Grid, _arc_jet, curve_length, derivative, make_bumpy_circle
 from .errors import ContractError, NumericalError, _require_int
-from .metric import MetricConfig, PowerLaw, _form
+from .metric import _BLOCK_POINTS, MetricConfig, PowerLaw, _form
 from .paths import radial_path_length
 
 GROW = "grow"
@@ -35,9 +35,6 @@ MAX_N = 2048
 MAX_T = 64
 # Intervals of leg 2, the linear bump swap, in `verify_sequence` and the CLI.
 LEG_T = 64
-# Most samples per `_form` call in `scaled_leg_length`, so that its
-# temporaries stay small enough to be reused rather than mapped afresh.
-_BLOCK_POINTS = 8192
 
 
 def counterexample_metric(p: float) -> MetricConfig:

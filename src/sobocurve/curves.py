@@ -70,35 +70,57 @@ def derivative(values: np.ndarray, grid: Grid, axis: int = 0) -> np.ndarray:
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[..., i] * b[..., i] in index order, rounded as np.sum(a * b, axis=-1) for d < 8."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 def _arc_jet(grid: Grid, samples: np.ndarray, field=None, n: int = 0):
+    """Speed, length and arc-length derivatives of (..., N, d) curves: `_jet` of their d/dtheta."""
+    return _jet(grid, derivative(samples, grid, axis=-2), field, n)
+
+
+def _jet(grid: Grid, dc: np.ndarray, field=None, n: int = 0, dfield=None):
     """Speed, length and arc-length derivatives of batched curves, in power-of-two units.
 
-    `samples` has shape (..., N, d); each curve is divided by 2^e, e of
-    shape (...) the np.frexp exponent of its largest |d samples/dtheta|.
-    Returns (e, s, ell, u): speed / 2^e of shape (..., N), length / 2^e of
-    shape (...) and u = [field, D_s field, ..., D_s^n field], D_s^k in
-    units of 2^(-k e), for a field that broadcasts against `samples` (u =
-    [] without one).  Raises ImmersionError if a curve's speed (nearly)
-    vanishes.
+    dc = d samples/dtheta, of shape (..., N, d), is divided in place by
+    2^e, e of shape (...) the np.frexp exponent of each curve's largest
+    |dc|.  Returns (e, s, ell, u): speed / 2^e of shape (..., N), length
+    / 2^e of shape (...) and u = [field, D_s field, ..., D_s^n field],
+    D_s^k in units of 2^(-k e), for a field that broadcasts against dc
+    (u = [] without one); `dfield`, if given, is d field/dtheta and
+    spares its stencil.  Raises ImmersionError if a curve's speed
+    (nearly) vanishes.
     """
-    dc = derivative(samples, grid, axis=-2)
     big = np.abs(dc).max(axis=(-2, -1))
     if not (big < np.inf).all():  # samples within 16x of the float maximum overflow
         raise NumericalError("curve differences d samples/dtheta are not finite floats")
     e = np.frexp(big)[1]  # 0 for an all-zero curve
     np.ldexp(dc, -e[..., None, None], out=dc)
-    s = np.sqrt(np.einsum("...d,...d->...", dc, dc))
+    s = np.sqrt(_dot(dc, dc))
     s_max = s.max(axis=-1)
     if ((s_max == 0.0) | (s.min(axis=-1) < 1e-12 * s_max)).any():
         raise ImmersionError(f"not an immersion at resolution N={grid.n_points}")
     ell = grid.spacing * s.sum(axis=-1)
     if field is None:
         return e, s, ell, []
-    inv_s = (1.0 / s)[..., None]
+    inv_s = _per_point(1.0 / s, dc.shape[-1])
     u = [field]
-    for _ in range(n):
-        u.append(derivative(u[-1], grid, axis=-2) * inv_s)
+    for k in range(n):
+        du = dfield if k == 0 and dfield is not None else derivative(u[-1], grid, axis=-2)
+        u.append(du * inv_s)
     return e, s, ell, u
+
+
+def _per_point(f: np.ndarray, d: int) -> np.ndarray:
+    """A (..., N) factor copied to (..., N, d): a same-shape multiply beats broadcasting it."""
+    out = np.empty(f.shape + (d,))
+    for i in range(d):
+        out[..., i] = f
+    return out
 
 
 @dataclass(frozen=True)

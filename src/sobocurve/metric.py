@@ -16,7 +16,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .curves import DiscreteCurve, TangentField, _arc_jet, _integral
+from .curves import DiscreteCurve, TangentField, _dot, _integral, _jet, derivative
 from .errors import ContractError, NumericalError
 
 
@@ -309,28 +309,38 @@ def _q_form(w: float, uh: np.ndarray, ug: np.ndarray, s: np.ndarray):
 
     The j-sum is a dot product per curve (matmul), rounded like np.dot.
     """
-    inner = np.einsum("...nd,...nd->...n", uh, ug)
+    inner = _dot(uh, ug)
     return w * (inner[..., None, :] @ s[..., :, None])[..., 0, 0]
 
 
-def _form(cfg: MetricConfig, grid, samples, h, g=None, unit: int = 0):
+# Most samples per `_form` call where a caller evaluates many curves, so
+# that the temporaries stay small enough to be reused rather than mapped afresh.
+_BLOCK_POINTS = 8192
+
+
+def _form(cfg: MetricConfig, grid, samples, h, g=None, unit: int = 0, dc=None, dh=None):
     """G = sum_k a_k(ell) * Q_k(h, g) per curve of a (..., N, d) stack.
 
     `samples` and the fields h and g (default h), which broadcast against
-    it, are in units of 2^unit.  `_arc_jet` divides each curve by 2^e and
+    it, are in units of 2^unit.  A caller holding dc = d samples/dtheta
+    (samples may then be None) or dh = d h/dtheta passes it and spares
+    that stencil.  `_jet` divides each curve's dc by 2^e, in place, and
     each field is divided by 2^e_h, e_h the exponent of its largest entry
     (in place: a caller passing h alone passes an array of its own),
     so Q_k comes out as Q_k / 2^x_k, x_k = e_h + e_g + (1 - 2k) e + (3 - 2k)
     unit, and the terms a_k(ell) 2^x_k (`_profile`) times it are summed in
     true units: bit for bit plain arithmetic wherever that stays normal.
-    Returns G and the pieces (s, lengths, u, q, coeffs, e, e_h, x) by k
-    where keyed.  Raises NumericalError if a G is not finite.
+    Returns G and the pieces (s, lengths, u, q, coeffs, e, e_h, x, dc / 2^e)
+    by k where keyed.  Raises NumericalError if a G is not finite.
     """
     fields = h if g is None else np.stack([h, g])
     eh = np.frexp(np.abs(fields).max(axis=(-2, -1)))[1]
     # Overflow or 0 * inf shows as a non-finite value, reported below.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        e, s, lengths, u = _arc_jet(grid, samples, np.ldexp(fields, -eh[..., None, None], out=fields), cfg.n)
+        dc = derivative(samples, grid, axis=-2) if dc is None else dc
+        np.ldexp(fields, -eh[..., None, None], out=fields)
+        dh = None if dh is None else np.ldexp(dh, -eh[..., None, None])
+        e, s, lengths, u = _jet(grid, dc, fields, cfg.n, dh)
         uh, ug = (u, u) if g is None else ([uk[0] for uk in u], [uk[1] for uk in u])
         shift = e + unit  # the exponent of each curve's true unit
         eh_sum = 2 * eh if g is None else eh[0] + eh[1]
@@ -342,7 +352,7 @@ def _form(cfg: MetricConfig, grid, samples, h, g=None, unit: int = 0):
         i = np.argmin(np.isfinite(values))  # the first curve whose value is not finite
         ell = f"{np.ravel(lengths)[i]!r} * 2**{np.ravel(shift)[i]}"
         raise NumericalError(f"metric value is not finite at curve length {ell}: {np.ravel(values)[i]}")
-    return values, (s, lengths, u, q, coeffs, e, eh, x)
+    return values, (s, lengths, u, q, coeffs, e, eh, x, dc)
 
 
 def eval_metric(

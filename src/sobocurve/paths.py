@@ -7,10 +7,13 @@ want them.  Energy uses the midpoint discretization
 
     E = dt * sum_m G_{(c_m + c_{m+1})/2}(v_m, v_m),   v_m = (c_{m+1} - c_m)/dt,
 
-which is second-order in T and symmetric under time reversal.  The
-solver starts from the straight segment c0 -> c1 re-timed to constant
-metric speed (the geodesic between concentric circles), so the first
-entry of its energy trace is that start's energy, not the linear path's.
+which is second-order in T and symmetric under time reversal;
+`path_energy` and `path_length` sum it over blocks of at most
+`_BLOCK_POINTS` samples, bit for bit one stacked call.  The solver
+starts from the straight segment c0 -> c1 re-timed to constant metric
+speed (the geodesic between concentric circles; D is linear, so the
+segment's curves need no stencil of their own), so the first entry of
+its energy trace is that start's energy, not the linear path's.
 It minimizes E over the interior slices by limited-memory
 quasi-Newton descent, seeded with a frozen-coefficient spectral
 preconditioner P and guarded by a monotone backtracking line search.  P
@@ -34,16 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import (
-    DiscreteCurve,
-    Grid,
-    _arc_jet,
-    _integral,
-    curve_to_dict,
-    derivative,
+    DiscreteCurve, Grid, _arc_jet, _dot, _integral, _per_point, curve_to_dict, derivative,
 )
 from .completeness import _radial_integral
 from .errors import ContractError, ImmersionError, NumericalError, _require_int
-from .metric import MetricConfig, _form, _profile, _q_form
+from .metric import _BLOCK_POINTS, MetricConfig, _form, _profile, _q_form
 
 
 @dataclass(frozen=True)
@@ -154,10 +152,16 @@ def _forward(cfg: MetricConfig, grid: Grid, stacked, dt: float, unit: int = 0):
     return values, (cb, *pieces)
 
 
+def _interval_values(cfg: MetricConfig, path: CurvePath) -> np.ndarray:
+    """`_forward`'s per-interval values G_m, evaluated `_BLOCK_POINTS` samples at a time."""
+    step = max(1, _BLOCK_POINTS // path.grid.n_points)
+    return np.concatenate([_forward(cfg, path.grid, path.samples[m:m + step + 1], path.dt)[0]
+                           for m in range(0, path.T, step)])
+
+
 def path_energy(cfg: MetricConfig, path: CurvePath) -> float:
     """Midpoint-discretized Riemannian path energy."""
-    values, _ = _forward(cfg, path.grid, path.samples, path.dt)
-    return path.dt * float(np.sum(values))
+    return path.dt * float(np.sum(_interval_values(cfg, path)))
 
 
 def _speeds(values: np.ndarray) -> np.ndarray:
@@ -167,8 +171,7 @@ def _speeds(values: np.ndarray) -> np.ndarray:
 
 def path_length(cfg: MetricConfig, path: CurvePath) -> float:
     """Midpoint-discretized path length; length^2 <= energy on [0,1]."""
-    values, _ = _forward(cfg, path.grid, path.samples, path.dt)
-    return path.dt * float(np.sum(_speeds(values)))
+    return path.dt * float(np.sum(_speeds(_interval_values(cfg, path))))
 
 
 def reverse_path(path: CurvePath) -> CurvePath:
@@ -256,11 +259,12 @@ def _stacked_energy_and_gradient(
     grad of shape (T-1, N, d) for the interior slices and values the
     per-interval G_m of `_forward`; raises NumericalError if E or grad is not finite.
     """
-    w = grid.spacing
-    values, (cb, s, lengths, u, q, coeffs, e, eh, x) = _forward(cfg, grid, stacked, dt, unit)
+    w, d = grid.spacing, stacked.shape[-1]
+    values, (_, s, lengths, u, q, coeffs, e, eh, x, dc) = _forward(cfg, grid, stacked, dt, unit)
     shift = e + unit
     dcoeffs = {k: _profile(term, lengths, 1, shift, x[k] + shift) for k, term in cfg.terms.items()}
     inv_s = 1.0 / s
+    inv_s_d, ws_d = _per_point(inv_s, d), _per_point(w * s, d)
 
     grad_v = np.zeros_like(u[0])
     phi = np.broadcast_to(
@@ -270,16 +274,16 @@ def _stacked_energy_and_gradient(
         a_k = coeffs[k][:, None]
         if np.all(a_k == 0.0) and np.all(dcoeffs[k] == 0.0):
             continue
-        y = (w * s)[:, :, None] * u[k]
+        y = ws_d * u[k]
         for j in range(k):
             # y = (M^T)^j (w s u_k); pair with u_{k-j} before applying M^T.
-            phi += a_k * (-2.0 * inv_s) * np.einsum("tnd,tnd->tn", y, u[k - j])
-            y = -derivative(y * inv_s[:, :, None], grid, axis=1)
+            phi += a_k * (-2.0 * inv_s) * _dot(y, u[k - j])
+            y = -derivative(y * inv_s_d, grid, axis=1)
         grad_v += 2.0 * a_k[:, :, None] * y
-        phi += a_k * w * np.sum(u[k] * u[k], axis=2)
+        phi += a_k * w * _dot(u[k], u[k])
 
-    tangent = np.ldexp(derivative(cb, grid, axis=1), -e[:, None, None]) * inv_s[:, :, None]
-    grad_cb = derivative(phi[:, :, None] * tangent, grid, axis=1)
+    # dc is `_form`'s D cb / 2^e, so tangent = D cb / |D cb|.
+    grad_cb = derivative(_per_point(phi, d) * (dc * inv_s_d), grid, axis=1)
     np.ldexp(-grad_cb, -e[:, None, None], out=grad_cb)
     np.ldexp(grad_v, -eh[:, None, None], out=grad_v)
 
@@ -386,31 +390,37 @@ _BACKTRACK = 0.5
 _RETIME_REFINE = 4
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite dc or h raise in `_form`
 def _constant_speed_start(cfg: MetricConfig, linear: CurvePath) -> CurvePath:
     """The segment of `linear` re-timed to constant metric speed.
 
-    Along c(tau) = (1 - tau) c0 + tau c1 the metric speed is
-    sigma(tau) = sqrt(G_c(tau)(c1 - c0, c1 - c0)).  It is sampled at the
-    midpoints of a linear path with r = _RETIME_REFINE times as many
-    intervals and summed into the cumulative length S; slice m of the
-    result sits at the tau_m with S(tau_m) = (m/T) S(1), by linear
-    interpolation of S.  The endpoint slices are those of `linear`.  The
-    finer path is evaluated T intervals at a time, so the pass needs no
-    more memory than one energy evaluation of the solve.  Returns
-    `linear` itself unless S is strictly increasing; raises as `_forward` does.
+    Along c(tau) = c0 + tau h, h = c1 - c0, the metric speed is sigma(tau)
+    = sqrt(G_c(tau)(h, h)).  It is sampled at the midpoints of
+    r = _RETIME_REFINE times as many intervals as `linear` has and summed
+    into the cumulative length S; slice m of the result sits at the tau_m
+    with S(tau_m) = (m/T) S(1), by linear interpolation of S.  The endpoint
+    slices are those of `linear`.  D is linear, so dc(tau)/dtheta = D c0 +
+    tau D h and D h, the field's first derivative, are two stencils for
+    the whole pass; the midpoints go to `_form` at most `_BLOCK_POINTS`
+    samples at a time.  Returns `linear` itself unless S is strictly
+    increasing; raises as `_form` does.
     """
     grid, T = linear.grid, linear.T
     c0, c1 = linear.samples[0], linear.samples[-1]
     n_fine = _RETIME_REFINE * T
-    tau = (np.arange(n_fine + 1) / n_fine)[:, None, None]
-    sigma = np.concatenate([
-        _speeds(_forward(cfg, grid, (1.0 - t) * c0 + t * c1, 1.0 / n_fine)[0])
-        for t in (tau[j:j + T + 1] for j in range(0, n_fine, T))
+    tau = np.arange(n_fine + 1) / n_fine
+    mid = ((np.arange(n_fine) + 0.5) / n_fine)[:, None, None]
+    h = c1 - c0
+    dc0, dh = derivative(c0, grid), derivative(h, grid)
+    step = max(1, _BLOCK_POINTS // grid.n_points)
+    sigma = np.concatenate([  # h.copy(): `_form` rescales h in place
+        _speeds(_form(cfg, grid, None, h.copy(), dc=dc0 + t * dh, dh=dh)[0])
+        for t in (mid[j:j + step] for j in range(0, n_fine, step))
     ])
     cumulative = np.concatenate(([0.0], np.cumsum(sigma)))
     if not np.all(np.diff(cumulative) > 0):
         return linear
-    t = np.interp(cumulative[-1] * np.arange(1, T) / T, cumulative, tau[:, 0, 0])[:, None, None]
+    t = np.interp(cumulative[-1] * np.arange(1, T) / T, cumulative, tau)[:, None, None]
     return CurvePath(grid, np.concatenate([c0[None], (1.0 - t) * c0 + t * c1, c1[None]]))
 
 
@@ -461,9 +471,9 @@ def _minimize(cfg: MetricConfig, path: CurvePath, opts: SolverOptions) -> Geodes
     """
     grid = path.grid
     dt = path.dt
-    e, speeds, lengths, _ = _arc_jet(grid, path.samples)
+    e, s, ell, _ = _arc_jet(grid, path.samples)
     unit = int(max(e[0], e[-1]))
-    speeds, lengths = np.ldexp(speeds, (e - unit)[:, None]), np.ldexp(lengths, e - unit)
+    speeds, lengths = np.ldexp(s, (e - unit)[:, None]), np.ldexp(ell, e - unit)
     speed_floor = 1e-6 * float(np.mean(np.mean(speeds, axis=-1)))
 
     samples = np.ldexp(path.samples, -unit)
@@ -473,13 +483,13 @@ def _minimize(cfg: MetricConfig, path: CurvePath, opts: SolverOptions) -> Geodes
     def stack(x_arr):
         return np.concatenate([ends[0], x_arr, ends[1]])
 
-    def eval_at(x_arr):
-        e_x, s_x, _, _ = _arc_jet(grid, x_arr)
+    def eval_at(x_arr, jet=None):  # jet: (e, s) of x_arr from `_arc_jet`, if known
+        e_x, s_x = jet or _arc_jet(grid, x_arr)[:2]
         if np.min(np.ldexp(np.min(s_x, axis=-1), e_x)) < speed_floor:
             raise ImmersionError("interior slice below speed floor")
         return _stacked_energy_and_gradient(cfg, grid, stack(x_arr), dt, unit)
 
-    energy, grad, values = eval_at(x)
+    energy, grad, values = eval_at(x, (e[1:-1] - unit, s[1:-1]))
     trace = [energy]
     # Limited-memory quasi-Newton direction (two-loop recursion) seeded
     # with the frozen-coefficient inverse Hessian, plus a monotone Armijo

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sobocurve as sc
-from sobocurve.curves import TWO_PI, _arc_jet
+from sobocurve.curves import TWO_PI, _arc_jet, _dot
 from sobocurve.errors import ContractError, ImmersionError
 from sobocurve.sampling import random_curve, random_field
 
@@ -393,3 +393,33 @@ def test_random_curve_propagates_unrelated_errors(monkeypatch):
     monkeypatch.setattr(sampling, "DiscreteCurve", broken)
     with pytest.raises(TypeError, match="not an immersion failure"):
         random_curve(sc.Grid(32), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("lead", [(), (2,), (9,)], ids=["N_d", "2_N_d", "T_N_d"])
+def test_dot_adds_coordinates_like_np_sum(d, lead):
+    rng = np.random.default_rng([d, len(lead)])
+    for n in (16, 64, 128):
+        a, b = rng.standard_normal((2, *lead, n, d))
+        assert np.array_equal(_dot(a, b), np.sum(a * b, axis=-1))
+        # One (N, d) field against a stack of curves, as the kernels pass it.
+        assert np.array_equal(_dot(a[-1], b), np.sum(a[-1] * b, axis=-1))
+
+
+def test_dot_equals_einsum_in_the_plane():
+    rng = np.random.default_rng(2)
+    for shape in [(64, 2), (2, 64, 2), (16, 128, 2), (32, 256, 2)]:
+        a, b = rng.standard_normal((2, *shape))
+        assert np.array_equal(_dot(a, b), np.einsum("...d,...d->...", a, b))
+        if len(shape) == 3:
+            assert np.array_equal(_dot(a, b), np.einsum("tnd,tnd->tn", a, b))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_dot_in_space_is_einsum_up_to_the_order_of_its_sum(d):
+    # einsum may add the products in another order ((p0 + p2) + p1 at d = 3
+    # on NumPy 2.4); both orders are within a few ulps of sum |p_i|.
+    rng = np.random.default_rng(d)
+    a, b = rng.standard_normal((2, 16, 128, d))
+    gap = np.abs(_dot(a, b) - np.einsum("...d,...d->...", a, b))
+    assert np.max(gap / np.sum(np.abs(a * b), axis=-1)) <= 4e-16

@@ -17,6 +17,7 @@ from sobocurve.metric import (
     MetricConfig,
     PowerLaw,
     Tabulated,
+    _form,
     _profile,
     coefficient_deriv,
     coefficient_eval,
@@ -619,3 +620,21 @@ def test_property_config_dict_roundtrip_exact(cfg):
     back = sc.config_from_dict(json.loads(text))
     assert back == cfg
     assert json.dumps(sc.config_to_dict(back)) == text
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 3e120])
+def test_form_from_the_curves_derivative_equals_form_from_samples(scale):
+    # A caller that holds d samples/dtheta, and d h/dtheta, spares their stencils.
+    grid = sc.Grid(64)
+    rng = np.random.default_rng(5)
+    stack = scale * np.stack([random_curve(grid, rng).samples for _ in range(3)])
+    field = scale * random_field(grid, rng).values  # one field for the whole stack
+    cfg = MetricConfig(3, {0: PowerLaw(1.0, -3.0), 1: PowerLaw(0.5, -1.0), 3: PowerLaw(2.0, 3.0)})
+    values, pieces = _form(cfg, grid, stack, field.copy())
+    dc = sc.derivative(stack, grid, axis=-2)
+    for dh in (None, sc.derivative(field, grid)):
+        got, got_pieces = _form(cfg, grid, None, field.copy(), dc=dc.copy(), dh=dh)
+        assert np.array_equal(got, values)
+        assert all(np.array_equal(a, b) for a, b in zip(got_pieces[2], pieces[2]))
+    e = pieces[5]  # the returned dc is the stencil's, in the curves' power-of-two units
+    assert np.array_equal(pieces[-1], np.ldexp(dc, -e[:, None, None]))

@@ -747,3 +747,99 @@ def test_geodesic_length_from_last_evaluation():
     c0, c1 = random_pair(64, 0)
     res = sc.geodesic_bvp(SI, c0, c1, sc.SolverOptions(T=16))
     assert res.length == sc.path_length(SI, res.path)
+
+
+def fine_midpoint_speeds(cfg, linear, exact_velocity):
+    """sigma at the start's fine midpoints from explicit midpoint stacks.
+
+    With exact_velocity=False this is the earlier computation: `_forward`
+    over a finer linear path, T intervals at a time, whose velocity is a
+    difference quotient of the fine slices.
+    """
+    grid, T = linear.grid, linear.T
+    c0, c1 = linear.samples[0], linear.samples[-1]
+    n_fine = paths_module._RETIME_REFINE * T
+    if exact_velocity:
+        mid = ((np.arange(n_fine) + 0.5) / n_fine)[:, None, None]
+        return np.sqrt(paths_module._form(cfg, grid, c0 + mid * (c1 - c0), c1 - c0)[0])
+    tau = (np.arange(n_fine + 1) / n_fine)[:, None, None]
+    return np.concatenate([
+        np.sqrt(paths_module._forward(cfg, grid, (1.0 - t) * c0 + t * c1, 1.0 / n_fine)[0])
+        for t in (tau[j:j + T + 1] for j in range(0, n_fine, T))
+    ])
+
+
+def start_speeds(monkeypatch, cfg, linear):
+    """The start and the sigma it interpolated, read off `_speeds`."""
+    seen = []
+
+    def recording_speeds(values):
+        seen.append(speeds(values))
+        return seen[-1]
+
+    speeds = paths_module._speeds
+    monkeypatch.setattr(paths_module, "_speeds", recording_speeds)
+    start = paths_module._constant_speed_start(cfg, linear)
+    monkeypatch.setattr(paths_module, "_speeds", speeds)
+    return start, np.concatenate(seen)
+
+
+@pytest.mark.parametrize("kind", ["near_circle", "random"])
+@pytest.mark.parametrize("n, T", [(32, 5), (64, 16), (128, 16), (256, 32)])
+def test_constant_speed_start_speeds_match_explicit_midpoint_stacks(monkeypatch, kind, n, T):
+    for seed in range(3):
+        c0, c1 = pair_of_kind(kind, n, seed)
+        linear = sc.linear_path(c0, c1, T)
+        _, sigma = start_speeds(monkeypatch, SI, linear)
+        exact = fine_midpoint_speeds(SI, linear, exact_velocity=True)
+        assert np.max(np.abs(sigma - exact) / exact) <= 1e-14
+        # The difference quotient (c_{j+1} - c_j) r T of the earlier
+        # computation carries roundoff of about r T eps max|c| / max|h|.
+        quotient = fine_midpoint_speeds(SI, linear, exact_velocity=False)
+        h = c1.samples - c0.samples
+        bound = 8 * paths_module._RETIME_REFINE * T * np.finfo(float).eps
+        bound *= np.abs(linear.samples).max() / np.abs(h).max()
+        assert np.max(np.abs(sigma - quotient) / quotient) <= max(bound, 1e-14)
+
+
+@pytest.mark.parametrize("n, T", [(64, 16), (256, 32), (128, 33)])
+def test_constant_speed_start_in_blocks(monkeypatch, n, T):
+    # At N = 256 the 4T = 128 fine midpoints take four blocks of 32 curves,
+    # at N = 128 and T = 33 three, the last a partial one; forced smaller
+    # blocks give the same bits.
+    c0, c1 = pair_of_kind("random", n, 1)
+    linear = sc.linear_path(c0, c1, T)
+    sizes = []
+    form = paths_module._form
+
+    def recording_form(cfg, grid, samples, h, *args, dc=None, **kwargs):
+        sizes.append(dc.shape[:-1])
+        return form(cfg, grid, samples, h, *args, dc=dc, **kwargs)
+
+    monkeypatch.setattr(paths_module, "_form", recording_form)
+    start = paths_module._constant_speed_start(SI, linear)
+    assert sum(size[0] for size in sizes) == paths_module._RETIME_REFINE * T
+    assert max(np.prod(size) for size in sizes) <= paths_module._BLOCK_POINTS
+    for points in (n, 3 * n, 1):  # one curve (also for fewer points than N), three
+        monkeypatch.setattr(paths_module, "_BLOCK_POINTS", points)
+        assert np.array_equal(paths_module._constant_speed_start(SI, linear).samples, start.samples)
+
+
+@pytest.mark.parametrize("T", [1, 63, 64, 65, 400])
+def test_path_energy_and_length_in_blocks_equal_single_stack(monkeypatch, T):
+    # At N = 128 a block holds 64 intervals.
+    c0, c1 = pair_of_kind("random", 128, 2)
+    path = sc.linear_path(c0, c1, T)
+    values, _ = paths_module._forward(SI, path.grid, path.samples, path.dt)
+    sizes = []
+    forward = paths_module._forward
+
+    def recording_forward(cfg, grid, stacked, *args, **kwargs):
+        sizes.append(stacked[1:].shape[:-1])
+        return forward(cfg, grid, stacked, *args, **kwargs)
+
+    monkeypatch.setattr(paths_module, "_forward", recording_forward)
+    assert sc.path_energy(SI, path) == path.dt * float(np.sum(values))
+    assert sc.path_length(SI, path) == path.dt * float(np.sum(np.sqrt(values)))
+    assert sum(size[0] for size in sizes) == 2 * T
+    assert max(np.prod(size) for size in sizes) <= paths_module._BLOCK_POINTS

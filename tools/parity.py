@@ -1,6 +1,8 @@
 """Digests of the program's outputs, to show that two trees compute the same numbers.
 
 Usage: python tools/parity.py
+       python tools/parity.py --dump PATH
+       python tools/parity.py --compare OLD NEW
 
 Prints one sha256 line per group of outputs:
 
@@ -23,10 +25,18 @@ Prints one sha256 line per group of outputs:
 Run it in a checkout of each tree and diff the output: a refactor that
 keeps every number keeps every line.  The script reads `bench/` and
 changes nothing.
+
+Where the geodesic digest moves, `--dump PATH` shows by how much: it
+solves each pair of `geodesic_pairs()` under the first DUMP_SYMMETRIES
+of the workload's symmetries and writes, per solve, its name, length,
+energy, iterations and termination to PATH as a JSON list.  `--compare
+OLD NEW` reads two such dumps and prints the largest relative change in
+length and in energy, the iteration totals and the converged counts.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -66,6 +76,7 @@ from sobocurve.sampling import random_curve, random_field  # noqa: E402
 from sobocurve.verify import run_suite  # noqa: E402
 
 SUITE_SEEDS = range(400)
+DUMP_SYMMETRIES = 4
 SAMPLING_GRIDS = (16, 128, 512, 1024)
 CLI_CASES = (
     ["counterexample", "--case", "grow", "--p", "0", "--alpha", "10"],
@@ -91,6 +102,34 @@ def geodesic_digest() -> str:
         h.update(json.dumps(res.to_dict(), sort_keys=True).encode())
         h.update(res.path.samples.tobytes())
     return h.hexdigest()
+
+
+def geodesic_dump(path: str) -> None:
+    cfg = scale_invariant_profile(2, workloads.B_SI)
+    rows = []
+    for name, c0, c1, T, _ in workloads.geodesic_pairs():
+        for k, move in enumerate(workloads.symmetries(name, c0.grid.n_points)[:DUMP_SYMMETRIES]):
+            a, b = DiscreteCurve(c0.grid, move(c0.samples)), DiscreteCurve(c1.grid, move(c1.samples))
+            res = geodesic_bvp(cfg, a, b, SolverOptions(T=T))
+            rows.append({"name": f"{name}/{k}", "length": res.length, "energy": res.energy,
+                         "iterations": res.iterations, "termination": res.termination})
+    Path(path).write_text(json.dumps(rows, indent=1) + "\n")
+
+
+def geodesic_compare(old_path: str, new_path: str) -> None:
+    old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
+    if [r["name"] for r in old] != [r["name"] for r in new]:
+        sys.exit("the dumps hold different solves")
+    for key in ("length", "energy"):
+        rel = max(abs(b[key] - a[key]) / abs(a[key]) if a[key] else abs(b[key]) for a, b in zip(old, new))
+        print(f"{key}: largest relative change {rel:.3g}")
+    for name, rows in (("old", old), ("new", new)):
+        converged = sum(r["termination"] in ("gradient", "energy_stall") for r in rows)
+        print(f"{name}: {sum(r['iterations'] for r in rows)} iterations, "
+              f"{converged}/{len(rows)} converged")
+    changed = [a["name"] for a, b in zip(old, new)
+               if (a["iterations"], a["termination"]) != (b["iterations"], b["termination"])]
+    print(f"iterations or termination changed in {len(changed)} solves: {changed}")
 
 
 def cli_digest() -> str:
@@ -169,6 +208,16 @@ def library_digest() -> str:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Digests of the program's outputs.")
+    parser.add_argument("--dump", metavar="PATH", help="write the geodesic solves to PATH as JSON")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two dumps")
+    args = parser.parse_args()
+    if args.dump:
+        geodesic_dump(args.dump)
+        sys.exit(0)
+    if args.compare:
+        geodesic_compare(*args.compare)
+        sys.exit(0)
     digests = (("suite", suite_digest), ("geodesic", geodesic_digest), ("cli", cli_digest),
                ("library", library_digest))
     for name, digest in digests:
