@@ -22,7 +22,7 @@ import numpy as np
 
 from .curves import Grid, _arc_jet, curve_length, derivative, make_bumpy_circle
 from .errors import ContractError, NumericalError, _require_int
-from .metric import _BLOCK_POINTS, MetricConfig, PowerLaw, _form
+from .metric import MetricConfig, PowerLaw, _blocks, _form
 from .paths import radial_path_length
 
 GROW = "grow"
@@ -146,11 +146,10 @@ def scaled_leg_length(
         raise ContractError(f"base scale must be positive and finite, got {r}")
     dt = 1.0 / T
     t_mid = ((np.arange(T) + 0.5) * dt)[:, None, None]
-    block = max(1, _BLOCK_POINTS // grid.n_points)
     values = []
     try:
-        for i in range(0, T, block):
-            t = t_mid[i:i + block]
+        for b in _blocks(T, grid.n_points):
+            t = t_mid[b]
             with np.errstate(over="ignore", invalid="ignore"):  # overflowed samples raise below
                 gamma = (r * (1.0 - t)) * shape0 + (r * t) * shape1
                 velocity = r * (shape1 - shape0)  # one per block: _form rescales h in place

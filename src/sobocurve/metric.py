@@ -318,6 +318,15 @@ def _q_form(w: float, uh: np.ndarray, ug: np.ndarray, s: np.ndarray):
 _BLOCK_POINTS = 8192
 
 
+def _blocks(count: int, n_points: int, fields: int = 1) -> list:
+    """Slices of a stack of `count` items, each slice at most `_BLOCK_POINTS` field samples.
+
+    An item holds `fields` fields of `n_points` samples (2 for a pair h, g).
+    """
+    step = max(1, _BLOCK_POINTS // (fields * n_points))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
 def _form(cfg: MetricConfig, grid, samples, h, g=None, unit: int = 0, dc=None, dh=None):
     """G = sum_k a_k(ell) * Q_k(h, g) per curve of a (..., N, d) stack.
 
@@ -353,6 +362,17 @@ def _form(cfg: MetricConfig, grid, samples, h, g=None, unit: int = 0, dc=None, d
         ell = f"{np.ravel(lengths)[i]!r} * 2**{np.ravel(shift)[i]}"
         raise NumericalError(f"metric value is not finite at curve length {ell}: {np.ravel(values)[i]}")
     return values, (s, lengths, u, q, coeffs, e, eh, x, dc)
+
+
+def _form_blocks(cfg: MetricConfig, grid, samples, h, g=None) -> np.ndarray:
+    """`_form`'s G per item of (B, N, d) stacks, evaluated `_blocks` at a time.
+
+    Bit for bit B single-curve calls; rescales h in place, as `_form` does, when g is None.
+    """
+    return np.concatenate([
+        _form(cfg, grid, samples[b], h[b], None if g is None else g[b])[0]
+        for b in _blocks(len(samples), grid.n_points, 1 if g is None else 2)
+    ])
 
 
 def eval_metric(

@@ -41,7 +41,7 @@ from .curves import (
 )
 from .completeness import _radial_integral
 from .errors import ContractError, ImmersionError, NumericalError, _require_int
-from .metric import _BLOCK_POINTS, MetricConfig, _form, _profile, _q_form
+from .metric import MetricConfig, _blocks, _form, _form_blocks, _profile, _q_form
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,18 @@ class CurvePath:
             raise ContractError("a path needs at least two slices")
         if not np.all(np.isfinite(samples)):
             raise ContractError("path samples must be finite")
-        try:
-            _arc_jet(self.grid, samples)
-        except ImmersionError:
-            # Name the first bad slice; only a failed check pays for the search.
-            for m, c in enumerate(samples):
-                try:
-                    _arc_jet(self.grid, c)
-                except ImmersionError as exc:
-                    t = m / (len(samples) - 1)
-                    raise ImmersionError(f"path degenerates at t={t:.6g}: {exc}") from exc
-            raise
+        for block in _blocks(len(samples), self.grid.n_points):
+            try:
+                _arc_jet(self.grid, samples[block])
+            except ImmersionError:
+                # Name the first bad slice; only a failed block pays for the search.
+                for m in range(len(samples))[block]:
+                    try:
+                        _arc_jet(self.grid, samples[m])
+                    except ImmersionError as exc:
+                        t = m / (len(samples) - 1)
+                        raise ImmersionError(f"path degenerates at t={t:.6g}: {exc}") from exc
+                raise
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -142,21 +143,29 @@ def linear_path(c0: DiscreteCurve, c1: DiscreteCurve, T: int) -> CurvePath:
     if T < 1:
         raise ContractError("T must be >= 1")
     t = (np.arange(T + 1) / T)[:, None, None]
-    return CurvePath(c0.grid, (1.0 - t) * c0.samples + t * c1.samples)
+    samples = (1.0 - t) * c0.samples
+    for block in _blocks(T + 1, c0.grid.n_points):  # no path-sized temporary for t * c1
+        samples[block] += t[block] * c1.samples
+    return CurvePath(c0.grid, samples)
+
+
+def _midpoints(stacked, dt: float):
+    """Midpoint curves (c_m + c_{m+1}) / 2 and velocities (c_{m+1} - c_m) / dt along axis -3."""
+    c, c_next = stacked[..., :-1, :, :], stacked[..., 1:, :, :]
+    return 0.5 * (c + c_next), (c_next - c) / dt
 
 
 def _forward(cfg: MetricConfig, grid: Grid, stacked, dt: float, unit: int = 0):
     """`_form` at the T midpoint slices of a (T+1, N, d) path; midpoints lead its pieces."""
-    cb = 0.5 * (stacked[:-1] + stacked[1:])
-    values, pieces = _form(cfg, grid, cb, (stacked[1:] - stacked[:-1]) / dt, unit=unit)
+    cb, velocity = _midpoints(stacked, dt)
+    values, pieces = _form(cfg, grid, cb, velocity, unit=unit)
     return values, (cb, *pieces)
 
 
 def _interval_values(cfg: MetricConfig, path: CurvePath) -> np.ndarray:
-    """`_forward`'s per-interval values G_m, evaluated `_BLOCK_POINTS` samples at a time."""
-    step = max(1, _BLOCK_POINTS // path.grid.n_points)
-    return np.concatenate([_forward(cfg, path.grid, path.samples[m:m + step + 1], path.dt)[0]
-                           for m in range(0, path.T, step)])
+    """`_forward`'s per-interval values G_m, evaluated `_blocks` of intervals at a time."""
+    return np.concatenate([_forward(cfg, path.grid, path.samples[b.start:b.stop + 1], path.dt)[0]
+                           for b in _blocks(path.T, path.grid.n_points)])
 
 
 def path_energy(cfg: MetricConfig, path: CurvePath) -> float:
@@ -312,29 +321,44 @@ def gradient_check(
     n_coords: int = 20,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Max relative deviation of the analytic gradient vs central FD."""
+    """Max relative deviation of the analytic gradient vs central FD.
+
+    Moving one sample of slice m moves only intervals m-1 and m, so each
+    of the four perturbed energies per coordinate evaluates those two
+    (all of them in one blocked `_form` pass) and sums them with the
+    other intervals' values: bit for bit `path_energy` of the perturbed path.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
     if path.T < 2:
         raise ContractError("gradient check needs at least one interior slice")
-    _, grad = energy_and_gradient(cfg, path)
+    _, grad, values = _stacked_energy_and_gradient(cfg, path.grid, path.samples, path.dt)
     scale = np.max(np.abs(grad))
     n, d = path.samples.shape[1:]
+    coords = [(int(rng.integers(1, path.T)), int(rng.integers(0, n)), int(rng.integers(0, d)))
+              for _ in range(n_coords)]
+    if not coords:
+        return 0.0
+    deltas = np.array([1.0, -1.0, 2.0, -2.0]) * _FD_STEP
+    # Slices m-1, m, m+1 of the path, once per delta, with delta added at (m, j, axis).
+    local = np.stack([np.repeat(path.samples[None, m - 1:m + 2], len(deltas), axis=0)
+                      for m, _, _ in coords])
+    for i, (_, j, axis) in enumerate(coords):
+        local[i, :, 1, j, axis] += deltas
+    cb, velocity = _midpoints(local, path.dt)
+    touched = _form_blocks(cfg, path.grid, cb.reshape(-1, n, d), velocity.reshape(-1, n, d))
     worst = 0.0
-    for _ in range(n_coords):
-        m = int(rng.integers(1, path.T))
-        j = int(rng.integers(0, n))
-        axis = int(rng.integers(0, d))
-
-        def energy_at(delta):
-            samples = path.samples.copy()
-            samples[m, j, axis] += delta
-            return path_energy(cfg, CurvePath(path.grid, samples))
-
+    for (m, j, axis), pairs in zip(coords, touched.reshape(n_coords, len(deltas), 2)):
+        energies = []
+        for pair in pairs:
+            perturbed = values.copy()
+            perturbed[m - 1:m + 1] = pair
+            energies.append(path.dt * float(np.sum(perturbed)))
+        e_h, e_mh, e_2h, e_m2h = energies
         # Richardson-extrapolated central differences: spike perturbations
         # are rough fields, so the plain h^2 truncation term is large.
-        fd_h = (energy_at(_FD_STEP) - energy_at(-_FD_STEP)) / (2.0 * _FD_STEP)
-        fd_2h = (energy_at(2 * _FD_STEP) - energy_at(-2 * _FD_STEP)) / (4.0 * _FD_STEP)
+        fd_h = (e_h - e_mh) / (2.0 * _FD_STEP)
+        fd_2h = (e_2h - e_m2h) / (4.0 * _FD_STEP)
         fd = (4.0 * fd_h - fd_2h) / 3.0
         an = grad[m - 1, j, axis]
         # Normalize against the gradient's sup norm so the FD oracle's own
@@ -412,10 +436,9 @@ def _constant_speed_start(cfg: MetricConfig, linear: CurvePath) -> CurvePath:
     mid = ((np.arange(n_fine) + 0.5) / n_fine)[:, None, None]
     h = c1 - c0
     dc0, dh = derivative(c0, grid), derivative(h, grid)
-    step = max(1, _BLOCK_POINTS // grid.n_points)
     sigma = np.concatenate([  # h.copy(): `_form` rescales h in place
-        _speeds(_form(cfg, grid, None, h.copy(), dc=dc0 + t * dh, dh=dh)[0])
-        for t in (mid[j:j + step] for j in range(0, n_fine, step))
+        _speeds(_form(cfg, grid, None, h.copy(), dc=dc0 + mid[b] * dh, dh=dh)[0])
+        for b in _blocks(n_fine, grid.n_points)
     ])
     cumulative = np.concatenate(([0.0], np.cumsum(sigma)))
     if not np.all(np.diff(cumulative) > 0):

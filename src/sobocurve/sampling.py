@@ -35,10 +35,16 @@ def _basis(grid: Grid) -> tuple:
 
 
 def _band_limited(grid: Grid, rng: np.random.Generator, dim: int) -> np.ndarray:
+    """(N, dim) sum of the modes, C-ordered.
+
+    The terms are built coordinate-major, (modes, dim, N), so the inner
+    loops run over N; the (dim, N) sum is transposed into a C-ordered
+    copy, which keeps later field arithmetic on contiguous rows.
+    """
     cos, sin = _basis(grid)
     ab = rng.standard_normal((_MODES, 2, dim)) * np.array(_AMP)[:, None, None]
-    terms = cos[:, :, None] * ab[:, None, 0] + sin[:, :, None] * ab[:, None, 1]
-    return np.add.reduce(terms, axis=0)  # modes summed in order m = 1, 2, ...
+    terms = ab[:, 0, :, None] * cos[:, None] + ab[:, 1, :, None] * sin[:, None]
+    return np.ascontiguousarray(np.add.reduce(terms, axis=0).T)  # modes summed in order m = 1, 2, ...
 
 
 def random_curve(grid: Grid, rng: np.random.Generator, dim: int = 2) -> DiscreteCurve:

@@ -2,6 +2,14 @@
 
 Runs the module invariants on seeded random inputs and reports one
 pass/fail row per invariant.  Output is deterministic for a fixed seed.
+
+A check on many small curves first draws all its inputs, in the order
+the seed fixes (rejection loops of `random_curve` included), then
+evaluates them stacked: a few `_form` (`metric._form_blocks`) or
+`_arc_jet` calls of at most `metric._BLOCK_POINTS` field samples each,
+in place of one call per curve.  The kernels give each curve of a stack
+the bits of its own call, and each item is still compared on its own,
+so every row's detail is the one that per-curve calls would give.
 """
 
 from __future__ import annotations
@@ -27,25 +35,33 @@ from .counterexample import (
 from .curves import (
     DiscreteCurve,
     Grid,
-    TangentField,
     _arc_jet,
-    arc_derivative,
     curve_length,
     derivative,
     integrate_ds,
     make_circle,
 )
 from .errors import ContractError, _require_int
-from .metric import MetricConfig, PowerLaw, Constant, Tabulated, _q_form, eval_metric, scale_invariant_profile
+from .metric import (
+    Constant,
+    MetricConfig,
+    PowerLaw,
+    Tabulated,
+    _blocks,
+    _form_blocks,
+    _q_form,
+    scale_invariant_profile,
+)
 from .paths import (
     SolverOptions,
+    _forward,
+    _midpoints,
+    _speeds,
     geodesic_bvp,
     gradient_check,
     linear_path,
-    path_energy,
     path_length,
     radial_path_length,
-    reverse_path,
 )
 from .sampling import random_curve, random_field
 
@@ -59,30 +75,54 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _rotation(angle: float) -> np.ndarray:
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+def _arc_stack(grid: Grid, samples: np.ndarray, fields=None, n: int = 0):
+    """Speeds |c'| and [D_s^k field for k = 1..n] per item of (B, N, d) stacks.
+
+    Bit for bit `DiscreteCurve(...).arc_speed` and `arc_derivative` per
+    item, from one `_arc_jet` call per `_blocks` slice of the items.
+    """
+    speeds, derivs = [], []
+    for b in _blocks(len(samples), grid.n_points):
+        e, s, _, u = _arc_jet(grid, samples[b], None if fields is None else fields[b], n)
+        speeds.append(np.ldexp(s, e[:, None]))
+        derivs.append([np.ldexp(u[k], -k * e[:, None, None]) for k in range(1, n + 1)])
+    return np.concatenate(speeds), [np.concatenate(dk) for dk in zip(*derivs)]
+
+
 def _check_exact_identities(rng):
     grid = Grid(128)
-    worst = 0.0
+    curves, fields, rhos, shifts, rots = [], [], [], [], []
     for _ in range(20):
-        c = random_curve(grid, rng)
+        curves.append(random_curve(grid, rng))
         # Unused draw, kept so that each seed's later draws, and so its payload, stay fixed.
         rng.standard_normal(grid.n_points)
-        worst = max(worst, _rel(integrate_ds(c, np.ones(grid.n_points)), curve_length(c)))
-        h = random_field(grid, rng)
-        rho = float(rng.uniform(0.2, 5.0))
-        scaled = DiscreteCurve(grid, rho * c.samples)
-        for k in (1, 2, 3):
-            lhs = arc_derivative(scaled, h, k).values
-            rhs = rho**-k * arc_derivative(c, h, k).values
-            worst = max(worst, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))))
-        shifted = DiscreteCurve(grid, c.samples + rng.standard_normal(2))
-        worst = max(worst, float(np.max(np.abs(shifted.arc_speed - c.arc_speed))))
-        angle = float(rng.uniform(0, 2 * np.pi))
-        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-        rc = DiscreteCurve(grid, c.samples @ rot.T)
-        rh = TangentField(grid, h.values @ rot.T)
-        lhs = arc_derivative(rc, rh, 2).values
-        rhs = arc_derivative(c, h, 2).values @ rot.T
-        worst = max(worst, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))))
+        fields.append(random_field(grid, rng).values)
+        rhos.append(float(rng.uniform(0.2, 5.0)))
+        shifts.append(rng.standard_normal(2))
+        rots.append(_rotation(float(rng.uniform(0, 2 * np.pi))))
+    c, h = np.array([ci.samples for ci in curves]), np.array(fields)
+    _, dc = _arc_stack(grid, c, h, 3)
+    _, dscaled = _arc_stack(grid, np.array(rhos)[:, None, None] * c, h, 3)
+    shifted, _ = _arc_stack(grid, c + np.array(shifts)[:, None])
+    rc = np.array([ci @ rot.T for ci, rot in zip(c, rots)])
+    rh = np.array([hi @ rot.T for hi, rot in zip(fields, rots)])
+    _, (_, drot) = _arc_stack(grid, rc, rh, 2)
+
+    def dev(lhs, rhs):
+        return np.max(np.abs(lhs - rhs), axis=(1, 2)) / np.max(np.abs(rhs), axis=(1, 2))
+
+    scaling = [dev(dscaled[k - 1], np.array([r**-k for r in rhos])[:, None, None] * dc[k - 1])
+               for k in (1, 2, 3)]
+    rotated = dev(drot, np.array([d2 @ rot.T for d2, rot in zip(dc[1], rots)]))
+    worst = 0.0
+    for i, ci in enumerate(curves):
+        worst = max(worst, _rel(integrate_ds(ci, np.ones(grid.n_points)), curve_length(ci)))
+        worst = max(worst, *(float(sk[i]) for sk in scaling))
+        worst = max(worst, float(np.max(np.abs(shifted[i] - ci.arc_speed))), float(rotated[i]))
     return worst <= 1e-12, f"max rel dev {worst:.3e}"
 
 
@@ -105,21 +145,27 @@ def _check_convergence_order(rng):
 def _check_poincare(rng):
     grid = Grid(512)
     slack = 1.0 + 1e-3
-    ok = True
+    curves, fields = [], []
     for _ in range(20):  # curves, each with two fields
         c = random_curve(grid, rng)
-        ell = curve_length(c)
         for _ in range(2):
-            h = random_field(grid, rng)
-            e, s, _, u = _arc_jet(grid, c.samples, h.values, 4)
-            s, u = np.ldexp(s, e), [np.ldexp(uk, -k * e) for k, uk in enumerate(u)]
-            l2 = [_q_form(grid.spacing, uk, uk, s) for uk in u]  # |D_s^k h|^2_L2(ds)
-            sup1 = float(np.max(np.sum(u[1] ** 2, axis=1)))
-            ok = ok and sup1 <= (ell / 4.0) * l2[2] * slack
-            ok = ok and l2[1] <= (ell**2 / 4.0) * l2[2] * slack
-            for n_ord in range(2, 5):
-                for k in range(n_ord + 1):
-                    ok = ok and l2[k] <= (l2[0] + l2[n_ord]) * slack
+            curves.append(c)
+            fields.append(random_field(grid, rng).values)
+    samples, h = np.array([c.samples for c in curves]), np.array(fields)
+    ell = np.array([curve_length(c) for c in curves])
+    ell_sq = np.array([x**2 for x in ell.tolist()])
+    ok = True
+    for b in _blocks(len(samples), grid.n_points):
+        e, s, _, u = _arc_jet(grid, samples[b], h[b], 4)
+        s = np.ldexp(s, e[:, None])
+        u = [np.ldexp(uk, -k * e[:, None, None]) for k, uk in enumerate(u)]
+        l2 = [_q_form(grid.spacing, uk, uk, s) for uk in u]  # |D_s^k h|^2_L2(ds)
+        sup1 = np.max(np.sum(u[1] ** 2, axis=-1), axis=-1)
+        ok = ok and (sup1 <= (ell[b] / 4.0) * l2[2] * slack).all()
+        ok = ok and (l2[1] <= (ell_sq[b] / 4.0) * l2[2] * slack).all()
+        for n_ord in range(2, 5):
+            for k in range(n_ord + 1):
+                ok = ok and (l2[k] <= (l2[0] + l2[n_ord]) * slack).all()
     return ok, "three Poincare inequalities with slack 1e-3"
 
 
@@ -127,36 +173,40 @@ def _check_metric_algebra(rng):
     grid = Grid(128)
     cfg = MetricConfig(2, {0: Constant(1.0), 2: Constant(1.0)})
     si = scale_invariant_profile(2, [1.0, 0.0, 1.0])
-    worst = 0.0
+    draws, pairs, si_pairs = [], [], []
     for _ in range(20):
         c = random_curve(grid, rng)
-        h = random_field(grid, rng)
-        g = random_field(grid, rng)
+        h = random_field(grid, rng).values
+        g = random_field(grid, rng).values
+        alpha = float(rng.uniform(0.5, 2.0))
+        rot = _rotation(float(rng.uniform(0, 2 * np.pi)))
+        shift = rng.standard_normal(2)
+        rho = float(rng.choice([0.1, 3.0, 50.0]))
+        draws.append((c, h, alpha))
+        combo = alpha * h + g
+        # G(h, g), G(h, h), G(g, g), G(g, h), G(combo, g), G(combo, combo), then
+        # G(h, g) rotated and shifted; under si, G(h, h) scaled by rho and not.
+        pairs += [(c.samples, h, g), (c.samples, h, h), (c.samples, g, g), (c.samples, g, h),
+                  (c.samples, combo, g), (c.samples, combo, combo),
+                  (c.samples @ rot.T + shift, h @ rot.T, g @ rot.T)]
+        si_pairs += [(rho * c.samples, rho * h, rho * h), (c.samples, h, h)]
+    values = _form_blocks(cfg, grid, *map(np.array, zip(*pairs))).reshape(20, 7).tolist()
+    si_values = _form_blocks(si, grid, *map(np.array, zip(*si_pairs))).reshape(20, 2).tolist()
+    worst = 0.0
+    for (c, h, alpha), (hg, quad, gg, gh, combo_g, combo_combo, rotated), (scaled, plain) in zip(
+        draws, values, si_values
+    ):
         # A cross term G(h, g) can be near zero, so its deviations are
         # measured against the Cauchy-Schwarz bound sqrt(G(h,h) G(g,g)).
-        hg = eval_metric(cfg, c, h, g)
-        quad = eval_metric(cfg, c, h, h)
-        gg = eval_metric(cfg, c, g, g)
         cs = math.sqrt(quad * gg)
-        worst = max(worst, abs(hg - eval_metric(cfg, c, g, h)) / cs)
-        alpha = float(rng.uniform(0.5, 2.0))
-        combo = TangentField(grid, alpha * h.values + g.values)
-        lin = eval_metric(cfg, c, combo, g) - (alpha * hg + gg)
-        worst = max(worst, abs(lin) / math.sqrt(eval_metric(cfg, c, combo, combo) * gg))
-        l2 = integrate_ds(c, np.sum(h.values**2, axis=1))
+        worst = max(worst, abs(hg - gh) / cs)
+        lin = combo_g - (alpha * hg + gg)
+        worst = max(worst, abs(lin) / math.sqrt(combo_combo * gg))
+        l2 = integrate_ds(c, np.sum(h**2, axis=1))
         if quad < l2 * (1 - 1e-12):
             worst = max(worst, 1.0)
-        angle = float(rng.uniform(0, 2 * np.pi))
-        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-        shift = rng.standard_normal(2)
-        rc = DiscreteCurve(grid, c.samples @ rot.T + shift)
-        rh = TangentField(grid, h.values @ rot.T)
-        rg = TangentField(grid, g.values @ rot.T)
-        worst = max(worst, abs(eval_metric(cfg, rc, rh, rg) - hg) / cs)
-        rho = float(rng.choice([0.1, 3.0, 50.0]))
-        sc = DiscreteCurve(grid, rho * c.samples)
-        sh = TangentField(grid, rho * h.values)
-        worst = max(worst, _rel(eval_metric(si, sc, sh, sh), eval_metric(si, c, h, h)))
+        worst = max(worst, abs(rotated - hg) / cs)
+        worst = max(worst, _rel(scaled, plain))
     return worst <= 1e-12, f"max rel dev {worst:.3e}"
 
 
@@ -202,21 +252,26 @@ def _check_w_function(rng):
 def _check_path_identities(rng):
     grid = Grid(128)
     cfg = MetricConfig(2, {0: Constant(1.0), 2: Constant(1.0)})
-    ok = True
-    worst = 0.0
+    draws = []  # per draw: a path, its reversal, a translation and the latter's exact energy
     for _ in range(5):
         c0 = random_curve(grid, rng)
         c1 = DiscreteCurve(grid, c0.samples + 0.1 * random_field(grid, rng).values)
         p = linear_path(c0, c1, 16)
-        e = path_energy(cfg, p)
-        ln = path_length(cfg, p)
-        ok = ok and ln**2 <= e * (1 + 1e-12)
-        worst = max(worst, _rel(path_energy(cfg, reverse_path(p)), e))
         v = rng.standard_normal(2)
-        trans = DiscreteCurve(grid, c0.samples + v)
-        tp = linear_path(c0, trans, 8)
-        expected = curve_length(c0) * float(np.dot(v, v))
-        worst = max(worst, _rel(path_energy(cfg, tp), expected))
+        tp = linear_path(c0, DiscreteCurve(grid, c0.samples + v), 8)
+        draws.append(([p.samples, p.samples[::-1], tp.samples], curve_length(c0) * float(np.dot(v, v))))
+    ok = True
+    worst = 0.0
+    for stacks, exact in draws:
+        # The three paths' intervals in one stack; a path's dt is 1 / (its interval count).
+        mids = [_midpoints(x, 1.0 / (len(x) - 1)) for x in stacks]
+        values = _form_blocks(cfg, grid, *(np.concatenate(m) for m in zip(*mids)))
+        forward, reverse, translation = np.split(values, [16, 32])
+        e = (1.0 / 16) * float(np.sum(forward))
+        ln = (1.0 / 16) * float(np.sum(_speeds(forward)))
+        ok = ok and ln**2 <= e * (1 + 1e-12)
+        worst = max(worst, _rel((1.0 / 16) * float(np.sum(reverse)), e))
+        worst = max(worst, _rel((1.0 / 8) * float(np.sum(translation)), exact))
     return ok and worst <= 1e-12, f"Cauchy-Schwarz + reversal + translation, dev {worst:.3e}"
 
 
@@ -263,13 +318,15 @@ def _check_w_length_bound(rng):
     c0 = make_circle(1.0, (0.0, 0.0), grid)
     c1 = DiscreteCurve(grid, 1.4 * c0.samples + 0.05 * random_field(grid, rng).values)
     res = geodesic_bvp(cfg, c0, c1, SolverOptions(max_iters=40, gap_tol=3e-9, T=16))
-    slices = res.path.slices
-    w0 = w_eval(cfg, curve_length(slices[0]))
+    # The legs c_m -> c_{m+1} as one-interval paths, and each slice's length.
+    legs = _speeds(_forward(cfg, grid, res.path.samples, 1.0)[0]).tolist()
+    lengths = [grid.spacing * float(np.sum(s)) for s in _arc_stack(grid, res.path.samples)[0]]
+    w0 = w_eval(cfg, lengths[0])
     acc = 0.0
     ok = True
     for m in range(res.path.T):
-        acc += path_length(cfg, linear_path(slices[m], slices[m + 1], 1))
-        wm = w_eval(cfg, curve_length(slices[m + 1]))
+        acc += legs[m]
+        wm = w_eval(cfg, lengths[m + 1])
         ok = ok and abs(wm - w0) <= const * acc * 1.1 + 1e-12
     return ok, f"|dW| vs accumulated length, C={const:.4f}"
 

@@ -16,7 +16,7 @@ from sobocurve.counterexample import (
     verify_sequence,
 )
 from sobocurve.errors import ContractError, NumericalError
-from sobocurve.metric import PowerLaw, _form
+from sobocurve.metric import _BLOCK_POINTS, PowerLaw, _form
 
 
 def grow_params(n_max=2):
@@ -232,7 +232,7 @@ def test_scaled_leg_length_in_blocks_equals_single_stack(monkeypatch, n_pts, lam
         expected = single_stack_leg_length(cfg, r, shape0, shape1, grid, T)
         assert scaled_leg_length(cfg, r, shape0, shape1, grid, T) == expected
         assert sum(size[0] for size in sizes) == T
-        assert max(np.prod(size) for size in sizes) <= counterexample._BLOCK_POINTS
+        assert max(np.prod(size) for size in sizes) <= _BLOCK_POINTS
 
 
 @pytest.mark.parametrize("r_base", [float("inf"), float("nan")])

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sobocurve as sc
+from sobocurve.curves import _arc_jet
 from sobocurve.errors import ContractError, NumericalError
 from sobocurve.metric import (
     Constant,
@@ -638,3 +639,55 @@ def test_form_from_the_curves_derivative_equals_form_from_samples(scale):
         assert all(np.array_equal(a, b) for a, b in zip(got_pieces[2], pieces[2]))
     e = pieces[5]  # the returned dc is the stencil's, in the curves' power-of-two units
     assert np.array_equal(pieces[-1], np.ldexp(dc, -e[:, None, None]))
+
+
+@st.composite
+def _near_scale_invariant_configs(draw):
+    """a_k near the scale-invariant b ell^(2k-3), as power laws, constants (k = 1, 2) or
+    tables, so that G stays a float on curves scaled by 2^600 or 2^-600."""
+    n = draw(st.integers(2, 3))
+    terms = {}
+    for k in range(n + 1):
+        if k not in (0, n) and draw(st.booleans()):
+            continue
+        b, p = draw(st.floats(0.5, 2.0)), 2 * k - 3 + draw(st.floats(-0.5, 0.5))
+        form = draw(st.sampled_from(["power", "const", "table"] if k in (1, 2) else ["power", "table"]))
+        if form == "power":
+            terms[k] = PowerLaw(b, p)
+        elif form == "const":
+            terms[k] = Constant(b)
+        else:
+            knots = draw(st.floats(0.1, 10.0)) * 2.0 ** np.arange(6)
+            wiggle = np.array(draw(st.lists(st.floats(0.8, 1.25), min_size=6, max_size=6)))
+            terms[k] = Tabulated(tuple(knots.tolist()), tuple((b * knots**p * wiggle).tolist()))
+    return MetricConfig(n, terms)
+
+
+@_PROPERTY
+@given(cfg=_near_scale_invariant_configs(), seed=st.integers(0, 2**32 - 1),
+       j=st.sampled_from([-600, 600]), pairs=st.booleans())
+def test_property_stacked_form_and_jet_equal_single_curve_calls(cfg, seed, j, pairs):
+    # Batching is only a speed-up if every curve of a stack gets the bits of
+    # its own call.  The stack mixes a unit curve with its copy scaled by 2^j,
+    # whose lengths make the plain power-law step over- or underflow, so
+    # `_law`'s split path runs for the whole stack.  With pairs the fields
+    # h, g get a leading pair axis: `_form` stacks them, `_arc_jet` is given them stacked.
+    rng = np.random.default_rng(seed)
+    base = [random_curve(_GRID, rng).samples for _ in range(3)]
+    fields = [random_field(_GRID, rng).values for _ in range(8)]
+    curves = np.stack([base[0], np.ldexp(base[0], j), base[1], base[2]])
+    h = np.stack(fields[:4])
+    h[1] = np.ldexp(h[0], j)
+    g = np.stack(fields[4:]) if pairs else None
+    if pairs:
+        g[1] = np.ldexp(g[0], j)
+    stacked = _form(cfg, _GRID, curves, h.copy(), g)[0]
+    single = [_form(cfg, _GRID, curves[i], h[i].copy(), None if g is None else g[i])[0]
+              for i in range(len(curves))]
+    assert np.array_equal(stacked, single)
+    field = h if g is None else np.stack([h, g])
+    e, s, ell, u = _arc_jet(_GRID, curves, field, cfg.n)
+    for i in range(len(curves)):
+        e_i, s_i, ell_i, u_i = _arc_jet(_GRID, curves[i], field[..., i, :, :], cfg.n)
+        assert e[i] == e_i and ell[i] == ell_i and np.array_equal(s[i], s_i)
+        assert all(np.array_equal(uk[..., i, :, :], uk_i) for uk, uk_i in zip(u, u_i))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sobocurve as sc
+from sobocurve import metric as metric_module
 from sobocurve import paths as paths_module
 from sobocurve.curves import _arc_jet
 from sobocurve.errors import ContractError, ImmersionError, NumericalError
@@ -134,6 +135,34 @@ def test_linear_path_degeneration():
     c1 = sc.DiscreteCurve(grid, -c0.samples)  # midpoint collapses to a point
     with pytest.raises(ImmersionError, match="degenerates at t="):
         sc.linear_path(c0, c1, 10)
+
+
+@pytest.mark.parametrize("bad", [[3], [300], [70, 300], [399, 400]])
+def test_curve_path_is_checked_in_blocks_and_names_the_first_bad_slice(monkeypatch, bad):
+    # At N = 128 a block holds 64 slices, so T = 400 takes seven.
+    c0, c1 = circle_pair(128)
+    path = sc.linear_path(c0, c1, 400)
+    sizes = []
+
+    def recording_jet(grid, samples, *args):
+        sizes.append(samples.shape[:-1])
+        return _arc_jet(grid, samples, *args)
+
+    monkeypatch.setattr(paths_module, "_arc_jet", recording_jet)
+    sc.CurvePath(path.grid, path.samples)
+    assert sum(size[0] for size in sizes) == 401
+    assert max(np.prod(size) for size in sizes) <= metric_module._BLOCK_POINTS
+    collapsed = path.samples.copy()
+    collapsed[bad] = 0.0
+    with pytest.raises(ImmersionError, match=f"degenerates at t={bad[0] / 400:.6g}: not an immersion"):
+        sc.CurvePath(path.grid, collapsed)
+
+
+@pytest.mark.parametrize("T", [1, 63, 64, 400])
+def test_linear_path_in_blocks_equals_one_convex_combination(T):
+    c0, c1 = pair_of_kind("random", 128, 3)
+    t = (np.arange(T + 1) / T)[:, None, None]
+    assert np.array_equal(sc.linear_path(c0, c1, T).samples, (1.0 - t) * c0.samples + t * c1.samples)
 
 
 def test_energy_length_cauchy_schwarz_and_reversal():
@@ -287,6 +316,50 @@ def test_radial_vs_discrete_path():
     closed = sc.radial_path_length(CFG, c0, 1.0, 2.0)
     discrete = sc.path_length(CFG, sc.linear_path(c0, c1, 400))
     assert abs(discrete - closed) <= 1e-3 * closed
+
+
+def loop_gradient_check(cfg, path, n_coords, rng):
+    """Reference `gradient_check`: four `path_energy` calls on perturbed copies per coordinate."""
+    _, grad = sc.paths.energy_and_gradient(cfg, path)
+    scale = np.max(np.abs(grad))
+    n, d = path.samples.shape[1:]
+    worst, hit = 0.0, set()
+    for _ in range(n_coords):
+        m = int(rng.integers(1, path.T))
+        j = int(rng.integers(0, n))
+        axis = int(rng.integers(0, d))
+        hit.add(m)
+
+        def energy_at(delta):
+            samples = path.samples.copy()
+            samples[m, j, axis] += delta
+            return sc.path_energy(cfg, sc.CurvePath(path.grid, samples))
+
+        step = paths_module._FD_STEP
+        fd_h = (energy_at(step) - energy_at(-step)) / (2.0 * step)
+        fd_2h = (energy_at(2 * step) - energy_at(-2 * step)) / (4.0 * step)
+        fd = (4.0 * fd_h - fd_2h) / 3.0
+        an = grad[m - 1, j, axis]
+        denom = max(abs(fd), abs(an), scale, 1e-12)
+        worst = max(worst, abs(fd - an) / denom)
+    return worst, hit
+
+
+@pytest.mark.parametrize("T", [2, 3, 8, 16])
+@pytest.mark.parametrize("n_coords", [1, 10])
+def test_gradient_check_equals_path_energy_loop(T, n_coords):
+    # Only the two intervals a perturbation touches are evaluated anew; the
+    # energies, and so the deviation, are those of whole-path evaluations.
+    hit = set()
+    for seed in range(100):  # at least 8 seeds, until the first and last interior slices are hit
+        if seed >= 8 and {1, T - 1} <= hit:
+            break
+        c0, c1 = pair_of_kind("random", 64, seed)
+        path = sc.linear_path(c0, c1, T)
+        want, ms = loop_gradient_check(SI, path, n_coords, np.random.default_rng(seed))
+        assert sc.gradient_check(SI, path, n_coords, np.random.default_rng(seed)) == want
+        hit |= ms
+    assert {1, T - 1} <= hit
 
 
 def test_gradient_check_random_paths():
@@ -819,9 +892,9 @@ def test_constant_speed_start_in_blocks(monkeypatch, n, T):
     monkeypatch.setattr(paths_module, "_form", recording_form)
     start = paths_module._constant_speed_start(SI, linear)
     assert sum(size[0] for size in sizes) == paths_module._RETIME_REFINE * T
-    assert max(np.prod(size) for size in sizes) <= paths_module._BLOCK_POINTS
+    assert max(np.prod(size) for size in sizes) <= metric_module._BLOCK_POINTS
     for points in (n, 3 * n, 1):  # one curve (also for fewer points than N), three
-        monkeypatch.setattr(paths_module, "_BLOCK_POINTS", points)
+        monkeypatch.setattr(metric_module, "_BLOCK_POINTS", points)
         assert np.array_equal(paths_module._constant_speed_start(SI, linear).samples, start.samples)
 
 
@@ -842,4 +915,4 @@ def test_path_energy_and_length_in_blocks_equal_single_stack(monkeypatch, T):
     assert sc.path_energy(SI, path) == path.dt * float(np.sum(values))
     assert sc.path_length(SI, path) == path.dt * float(np.sum(np.sqrt(values)))
     assert sum(size[0] for size in sizes) == 2 * T
-    assert max(np.prod(size) for size in sizes) <= paths_module._BLOCK_POINTS
+    assert max(np.prod(size) for size in sizes) <= metric_module._BLOCK_POINTS

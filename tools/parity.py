@@ -1,6 +1,6 @@
 """Digests of the program's outputs, to show that two trees compute the same numbers.
 
-Usage: python tools/parity.py
+Usage: python tools/parity.py [GROUP ...]
        python tools/parity.py --dump PATH
        python tools/parity.py --compare OLD NEW
 
@@ -23,8 +23,9 @@ Prints one sha256 line per group of outputs:
             for T = 1, 7, 64 and 100 at three base scales.
 
 Run it in a checkout of each tree and diff the output: a refactor that
-keeps every number keeps every line.  The script reads `bench/` and
-changes nothing.
+keeps every number keeps every line.  Group names as arguments (`python
+tools/parity.py suite cli`) print only those groups, in the order above.
+The script reads `bench/` and changes nothing.
 
 Where the geodesic digest moves, `--dump PATH` shows by how much: it
 solves each pair of `geodesic_pairs()` under the first DUMP_SYMMETRIES
@@ -208,17 +209,23 @@ def library_digest() -> str:
 
 
 if __name__ == "__main__":
+    digests = {"suite": suite_digest, "geodesic": geodesic_digest, "cli": cli_digest,
+               "library": library_digest}
     parser = argparse.ArgumentParser(description="Digests of the program's outputs.")
+    parser.add_argument("groups", nargs="*", metavar="GROUP",
+                        help=f"print only these groups, of {', '.join(digests)} (default: all)")
     parser.add_argument("--dump", metavar="PATH", help="write the geodesic solves to PATH as JSON")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two dumps")
     args = parser.parse_args()
+    unknown = [name for name in args.groups if name not in digests]
+    if unknown:
+        parser.error(f"unknown group {unknown[0]!r}; choose from {', '.join(digests)}")
     if args.dump:
         geodesic_dump(args.dump)
         sys.exit(0)
     if args.compare:
         geodesic_compare(*args.compare)
         sys.exit(0)
-    digests = (("suite", suite_digest), ("geodesic", geodesic_digest), ("cli", cli_digest),
-               ("library", library_digest))
-    for name, digest in digests:
-        print(f"{name} {digest()}", flush=True)
+    for name, digest in digests.items():
+        if not args.groups or name in args.groups:
+            print(f"{name} {digest()}", flush=True)
