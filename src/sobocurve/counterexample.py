@@ -8,8 +8,9 @@ lengths run to infinity (grow, p < 1) or zero (shrink, p > 1).
 
 Leg 1 scales r_n u_n to r_{n+1} u_n, at its exact length
 `paths.radial_path_length`.  Leg 2 swaps u_n for u_{n+1} at radius r_{n+1}
-along the linear path (`scaled_leg_length`, on the true curves in the
-kernel's power-of-two units, so any c_n of finite floats is in range).
+along the straight segment (`scaled_leg_length`): the metric speeds of
+`paths._segment_speeds`, the solver start's kernel, on the true curves in
+power-of-two units, so any c_n of finite floats is in range.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Grid, _arc_jet, curve_length, derivative, make_bumpy_circle
+from .curves import Grid, _jet, curve_length, derivative, make_bumpy_circle
 from .errors import ContractError, NumericalError, _require_int
-from .metric import MetricConfig, PowerLaw, _blocks, _form
-from .paths import radial_path_length
+from .metric import MetricConfig, PowerLaw
+from .paths import _segment_speeds, radial_path_length
 
 GROW = "grow"
 SHRINK = "shrink"
@@ -135,28 +136,22 @@ def build_sequence(params: CounterexampleParams) -> CounterexampleSequence:
 def scaled_leg_length(
     cfg: MetricConfig, r: float, shape0: np.ndarray, shape1: np.ndarray, grid: Grid, T: int
 ) -> float:
-    """Length of the linear path between r*shape0 and r*shape1.
+    """Length of the linear path between r*shape0 and r*shape1 over T >= 1 intervals.
 
-    Evaluates `_form` on the T midpoint curves r((1 - t) shape0 + t shape1)
-    with the constant velocity r(shape1 - shape0), in blocks of at most
-    `_BLOCK_POINTS` samples; the kernel's power-of-two units keep any
-    radius whose samples are finite floats out of the grid arithmetic.
+    The mean of `paths._segment_speeds` at the interval midpoints, on the
+    true curves: any radius whose samples are finite floats is in range.
     """
     if not 0 < r < math.inf:
         raise ContractError(f"base scale must be positive and finite, got {r}")
-    dt = 1.0 / T
-    t_mid = ((np.arange(T) + 0.5) * dt)[:, None, None]
-    values = []
+    _require_int("T", T)
+    if T < 1:
+        raise ContractError(f"T must be a positive integer, got {T}")
     try:
-        for b in _blocks(T, grid.n_points):
-            t = t_mid[b]
-            with np.errstate(over="ignore", invalid="ignore"):  # overflowed samples raise below
-                gamma = (r * (1.0 - t)) * shape0 + (r * t) * shape1
-                velocity = r * (shape1 - shape0)  # one per block: _form rescales h in place
-            values.append(_form(cfg, grid, gamma, velocity)[0])
+        with np.errstate(over="ignore"):  # r * shape beyond the float range raises in the kernel
+            speeds = _segment_speeds(cfg, grid, r * shape0, r * shape1, (np.arange(T) + 0.5) / T)
     except NumericalError as exc:
         raise NumericalError(f"leg length is not finite at base scale {r}: {exc}") from exc
-    return dt * float(np.sum(np.sqrt(np.concatenate(values))))
+    return float(np.mean(speeds))
 
 
 @dataclass(frozen=True)
@@ -335,6 +330,8 @@ def pointwise_bounds_check(seq: CounterexampleSequence) -> dict:
 def _leg_bounds(shape0: np.ndarray, shape1: np.ndarray, grid: Grid):
     """Min speed of each interior leg slice and the leg's max |D_s^2 (dc/dt)|."""
     t = _INTERIOR_T[:, None, None]
-    e, s, _, u = _arc_jet(grid, (1.0 - t) * shape0 + t * shape1, shape1 - shape0, 2)
+    h = shape1 - shape0
+    dh = derivative(h, grid)  # D is linear: the slices' dc/dtheta is D shape0 + t D h
+    e, s, _, u = _jet(grid, derivative(shape0, grid) + t * dh, h, 2, dfield=dh)
     ds2 = np.ldexp(np.sqrt(np.sum(u[2] * u[2], axis=-1)), -2 * e[:, None])
     return np.ldexp(np.min(s, axis=-1), e), float(np.max(ds2))

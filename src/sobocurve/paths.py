@@ -11,9 +11,9 @@ which is second-order in T and symmetric under time reversal;
 `path_energy` and `path_length` sum it over blocks of at most
 `_BLOCK_POINTS` samples, bit for bit one stacked call.  The solver
 starts from the straight segment c0 -> c1 re-timed to constant metric
-speed (the geodesic between concentric circles; D is linear, so the
-segment's curves need no stencil of their own), so the first entry of
-its energy trace is that start's energy, not the linear path's.
+speed (the geodesic between concentric circles; `_segment_speeds`, which
+the counterexample's leg 2 shares), so the first entry of its energy
+trace is that start's energy, not the linear path's.
 It minimizes E over the interior slices by limited-memory
 quasi-Newton descent, seeded with a frozen-coefficient spectral
 preconditioner P and guarded by a monotone backtracking line search.  P
@@ -155,17 +155,12 @@ def _midpoints(stacked, dt: float):
     return 0.5 * (c + c_next), (c_next - c) / dt
 
 
-def _forward(cfg: MetricConfig, grid: Grid, stacked, dt: float, unit: int = 0):
-    """`_form` at the T midpoint slices of a (T+1, N, d) path; midpoints lead its pieces."""
-    cb, velocity = _midpoints(stacked, dt)
-    values, pieces = _form(cfg, grid, cb, velocity, unit=unit)
-    return values, (cb, *pieces)
-
-
 def _interval_values(cfg: MetricConfig, path: CurvePath) -> np.ndarray:
-    """`_forward`'s per-interval values G_m, evaluated `_blocks` of intervals at a time."""
-    return np.concatenate([_forward(cfg, path.grid, path.samples[b.start:b.stop + 1], path.dt)[0]
-                           for b in _blocks(path.T, path.grid.n_points)])
+    """Per-interval values G_m of `_form` at the midpoints, `_blocks` of intervals at a time."""
+    return np.concatenate([
+        _form(cfg, path.grid, *_midpoints(path.samples[b.start:b.stop + 1], path.dt))[0]
+        for b in _blocks(path.T, path.grid.n_points)
+    ])
 
 
 def path_energy(cfg: MetricConfig, path: CurvePath) -> float:
@@ -174,13 +169,29 @@ def path_energy(cfg: MetricConfig, path: CurvePath) -> float:
 
 
 def _speeds(values: np.ndarray) -> np.ndarray:
-    """Metric speeds sqrt(G_m) from the per-interval values of `_forward`."""
+    """Metric speeds sqrt(G_m) from per-interval values G_m of `_form`."""
     return np.sqrt(np.maximum(values, 0.0))
 
 
 def path_length(cfg: MetricConfig, path: CurvePath) -> float:
     """Midpoint-discretized path length; length^2 <= energy on [0,1]."""
     return path.dt * float(np.sum(_speeds(_interval_values(cfg, path))))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite dc or h raise in `_form`
+def _segment_speeds(cfg: MetricConfig, grid: Grid, c0, c1, t) -> np.ndarray:
+    """Metric speeds sqrt(G_c(h, h)) at c = c0 + t h, h = c1 - c0, for each t of a 1-D array.
+
+    D is linear, so dc/dtheta = D c0 + t D h: two stencils serve every t.
+    `_form` gets at most `_BLOCK_POINTS` samples per call; raises as it does.
+    """
+    h = c1 - c0
+    dc0, dh = derivative(c0, grid), derivative(h, grid)
+    t = t[:, None, None]
+    return np.concatenate([  # h.copy(): `_form` rescales h in place
+        _speeds(_form(cfg, grid, None, h.copy(), dc=dc0 + t[b] * dh, dh=dh)[0])
+        for b in _blocks(len(t), grid.n_points)
+    ])
 
 
 def reverse_path(path: CurvePath) -> CurvePath:
@@ -266,10 +277,11 @@ def _stacked_energy_and_gradient(
 
     Vectorized across the T intervals; returns (energy, grad, values) with
     grad of shape (T-1, N, d) for the interior slices and values the
-    per-interval G_m of `_forward`; raises NumericalError if E or grad is not finite.
+    per-interval G_m of `_form`; raises NumericalError if E or grad is not finite.
     """
     w, d = grid.spacing, stacked.shape[-1]
-    values, (_, s, lengths, u, q, coeffs, e, eh, x, dc) = _forward(cfg, grid, stacked, dt, unit)
+    values, pieces = _form(cfg, grid, *_midpoints(stacked, dt), unit=unit)
+    s, lengths, u, q, coeffs, e, eh, x, dc = pieces
     shift = e + unit
     dcoeffs = {k: _profile(term, lengths, 1, shift, x[k] + shift) for k, term in cfg.terms.items()}
     inv_s = 1.0 / s
@@ -328,6 +340,9 @@ def gradient_check(
     (all of them in one blocked `_form` pass) and sums them with the
     other intervals' values: bit for bit `path_energy` of the perturbed path.
     """
+    _require_int("n_coords", n_coords)
+    if n_coords < 1:
+        raise ContractError(f"n_coords must be a positive integer, got {n_coords}")
     if rng is None:
         rng = np.random.default_rng(0)
     if path.T < 2:
@@ -337,8 +352,6 @@ def gradient_check(
     n, d = path.samples.shape[1:]
     coords = [(int(rng.integers(1, path.T)), int(rng.integers(0, n)), int(rng.integers(0, d)))
               for _ in range(n_coords)]
-    if not coords:
-        return 0.0
     deltas = np.array([1.0, -1.0, 2.0, -2.0]) * _FD_STEP
     # Slices m-1, m, m+1 of the path, once per delta, with delta added at (m, j, axis).
     local = np.stack([np.repeat(path.samples[None, m - 1:m + 2], len(deltas), axis=0)
@@ -414,32 +427,21 @@ _BACKTRACK = 0.5
 _RETIME_REFINE = 4
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite dc or h raise in `_form`
 def _constant_speed_start(cfg: MetricConfig, linear: CurvePath) -> CurvePath:
     """The segment of `linear` re-timed to constant metric speed.
 
-    Along c(tau) = c0 + tau h, h = c1 - c0, the metric speed is sigma(tau)
-    = sqrt(G_c(tau)(h, h)).  It is sampled at the midpoints of
-    r = _RETIME_REFINE times as many intervals as `linear` has and summed
-    into the cumulative length S; slice m of the result sits at the tau_m
-    with S(tau_m) = (m/T) S(1), by linear interpolation of S.  The endpoint
-    slices are those of `linear`.  D is linear, so dc(tau)/dtheta = D c0 +
-    tau D h and D h, the field's first derivative, are two stencils for
-    the whole pass; the midpoints go to `_form` at most `_BLOCK_POINTS`
-    samples at a time.  Returns `linear` itself unless S is strictly
-    increasing; raises as `_form` does.
+    The metric speed sigma(tau) along it (`_segment_speeds`) is sampled at
+    the midpoints of r = _RETIME_REFINE times as many intervals as `linear`
+    has and summed into the cumulative length S; slice m of the result
+    sits at the tau_m with S(tau_m) = (m/T) S(1), by linear interpolation
+    of S.  The endpoint slices are those of `linear`.  Returns `linear`
+    itself unless S is strictly increasing; raises as `_form` does.
     """
     grid, T = linear.grid, linear.T
     c0, c1 = linear.samples[0], linear.samples[-1]
     n_fine = _RETIME_REFINE * T
     tau = np.arange(n_fine + 1) / n_fine
-    mid = ((np.arange(n_fine) + 0.5) / n_fine)[:, None, None]
-    h = c1 - c0
-    dc0, dh = derivative(c0, grid), derivative(h, grid)
-    sigma = np.concatenate([  # h.copy(): `_form` rescales h in place
-        _speeds(_form(cfg, grid, None, h.copy(), dc=dc0 + mid[b] * dh, dh=dh)[0])
-        for b in _blocks(n_fine, grid.n_points)
-    ])
+    sigma = _segment_speeds(cfg, grid, c0, c1, (np.arange(n_fine) + 0.5) / n_fine)
     cumulative = np.concatenate(([0.0], np.cumsum(sigma)))
     if not np.all(np.diff(cumulative) > 0):
         return linear

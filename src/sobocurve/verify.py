@@ -48,13 +48,13 @@ from .metric import (
     PowerLaw,
     Tabulated,
     _blocks,
+    _form,
     _form_blocks,
     _q_form,
     scale_invariant_profile,
 )
 from .paths import (
     SolverOptions,
-    _forward,
     _midpoints,
     _speeds,
     geodesic_bvp,
@@ -319,7 +319,7 @@ def _check_w_length_bound(rng):
     c1 = DiscreteCurve(grid, 1.4 * c0.samples + 0.05 * random_field(grid, rng).values)
     res = geodesic_bvp(cfg, c0, c1, SolverOptions(max_iters=40, gap_tol=3e-9, T=16))
     # The legs c_m -> c_{m+1} as one-interval paths, and each slice's length.
-    legs = _speeds(_forward(cfg, grid, res.path.samples, 1.0)[0]).tolist()
+    legs = _speeds(_form(cfg, grid, *_midpoints(res.path.samples, 1.0))[0]).tolist()
     lengths = [grid.spacing * float(np.sum(s)) for s in _arc_stack(grid, res.path.samples)[0]]
     w0 = w_eval(cfg, lengths[0])
     acc = 0.0

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import sobocurve as sc
-import sobocurve.counterexample as counterexample
 from sobocurve.counterexample import (
     CounterexampleParams,
     build_sequence,
@@ -16,7 +15,7 @@ from sobocurve.counterexample import (
     verify_sequence,
 )
 from sobocurve.errors import ContractError, NumericalError
-from sobocurve.metric import _BLOCK_POINTS, PowerLaw, _form
+from sobocurve.metric import PowerLaw
 
 
 def grow_params(n_max=2):
@@ -201,38 +200,12 @@ def test_scaled_leg_length_matches_direct_evaluation():
     assert scaled_s == pytest.approx(direct_s, rel=1e-10)
 
 
-def single_stack_leg_length(cfg, r, shape0, shape1, grid, T):
-    """Leg 2 with all T midpoint curves in one `_form` call."""
-    dt = 1.0 / T
-    t_mid = ((np.arange(T) + 0.5) * dt)[:, None, None]
-    gamma = (r * (1.0 - t_mid)) * shape0 + (r * t_mid) * shape1
-    values, _ = _form(cfg, grid, gamma, r * (shape1 - shape0))
-    return dt * float(np.sum(np.sqrt(values)))
-
-
-@pytest.mark.parametrize(
-    "n_pts, lambdas, T",
-    [(1024, (3, 6), T) for T in (1, 7, 8, 9, 64, 100)] + [(64, (1, 2), 64)],
-)
-def test_scaled_leg_length_in_blocks_equals_single_stack(monkeypatch, n_pts, lambdas, T):
-    # At N = 1024 a block holds 8 slices, so T = 7, 9 and 100 end on a
-    # partial block; at N = 64 all 64 slices fit one block.
-    grid = sc.Grid(n_pts)
-    shape0, shape1 = (sc.make_bumpy_circle(1.0, 0.25, lam, grid).samples for lam in lambdas)
-    cfg = counterexample_metric(0.0)
-    sizes = []
-
-    def recording_form(cfg, grid, samples, h, *args, **kwargs):
-        sizes.append(samples.shape[:-1])
-        return _form(cfg, grid, samples, h, *args, **kwargs)
-
-    monkeypatch.setattr(counterexample, "_form", recording_form)
-    for r in (1.0, 7.5, 3e150):
-        sizes.clear()
-        expected = single_stack_leg_length(cfg, r, shape0, shape1, grid, T)
-        assert scaled_leg_length(cfg, r, shape0, shape1, grid, T) == expected
-        assert sum(size[0] for size in sizes) == T
-        assert max(np.prod(size) for size in sizes) <= _BLOCK_POINTS
+@pytest.mark.parametrize("T", [0, -3, 2.5, True])
+def test_scaled_leg_length_rejects_a_T_that_is_not_a_positive_integer(T):
+    grid = sc.Grid(128)
+    shape = sc.make_bumpy_circle(1.0, 0.25, 3, grid).samples
+    with pytest.raises(ContractError, match="^T must be"):
+        scaled_leg_length(counterexample_metric(0.0), 1.0, shape, 2.0 * shape, grid, T)
 
 
 @pytest.mark.parametrize("r_base", [float("inf"), float("nan")])
@@ -253,6 +226,17 @@ def test_scaled_leg_length_overflowing_factor_raises():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="not finite at base scale 1e\\+250"):
             scaled_leg_length(cfg, 1e250, shape, 2.0 * shape, grid, 8)
+
+
+def test_scaled_leg_length_past_the_float_range_raises():
+    # |u_3| reaches 1.25, so r u_3 is not a float at r = 1.5e308: a
+    # NumericalError again, with no RuntimeWarning from scaling the shapes.
+    grid = sc.Grid(128)
+    shape = sc.make_bumpy_circle(1.0, 0.25, 3, grid).samples
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not finite at base scale 1.5e\\+308"):
+            scaled_leg_length(counterexample_metric(0.0), 1.5e308, shape, 2.0 * shape, grid, 8)
 
 
 def test_scaled_leg_length_zero_term_with_overflowing_factor_adds_nothing():

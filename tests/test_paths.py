@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import sobocurve as sc
 from sobocurve import metric as metric_module
 from sobocurve import paths as paths_module
+from sobocurve.counterexample import scaled_leg_length
 from sobocurve.curves import _arc_jet
 from sobocurve.errors import ContractError, ImmersionError, NumericalError
 from sobocurve.metric import (
@@ -371,6 +372,14 @@ def test_gradient_check_random_paths():
         c1 = sc.DiscreteCurve(grid, c0.samples + 0.05 * random_curve(grid, rng).samples)
         path = sc.linear_path(c0, c1, 6)
         assert sc.gradient_check(cfg, path, n_coords=10, rng=rng) <= 1e-6
+
+
+@pytest.mark.parametrize("n_coords", [0, -2, 2.5, True])
+def test_gradient_check_rejects_n_coords_that_is_not_a_positive_integer(n_coords):
+    # n_coords = 0 or -2 would certify nothing with a deviation of 0.
+    c0, c1 = pair_of_kind("random", 64, 0)
+    with pytest.raises(ContractError, match="^n_coords must be"):
+        sc.gradient_check(SI, sc.linear_path(c0, c1, 4), n_coords=n_coords)
 
 
 def test_geodesic_identical_endpoints():
@@ -825,9 +834,9 @@ def test_geodesic_length_from_last_evaluation():
 def fine_midpoint_speeds(cfg, linear, exact_velocity):
     """sigma at the start's fine midpoints from explicit midpoint stacks.
 
-    With exact_velocity=False this is the earlier computation: `_forward`
-    over a finer linear path, T intervals at a time, whose velocity is a
-    difference quotient of the fine slices.
+    With exact_velocity=False this is an earlier computation: `_form` at
+    the midpoints of a finer linear path, T intervals at a time, whose
+    velocity is a difference quotient of the fine slices.
     """
     grid, T = linear.grid, linear.T
     c0, c1 = linear.samples[0], linear.samples[-1]
@@ -837,51 +846,90 @@ def fine_midpoint_speeds(cfg, linear, exact_velocity):
         return np.sqrt(paths_module._form(cfg, grid, c0 + mid * (c1 - c0), c1 - c0)[0])
     tau = (np.arange(n_fine + 1) / n_fine)[:, None, None]
     return np.concatenate([
-        np.sqrt(paths_module._forward(cfg, grid, (1.0 - t) * c0 + t * c1, 1.0 / n_fine)[0])
+        np.sqrt(paths_module._form(cfg, grid, *paths_module._midpoints(
+            (1.0 - t) * c0 + t * c1, 1.0 / n_fine))[0])
         for t in (tau[j:j + T + 1] for j in range(0, n_fine, T))
     ])
 
 
 def start_speeds(monkeypatch, cfg, linear):
-    """The start and the sigma it interpolated, read off `_speeds`."""
+    """The start and the sigma it interpolated, read off `_segment_speeds`."""
     seen = []
 
-    def recording_speeds(values):
-        seen.append(speeds(values))
+    def recording_segment_speeds(*args):
+        seen.append(segment_speeds(*args))
         return seen[-1]
 
-    speeds = paths_module._speeds
-    monkeypatch.setattr(paths_module, "_speeds", recording_speeds)
+    segment_speeds = paths_module._segment_speeds
+    monkeypatch.setattr(paths_module, "_segment_speeds", recording_segment_speeds)
     start = paths_module._constant_speed_start(cfg, linear)
-    monkeypatch.setattr(paths_module, "_speeds", speeds)
-    return start, np.concatenate(seen)
+    monkeypatch.setattr(paths_module, "_segment_speeds", segment_speeds)
+    (sigma,) = seen
+    return start, sigma
+
+
+def bumpy_shapes(n):
+    """The radius-1 bumpy circles u_lam and u_2lam, lam = n/64, on Grid(n)."""
+    grid = sc.Grid(n)
+    return tuple(sc.make_bumpy_circle(1.0, 0.25, lam, grid).samples for lam in (n // 64, n // 32))
+
+
+def bumpy_leg(n, r):
+    """Leg 2 of the counterexample at radius r: r u_lam -> r u_2lam, scaled as in the library."""
+    return tuple(sc.DiscreteCurve(sc.Grid(n), r * shape) for shape in bumpy_shapes(n))
+
+
+def assert_start_speeds_match_explicit_midpoint_stacks(monkeypatch, c0, c1, T):
+    linear = sc.linear_path(c0, c1, T)
+    _, sigma = start_speeds(monkeypatch, SI, linear)
+    exact = fine_midpoint_speeds(SI, linear, exact_velocity=True)
+    assert np.max(np.abs(sigma - exact) / exact) <= 1e-14
+    # The difference quotient (c_{j+1} - c_j) r T of the earlier
+    # computation carries roundoff of about r T eps max|c| / max|h|.
+    quotient = fine_midpoint_speeds(SI, linear, exact_velocity=False)
+    h = c1.samples - c0.samples
+    bound = 8 * paths_module._RETIME_REFINE * T * np.finfo(float).eps
+    bound *= np.abs(linear.samples).max() / np.abs(h).max()
+    assert np.max(np.abs(sigma - quotient) / quotient) <= max(bound, 1e-14)
 
 
 @pytest.mark.parametrize("kind", ["near_circle", "random"])
 @pytest.mark.parametrize("n, T", [(32, 5), (64, 16), (128, 16), (256, 32)])
 def test_constant_speed_start_speeds_match_explicit_midpoint_stacks(monkeypatch, kind, n, T):
     for seed in range(3):
-        c0, c1 = pair_of_kind(kind, n, seed)
-        linear = sc.linear_path(c0, c1, T)
-        _, sigma = start_speeds(monkeypatch, SI, linear)
-        exact = fine_midpoint_speeds(SI, linear, exact_velocity=True)
-        assert np.max(np.abs(sigma - exact) / exact) <= 1e-14
-        # The difference quotient (c_{j+1} - c_j) r T of the earlier
-        # computation carries roundoff of about r T eps max|c| / max|h|.
-        quotient = fine_midpoint_speeds(SI, linear, exact_velocity=False)
-        h = c1.samples - c0.samples
-        bound = 8 * paths_module._RETIME_REFINE * T * np.finfo(float).eps
-        bound *= np.abs(linear.samples).max() / np.abs(h).max()
-        assert np.max(np.abs(sigma - quotient) / quotient) <= max(bound, 1e-14)
+        assert_start_speeds_match_explicit_midpoint_stacks(
+            monkeypatch, *pair_of_kind(kind, n, seed), T)
 
 
-@pytest.mark.parametrize("n, T", [(64, 16), (256, 32), (128, 33)])
-def test_constant_speed_start_in_blocks(monkeypatch, n, T):
-    # At N = 256 the 4T = 128 fine midpoints take four blocks of 32 curves,
-    # at N = 128 and T = 33 three, the last a partial one; forced smaller
-    # blocks give the same bits.
-    c0, c1 = pair_of_kind("random", n, 1)
-    linear = sc.linear_path(c0, c1, T)
+@pytest.mark.parametrize("n, T", [(64, 5), (256, 16), (1024, 16)])
+@pytest.mark.parametrize("r", [1.0, 7.5, 3e150])
+def test_constant_speed_start_speeds_match_explicit_midpoint_stacks_on_bumpy_legs(
+    monkeypatch, n, T, r
+):
+    assert_start_speeds_match_explicit_midpoint_stacks(monkeypatch, *bumpy_leg(n, r), T)
+
+
+SEGMENT_CASES = [("random", 128, count) for count in (1, 64, 132)] + [
+    (r, n, count) for r in (1.0, 7.5, 3e150)
+    for n, count in [(1024, 1), (1024, 7), (1024, 8), (1024, 9), (1024, 100), (64, 64)]
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n, count", SEGMENT_CASES, ids=[f"{kind}-{n}-{count}" for kind, n, count in SEGMENT_CASES]
+)
+def test_segment_speeds_in_blocks_equal_one_form_call(monkeypatch, kind, n, count):
+    # A block holds 64 curves at N = 128, 8 at N = 1024 and 128 at N = 64,
+    # so 132 speeds at N = 128, and 7, 9 and 100 at N = 1024, end on a
+    # partial block; forced smaller blocks give the same bits.  A float
+    # kind is the radius of a counterexample leg.
+    c0, c1 = pair_of_kind(kind, n, 1) if kind == "random" else bumpy_leg(n, kind)
+    grid, c0, c1 = c0.grid, c0.samples, c1.samples
+    t = (np.arange(count) + 0.5) / count
+    h = c1 - c0
+    dc0, dh = sc.derivative(c0, grid), sc.derivative(h, grid)
+    values, _ = metric_module._form(SI, grid, None, h.copy(), dc=dc0 + t[:, None, None] * dh, dh=dh)
+    want = np.sqrt(values)
     sizes = []
     form = paths_module._form
 
@@ -890,12 +938,14 @@ def test_constant_speed_start_in_blocks(monkeypatch, n, T):
         return form(cfg, grid, samples, h, *args, dc=dc, **kwargs)
 
     monkeypatch.setattr(paths_module, "_form", recording_form)
-    start = paths_module._constant_speed_start(SI, linear)
-    assert sum(size[0] for size in sizes) == paths_module._RETIME_REFINE * T
-    assert max(np.prod(size) for size in sizes) <= metric_module._BLOCK_POINTS
-    for points in (n, 3 * n, 1):  # one curve (also for fewer points than N), three
+    for points in (metric_module._BLOCK_POINTS, grid.n_points, 3 * grid.n_points, 1):
         monkeypatch.setattr(metric_module, "_BLOCK_POINTS", points)
-        assert np.array_equal(paths_module._constant_speed_start(SI, linear).samples, start.samples)
+        sizes.clear()
+        assert np.array_equal(paths_module._segment_speeds(SI, grid, c0, c1, t), want)
+        assert sum(size[0] for size in sizes) == count
+        assert max(size[0] for size in sizes) == min(count, max(1, points // grid.n_points))
+        if kind != "random":  # leg 2 is the mean speed at the interval midpoints
+            assert scaled_leg_length(SI, kind, *bumpy_shapes(n), grid, count) == np.mean(want)
 
 
 @pytest.mark.parametrize("T", [1, 63, 64, 65, 400])
@@ -903,15 +953,15 @@ def test_path_energy_and_length_in_blocks_equal_single_stack(monkeypatch, T):
     # At N = 128 a block holds 64 intervals.
     c0, c1 = pair_of_kind("random", 128, 2)
     path = sc.linear_path(c0, c1, T)
-    values, _ = paths_module._forward(SI, path.grid, path.samples, path.dt)
+    values, _ = paths_module._form(SI, path.grid, *paths_module._midpoints(path.samples, path.dt))
     sizes = []
-    forward = paths_module._forward
+    form = paths_module._form
 
-    def recording_forward(cfg, grid, stacked, *args, **kwargs):
-        sizes.append(stacked[1:].shape[:-1])
-        return forward(cfg, grid, stacked, *args, **kwargs)
+    def recording_form(cfg, grid, samples, *args, **kwargs):
+        sizes.append(samples.shape[:-1])
+        return form(cfg, grid, samples, *args, **kwargs)
 
-    monkeypatch.setattr(paths_module, "_forward", recording_forward)
+    monkeypatch.setattr(paths_module, "_form", recording_form)
     assert sc.path_energy(SI, path) == path.dt * float(np.sum(values))
     assert sc.path_length(SI, path) == path.dt * float(np.sum(np.sqrt(values)))
     assert sum(size[0] for size in sizes) == 2 * T

@@ -27,12 +27,24 @@ keeps every number keeps every line.  Group names as arguments (`python
 tools/parity.py suite cli`) print only those groups, in the order above.
 The script reads `bench/` and changes nothing.
 
-Where the geodesic digest moves, `--dump PATH` shows by how much: it
-solves each pair of `geodesic_pairs()` under the first DUMP_SYMMETRIES
-of the workload's symmetries and writes, per solve, its name, length,
-energy, iterations and termination to PATH as a JSON list.  `--compare
-OLD NEW` reads two such dumps and prints the largest relative change in
-length and in energy, the iteration totals and the converged counts.
+Where a digest moves, `--dump PATH` shows by how much.  It writes to
+PATH one JSON object with:
+
+- geodesic:        per solve of each `geodesic_pairs()` pair under the
+                   first DUMP_SYMMETRIES of the workload's symmetries, its
+                   name, length, energy, iterations and termination;
+- counterexample:  per `cli` counterexample case, the legs `dist_leg1`
+                   and `dist_leg2`, the `ds2_velocity_bound` ratios, and
+                   every verdict: the exit code, `checks`, each pointwise
+                   bound's `ok` and `all_ok`;
+- scaled_leg_length: the `library` group's leg lengths;
+- library_rest:    the `library` digest without those leg lengths.
+
+`--compare OLD NEW` reads two such dumps and prints the largest relative
+change in geodesic length and energy, the iteration totals and the
+converged counts; the largest relative change of each leg quantity;
+whether every counterexample verdict is unchanged; and whether the rest
+of the `library` group is unchanged.
 """
 
 from __future__ import annotations
@@ -105,7 +117,7 @@ def geodesic_digest() -> str:
     return h.hexdigest()
 
 
-def geodesic_dump(path: str) -> None:
+def _geodesic_rows() -> list:
     cfg = scale_invariant_profile(2, workloads.B_SI)
     rows = []
     for name, c0, c1, T, _ in workloads.geodesic_pairs():
@@ -114,15 +126,48 @@ def geodesic_dump(path: str) -> None:
             res = geodesic_bvp(cfg, a, b, SolverOptions(T=T))
             rows.append({"name": f"{name}/{k}", "length": res.length, "energy": res.energy,
                          "iterations": res.iterations, "termination": res.termination})
-    Path(path).write_text(json.dumps(rows, indent=1) + "\n")
+    return rows
 
 
-def geodesic_compare(old_path: str, new_path: str) -> None:
-    old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
+def _counterexample_rows() -> list:
+    """The legs, D_s^2 ratios and verdicts of each `cli` counterexample case."""
+    rows = []
+    for argv in CLI_CASES:
+        if argv[0] != "counterexample":
+            continue
+        code, out = _run_cli(argv)
+        report = json.loads(out)
+        legs = report["entries"][:-1]
+        bounds = report["pointwise_bounds"]
+        rows.append({
+            "case": " ".join(argv[1:]),
+            "dist_leg1": [e["dist_leg1"] for e in legs],
+            "dist_leg2": [e["dist_leg2"] for e in legs],
+            "ds2_velocity_bound": [c["ratio"] for c in bounds["checks"] if "ratio" in c],
+            "verdicts": {"exit": code, "checks": report["checks"], "all_ok": bounds["all_ok"],
+                         "ok": {c["name"]: c["ok"] for c in bounds["checks"]}},
+        })
+    return rows
+
+
+def dump(path: str) -> None:
+    data = {"geodesic": _geodesic_rows(), "counterexample": _counterexample_rows(),
+            "scaled_leg_length": _leg_lengths(), "library_rest": _library_rest().hexdigest()}
+    Path(path).write_text(json.dumps(data, indent=1) + "\n")
+
+
+def _largest_change(pairs) -> float:
+    """The largest |new - old| / |old| over (old, new) pairs; |new| where old is 0."""
+    return max((abs(b - a) / abs(a) if a else abs(b) for a, b in pairs), default=0.0)
+
+
+def compare(old_path: str, new_path: str) -> None:
+    old_dump, new_dump = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
+    old, new = old_dump["geodesic"], new_dump["geodesic"]
     if [r["name"] for r in old] != [r["name"] for r in new]:
         sys.exit("the dumps hold different solves")
     for key in ("length", "energy"):
-        rel = max(abs(b[key] - a[key]) / abs(a[key]) if a[key] else abs(b[key]) for a, b in zip(old, new))
+        rel = _largest_change((a[key], b[key]) for a, b in zip(old, new))
         print(f"{key}: largest relative change {rel:.3g}")
     for name, rows in (("old", old), ("new", new)):
         converged = sum(r["termination"] in ("gradient", "energy_stall") for r in rows)
@@ -131,15 +176,35 @@ def geodesic_compare(old_path: str, new_path: str) -> None:
     changed = [a["name"] for a, b in zip(old, new)
                if (a["iterations"], a["termination"]) != (b["iterations"], b["termination"])]
     print(f"iterations or termination changed in {len(changed)} solves: {changed}")
+    cases = list(zip(old_dump["counterexample"], new_dump["counterexample"]))
+    if len(old_dump["counterexample"]) != len(new_dump["counterexample"]) or any(
+            a["case"] != b["case"] or len(a["dist_leg1"]) != len(b["dist_leg1"]) for a, b in cases):
+        sys.exit("the dumps hold different counterexample cases")
+    for key in ("dist_leg1", "dist_leg2", "ds2_velocity_bound"):
+        rel = _largest_change(pair for a, b in cases for pair in zip(a[key], b[key]))
+        print(f"{key}: largest relative change {rel:.3g}")
+    changed = [a["case"] for a, b in cases if a["verdicts"] != b["verdicts"]]
+    print(f"counterexample verdicts changed in {len(changed)} cases: {changed}")
+    rel = _largest_change(zip(np.ravel(old_dump["scaled_leg_length"]),
+                              np.ravel(new_dump["scaled_leg_length"])))
+    print(f"scaled_leg_length: largest relative change {rel:.3g}")
+    same = old_dump["library_rest"] == new_dump["library_rest"]
+    print(f"library without scaled_leg_length: {'unchanged' if same else 'CHANGED'}")
+
+
+def _run_cli(argv: list) -> tuple:
+    """The exit code and stdout of `sobocurve.cli.main(argv)`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
 
 
 def cli_digest() -> str:
     h = hashlib.sha256()
     for argv in CLI_CASES:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
-        h.update(f"{argv} -> {code}\n{out.getvalue()}".encode())
+        code, out = _run_cli(argv)
+        h.update(f"{argv} -> {code}\n{out}".encode())
     return h.hexdigest()
 
 
@@ -164,7 +229,8 @@ def _random_metric(rng: np.random.Generator) -> MetricConfig:
     return MetricConfig(n, terms)
 
 
-def library_digest() -> str:
+def _library_rest():
+    """The sha256 state of the `library` group up to, not including, its leg lengths."""
     h = hashlib.sha256()
     rng = np.random.default_rng(0)
     profiles = [PowerLaw(1.0, -3.0), PowerLaw(1.0, 1.0), PowerLaw(2.5, 1.7), PowerLaw(0.3, -0.5),
@@ -199,11 +265,20 @@ def library_digest() -> str:
             rng = np.random.default_rng(seed)
             h.update(random_curve(grid, rng).samples.tobytes())
             h.update(random_field(grid, rng).values.tobytes())
+    return h
+
+
+def _leg_lengths() -> list:
+    """`scaled_leg_length` between bumpy circles at N = 1024, per T a list over three base scales."""
     grid = Grid(1024)
     shape0, shape1 = (make_bumpy_circle(1.0, 0.25, lam, grid).samples for lam in (3, 6))
-    for T in (1, 7, 64, 100):
-        values = [scaled_leg_length(counterexample_metric(0.0), r, shape0, shape1, grid, T)
-                  for r in (1.0, 7.5, 1e150)]
+    return [[scaled_leg_length(counterexample_metric(0.0), r, shape0, shape1, grid, T)
+             for r in (1.0, 7.5, 1e150)] for T in (1, 7, 64, 100)]
+
+
+def library_digest() -> str:
+    h = _library_rest()
+    for values in _leg_lengths():
         h.update(repr(values).encode())
     return h.hexdigest()
 
@@ -214,17 +289,18 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Digests of the program's outputs.")
     parser.add_argument("groups", nargs="*", metavar="GROUP",
                         help=f"print only these groups, of {', '.join(digests)} (default: all)")
-    parser.add_argument("--dump", metavar="PATH", help="write the geodesic solves to PATH as JSON")
+    parser.add_argument("--dump", metavar="PATH",
+                        help="write the geodesic solves and counterexample legs to PATH as JSON")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two dumps")
     args = parser.parse_args()
     unknown = [name for name in args.groups if name not in digests]
     if unknown:
         parser.error(f"unknown group {unknown[0]!r}; choose from {', '.join(digests)}")
     if args.dump:
-        geodesic_dump(args.dump)
+        dump(args.dump)
         sys.exit(0)
     if args.compare:
-        geodesic_compare(*args.compare)
+        compare(*args.compare)
         sys.exit(0)
     for name, digest in digests.items():
         if not args.groups or name in args.groups:
