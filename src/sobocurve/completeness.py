@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, _require_int
 from .metric import MetricConfig, PowerLaw, Tabulated, _end_law, _profile
 
 DIVERGENT = "divergent"
@@ -149,6 +149,7 @@ def classify_power_law(k: int, p: float, b: float = 1.0) -> dict:
     p <= 2k-3 and I_inf diverges iff p >= 2k-3; at the critical exponent
     p = 2k-3 the integrand is 1/r and both ends diverge.
     """
+    _require_int("k", k, 0)
     if b == 0.0:
         zero = IntegralVerdict(CONVERGENT, "analytic_power_law", value=0.0)
         return {"I0": zero, "Iinf": zero}
@@ -172,6 +173,7 @@ def numeric_integral_evidence(term, k: int, end: str) -> IntegralVerdict:
     stretch between the knot and r = 1, whose error estimate is
     evidence["quadrature_error"].
     """
+    _require_int("k", k, 0)
     if end not in ("zero", "infinity"):
         raise ContractError(f"end must be 'zero' or 'infinity', got {end!r}")
     knot, law = _end_law(term, end)

@@ -61,12 +61,8 @@ class CounterexampleParams:
                 raise ContractError(f"{name} must be finite, got {value}")
         if not (0.0 < self.eps < 1.0 / 3.0):
             raise ContractError(f"eps must lie in (0, 1/3), got {self.eps}")
-        for name in ("lambda0", "b", "n_max"):
-            _require_int(name, getattr(self, name))
-        if self.lambda0 <= 2 or self.b <= 1:
-            raise ContractError("need integer lambda0 > 2 and b > 1")
-        if self.n_max < 1:
-            raise ContractError("n_max must be >= 1")
+        for name, least in (("lambda0", 3), ("b", 2), ("n_max", 1)):
+            _require_int(name, getattr(self, name), least)
         if self.case == GROW:
             if not self.p < 1.0:
                 raise ContractError(f"grow case needs p < 1, got p={self.p}")
@@ -143,9 +139,7 @@ def scaled_leg_length(
     """
     if not 0 < r < math.inf:
         raise ContractError(f"base scale must be positive and finite, got {r}")
-    _require_int("T", T)
-    if T < 1:
-        raise ContractError(f"T must be a positive integer, got {T}")
+    _require_int("T", T, 1)
     try:
         with np.errstate(over="ignore"):  # r * shape beyond the float range raises in the kernel
             speeds = _segment_speeds(cfg, grid, r * shape0, r * shape1, (np.arange(T) + 0.5) / T)
@@ -196,9 +190,7 @@ def verify_sequence(
     params: CounterexampleParams, seq: CounterexampleSequence, T: int = LEG_T
 ) -> SequenceReport:
     """Quantitative checks of the incompleteness construction at desk scale."""
-    _require_int("T", T)
-    if not 1 <= T <= MAX_T:
-        raise ContractError(f"T must be an integer in [1, {MAX_T}], got {T}")
+    _require_int("T", T, 1, MAX_T)
     if seq.params != params:
         raise ContractError("sequence was built with different parameters")
     cfg = counterexample_metric(params.p)
@@ -332,6 +324,6 @@ def _leg_bounds(shape0: np.ndarray, shape1: np.ndarray, grid: Grid):
     t = _INTERIOR_T[:, None, None]
     h = shape1 - shape0
     dh = derivative(h, grid)  # D is linear: the slices' dc/dtheta is D shape0 + t D h
-    e, s, _, u = _jet(grid, derivative(shape0, grid) + t * dh, h, 2, dfield=dh)
+    e, s, _, u = _jet(grid, derivative(shape0, grid) + t * dh, h, 2)
     ds2 = np.ldexp(np.sqrt(np.sum(u[2] * u[2], axis=-1)), -2 * e[:, None])
     return np.ldexp(np.min(s, axis=-1), e), float(np.max(ds2))

@@ -27,8 +27,9 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 16 or self.n_points % 2 != 0:
-            raise ContractError(f"grid needs N >= 16 and even, got N={self.n_points}")
+        _require_int("N", self.n_points, 16)
+        if self.n_points % 2 != 0:
+            raise ContractError(f"N must be even, got {self.n_points}")
 
     @property
     def theta(self) -> np.ndarray:
@@ -83,7 +84,7 @@ def _arc_jet(grid: Grid, samples: np.ndarray, field=None, n: int = 0):
     return _jet(grid, derivative(samples, grid, axis=-2), field, n)
 
 
-def _jet(grid: Grid, dc: np.ndarray, field=None, n: int = 0, dfield=None):
+def _jet(grid: Grid, dc: np.ndarray, field=None, n: int = 0):
     """Speed, length and arc-length derivatives of batched curves, in power-of-two units.
 
     dc = d samples/dtheta, of shape (..., N, d), is divided in place by
@@ -91,9 +92,8 @@ def _jet(grid: Grid, dc: np.ndarray, field=None, n: int = 0, dfield=None):
     |dc|.  Returns (e, s, ell, u): speed / 2^e of shape (..., N), length
     / 2^e of shape (...) and u = [field, D_s field, ..., D_s^n field],
     D_s^k in units of 2^(-k e), for a field that broadcasts against dc
-    (u = [] without one); `dfield`, if given, is d field/dtheta and
-    spares its stencil.  Raises ImmersionError if a curve's speed
-    (nearly) vanishes.
+    (u = [] without one).  Raises ImmersionError if a curve's speed
+    (nearly) vanishes, with `index` the flat index of the first such curve.
     """
     big = np.abs(dc).max(axis=(-2, -1))
     if not (big < np.inf).all():  # samples within 16x of the float maximum overflow
@@ -102,16 +102,18 @@ def _jet(grid: Grid, dc: np.ndarray, field=None, n: int = 0, dfield=None):
     np.ldexp(dc, -e[..., None, None], out=dc)
     s = np.sqrt(_dot(dc, dc))
     s_max = s.max(axis=-1)
-    if ((s_max == 0.0) | (s.min(axis=-1) < 1e-12 * s_max)).any():
-        raise ImmersionError(f"not an immersion at resolution N={grid.n_points}")
+    bad = (s_max == 0.0) | (s.min(axis=-1) < 1e-12 * s_max)
+    if bad.any():
+        exc = ImmersionError(f"not an immersion at resolution N={grid.n_points}")
+        exc.index = int(np.argmax(bad))
+        raise exc
     ell = grid.spacing * s.sum(axis=-1)
     if field is None:
         return e, s, ell, []
     inv_s = _per_point(1.0 / s, dc.shape[-1])
     u = [field]
     for k in range(n):
-        du = dfield if k == 0 and dfield is not None else derivative(u[-1], grid, axis=-2)
-        u.append(du * inv_s)
+        u.append(derivative(u[-1], grid, axis=-2) * inv_s)
     return e, s, ell, u
 
 
@@ -172,8 +174,7 @@ class TangentField:
 
 def arc_derivative(c: DiscreteCurve, h: TangentField, k: int) -> TangentField:
     """k-fold arc-length derivative ((1/|c'|) d/dtheta)^k of h along c."""
-    if k < 0:
-        raise ContractError(f"derivative order must be >= 0, got {k}")
+    _require_int("k", k, 0)
     if c.grid != h.grid:
         raise ContractError("curve and tangent field live on different grids")
     e, _, _, u = _arc_jet(c.grid, c.samples, h.values, k)
@@ -196,8 +197,7 @@ def make_circle(r: float, center, grid: Grid, dim: int = 2) -> DiscreteCurve:
     """Circle of radius r in the first two coordinates, zeros beyond."""
     if r <= 0:
         raise ContractError(f"radius must be positive, got {r}")
-    if dim < 2:
-        raise ContractError("ambient dimension must be >= 2")
+    _require_int("dim", dim, 2)
     theta = grid.theta
     samples = np.zeros((grid.n_points, dim))
     samples[:, 0] = r * np.cos(theta)
@@ -214,9 +214,7 @@ def make_bumpy_circle(r: float, eps: float, lam: int, grid: Grid) -> DiscreteCur
     """
     if r <= 0:
         raise ContractError(f"radius must be positive, got {r}")
-    _require_int("bump frequency", lam)
-    if lam < 1:
-        raise ContractError(f"bump frequency must be a positive integer, got {lam}")
+    _require_int("bump frequency", lam, 1)
     if not (0.0 < eps < 1.0 / 3.0):
         raise ContractError(f"eps must lie in (0, 1/3), got {eps}")
     if grid.n_points < 32 * lam:

@@ -17,7 +17,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .curves import DiscreteCurve, TangentField, _dot, _integral, _jet, derivative
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, _require_int
 
 
 @dataclass(frozen=True)
@@ -274,12 +274,10 @@ class MetricConfig:
     terms: dict
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ContractError(f"metric order must be >= 2, got {self.n}")
+        _require_int("n", self.n, 2)
         terms = dict(self.terms)
         for k, term in terms.items():
-            if not (0 <= k <= self.n):
-                raise ContractError(f"coefficient index {k} outside 0..{self.n}")
+            _require_int("k", k, 0, self.n)
             if not isinstance(term, (PowerLaw, Constant, Tabulated)):
                 raise ContractError(f"unknown coefficient form for k={k}")
         for k in (0, self.n):
@@ -293,6 +291,7 @@ class MetricConfig:
 
 def scale_invariant_profile(n: int, b) -> MetricConfig:
     """Coefficients a_k(ell) = b_k * ell**(2k-3), the scale-invariant choice."""
+    _require_int("n", n, 2)
     b = np.asarray(b, dtype=float)
     if b.shape != (n + 1,):
         raise ContractError(f"need n+1 = {n + 1} coefficients, got shape {b.shape}")
@@ -327,16 +326,15 @@ def _blocks(count: int, n_points: int, fields: int = 1) -> list:
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def _form(cfg: MetricConfig, grid, samples, h, g=None, unit: int = 0, dc=None, dh=None):
+def _form(cfg: MetricConfig, grid, samples, h, g=None, unit: int = 0, dc=None):
     """G = sum_k a_k(ell) * Q_k(h, g) per curve of a (..., N, d) stack.
 
     `samples` and the fields h and g (default h), which broadcast against
     it, are in units of 2^unit.  A caller holding dc = d samples/dtheta
-    (samples may then be None) or dh = d h/dtheta passes it and spares
-    that stencil.  `_jet` divides each curve's dc by 2^e, in place, and
-    each field is divided by 2^e_h, e_h the exponent of its largest entry
-    (in place: a caller passing h alone passes an array of its own),
-    so Q_k comes out as Q_k / 2^x_k, x_k = e_h + e_g + (1 - 2k) e + (3 - 2k)
+    passes it (samples may then be None) and spares that stencil.
+    `_jet` divides each curve's dc by 2^e, in place, and each field is
+    divided by 2^e_h, e_h the exponent of its largest entry (in place: a
+    caller passing h alone passes an array of its own), so Q_k comes out as Q_k / 2^x_k, x_k = e_h + e_g + (1 - 2k) e + (3 - 2k)
     unit, and the terms a_k(ell) 2^x_k (`_profile`) times it are summed in
     true units: bit for bit plain arithmetic wherever that stays normal.
     Returns G and the pieces (s, lengths, u, q, coeffs, e, e_h, x, dc / 2^e)
@@ -348,8 +346,7 @@ def _form(cfg: MetricConfig, grid, samples, h, g=None, unit: int = 0, dc=None, d
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         dc = derivative(samples, grid, axis=-2) if dc is None else dc
         np.ldexp(fields, -eh[..., None, None], out=fields)
-        dh = None if dh is None else np.ldexp(dh, -eh[..., None, None])
-        e, s, lengths, u = _jet(grid, dc, fields, cfg.n, dh)
+        e, s, lengths, u = _jet(grid, dc, fields, cfg.n)
         uh, ug = (u, u) if g is None else ([uk[0] for uk in u], [uk[1] for uk in u])
         shift = e + unit  # the exponent of each curve's true unit
         eh_sum = 2 * eh if g is None else eh[0] + eh[1]

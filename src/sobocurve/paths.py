@@ -48,7 +48,9 @@ from .metric import MetricConfig, _blocks, _form, _form_blocks, _profile, _q_for
 class CurvePath:
     """A path over [0, 1]: one (T+1, N, d) array of curve samples on a grid.
 
-    Slice m, the curve at time m/T, is samples[m].
+    Slice m, the curve at time m/T, is samples[m].  A degenerate slice
+    raises ImmersionError "path degenerates at t=...", with the t of the
+    first one, which `_jet`'s immersion test on each block of slices reports.
     """
 
     grid: Grid
@@ -68,15 +70,9 @@ class CurvePath:
         for block in _blocks(len(samples), self.grid.n_points):
             try:
                 _arc_jet(self.grid, samples[block])
-            except ImmersionError:
-                # Name the first bad slice; only a failed block pays for the search.
-                for m in range(len(samples))[block]:
-                    try:
-                        _arc_jet(self.grid, samples[m])
-                    except ImmersionError as exc:
-                        t = m / (len(samples) - 1)
-                        raise ImmersionError(f"path degenerates at t={t:.6g}: {exc}") from exc
-                raise
+            except ImmersionError as exc:  # named by its first bad slice
+                t = (block.start + exc.index) / (len(samples) - 1)
+                raise ImmersionError(f"path degenerates at t={t:.6g}: {exc}") from exc
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -100,14 +96,10 @@ class SolverOptions:
     T: int = 32
 
     def __post_init__(self):
-        _require_int("max_iters", self.max_iters)
-        _require_int("T", self.T)
-        if self.max_iters < 1:
-            raise ContractError("max_iters must be >= 1")
+        _require_int("max_iters", self.max_iters, 1)
+        _require_int("T", self.T, 2)  # a path with interior slices
         if not 0 < self.gap_tol < math.inf:
             raise ContractError(f"gap_tol must be positive and finite, got {self.gap_tol}")
-        if self.T < 2:
-            raise ContractError("T must be >= 2 so the path has interior slices")
 
 
 @dataclass
@@ -139,9 +131,7 @@ def linear_path(c0: DiscreteCurve, c1: DiscreteCurve, T: int) -> CurvePath:
             f"endpoint curves live in different dimensions: d={c0.samples.shape[1]} "
             f"and d={c1.samples.shape[1]}"
         )
-    _require_int("T", T)
-    if T < 1:
-        raise ContractError("T must be >= 1")
+    _require_int("T", T, 1)
     t = (np.arange(T + 1) / T)[:, None, None]
     samples = (1.0 - t) * c0.samples
     for block in _blocks(T + 1, c0.grid.n_points):  # no path-sized temporary for t * c1
@@ -189,7 +179,7 @@ def _segment_speeds(cfg: MetricConfig, grid: Grid, c0, c1, t) -> np.ndarray:
     dc0, dh = derivative(c0, grid), derivative(h, grid)
     t = t[:, None, None]
     return np.concatenate([  # h.copy(): `_form` rescales h in place
-        _speeds(_form(cfg, grid, None, h.copy(), dc=dc0 + t[b] * dh, dh=dh)[0])
+        _speeds(_form(cfg, grid, None, h.copy(), dc=dc0 + t[b] * dh)[0])
         for b in _blocks(len(t), grid.n_points)
     ])
 
@@ -211,6 +201,7 @@ def moments(c0: DiscreteCurve, n: int) -> np.ndarray:
 
     Raises NumericalError if one under- or overflows.
     """
+    _require_int("n", n, 0)
     _, _, m, x = _moments(c0, n)
     with np.errstate(over="ignore"):
         out = np.ldexp(m, x)
@@ -340,9 +331,7 @@ def gradient_check(
     (all of them in one blocked `_form` pass) and sums them with the
     other intervals' values: bit for bit `path_energy` of the perturbed path.
     """
-    _require_int("n_coords", n_coords)
-    if n_coords < 1:
-        raise ContractError(f"n_coords must be a positive integer, got {n_coords}")
+    _require_int("n_coords", n_coords, 1)
     if rng is None:
         rng = np.random.default_rng(0)
     if path.T < 2:
@@ -434,8 +423,8 @@ def _constant_speed_start(cfg: MetricConfig, linear: CurvePath) -> CurvePath:
     the midpoints of r = _RETIME_REFINE times as many intervals as `linear`
     has and summed into the cumulative length S; slice m of the result
     sits at the tau_m with S(tau_m) = (m/T) S(1), by linear interpolation
-    of S.  The endpoint slices are those of `linear`.  Returns `linear`
-    itself unless S is strictly increasing; raises as `_form` does.
+    of S.  The endpoint slices are those of `linear`.  Raises
+    NumericalError unless S is strictly increasing, and as `_form` does.
     """
     grid, T = linear.grid, linear.T
     c0, c1 = linear.samples[0], linear.samples[-1]
@@ -444,7 +433,7 @@ def _constant_speed_start(cfg: MetricConfig, linear: CurvePath) -> CurvePath:
     sigma = _segment_speeds(cfg, grid, c0, c1, (np.arange(n_fine) + 0.5) / n_fine)
     cumulative = np.concatenate(([0.0], np.cumsum(sigma)))
     if not np.all(np.diff(cumulative) > 0):
-        return linear
+        raise NumericalError("cumulative metric length along the segment is not strictly increasing")
     t = np.interp(cumulative[-1] * np.arange(1, T) / T, cumulative, tau)[:, None, None]
     return CurvePath(grid, np.concatenate([c0[None], (1.0 - t) * c0 + t * c1, c1[None]]))
 
@@ -459,9 +448,10 @@ def geodesic_bvp(
 
     The solve starts from the linear path re-timed to constant metric
     speed (`_constant_speed_start`), so energy_trace[0] is that start's
-    energy; it falls back to the linear path if the re-timed start meets
-    a degenerate curve or a NumericalError.  Endpoints on different
-    grids or in different dimensions raise ContractError (`linear_path`).
+    energy; it falls back to the linear path, once, where the re-timed
+    start or the descent from it raises ImmersionError or NumericalError.
+    Endpoints on different grids or in different dimensions raise
+    ContractError (`linear_path`).
     Stops with termination "gradient" once g.Pg <= 2 gap_tol E, with P
     the spectral preconditioner, that is once the predicted relative
     energy gap g.Pg / 2E is at most gap_tol (the actual gap (E - E*) / E

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curves import DiscreteCurve, Grid, TangentField
-from .errors import ImmersionError, NumericalError
+from .errors import ImmersionError, NumericalError, _require_int
 
 _DECAY = 3.0
 # Fourier modes of a band-limited sample; tries before random_curve gives up.
@@ -49,6 +49,7 @@ def _band_limited(grid: Grid, rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_curve(grid: Grid, rng: np.random.Generator, dim: int = 2) -> DiscreteCurve:
     """Random smooth immersion; the unit circle plus a band-limited bump."""
+    _require_int("dim", dim, 2)
     cos, sin = _basis(grid)
     circle = np.zeros((grid.n_points, dim))
     circle[:, 0] = cos[0]  # 1 * theta == theta
@@ -66,6 +67,7 @@ def random_curve(grid: Grid, rng: np.random.Generator, dim: int = 2) -> Discrete
 
 def random_field(grid: Grid, rng: np.random.Generator, dim: int = 2) -> TangentField:
     """Random band-limited tangent field with a constant part."""
+    _require_int("dim", dim, 1)
     values = _band_limited(grid, rng, dim)
     values += rng.standard_normal(dim) * 0.5
     return TangentField(grid, values)

@@ -41,7 +41,7 @@ from .curves import (
     integrate_ds,
     make_circle,
 )
-from .errors import ContractError, _require_int
+from .errors import _require_int
 from .metric import (
     Constant,
     MetricConfig,
@@ -358,9 +358,7 @@ CHECKS = [
 
 def run_suite(seed: int = 0) -> dict:
     """Run every invariant check with a seeded RNG; deterministic output."""
-    _require_int("seed", seed)
-    if seed < 0:
-        raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
+    _require_int("seed", seed, 0)
     results = []
     for name, fn in CHECKS:
         rng = np.random.default_rng(seed)

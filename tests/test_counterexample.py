@@ -53,7 +53,9 @@ def test_param_validation():
 
 
 @pytest.mark.parametrize("name, bad", [("lambda0", 3.5), ("b", 2.5), ("n_max", 2.5),
-                                       ("lambda0", 3.0), ("b", True), ("n_max", "2")])
+                                       ("lambda0", 3.0), ("b", True), ("n_max", "2"),
+                                       ("lambda0", True), ("b", 2.0), ("n_max", 2.0),
+                                       ("lambda0", 2), ("b", 1), ("n_max", 0)])
 def test_params_reject_non_integer_counts(name, bad):
     # lambda0 = 3.5 or b = 2.5 used to fail in grid() with AttributeError.
     kwargs = {"case": "grow", "p": 0.0, "alpha": 10.0, "n_max": 2, name: bad}
@@ -136,7 +138,7 @@ def test_leg1_matches_geometrically_timed_path():
 @pytest.mark.parametrize("T", [0, -3, 65, 16.0, True])
 def test_verify_sequence_rejects_bad_T(T):
     params = grow_params()
-    with pytest.raises(ContractError, match="T must be an integer"):
+    with pytest.raises(ContractError, match=r"^T must be an integer in \[1, 64\]"):
         verify_sequence(params, build_sequence(params), T=T)
 
 
@@ -200,11 +202,11 @@ def test_scaled_leg_length_matches_direct_evaluation():
     assert scaled_s == pytest.approx(direct_s, rel=1e-10)
 
 
-@pytest.mark.parametrize("T", [0, -3, 2.5, True])
+@pytest.mark.parametrize("T", [0, -3, 2.5, 2.0, True])
 def test_scaled_leg_length_rejects_a_T_that_is_not_a_positive_integer(T):
     grid = sc.Grid(128)
     shape = sc.make_bumpy_circle(1.0, 0.25, 3, grid).samples
-    with pytest.raises(ContractError, match="^T must be"):
+    with pytest.raises(ContractError, match="^T must be an integer >= 1"):
         scaled_leg_length(counterexample_metric(0.0), 1.0, shape, 2.0 * shape, grid, T)
 
 

@@ -16,10 +16,49 @@ from sobocurve.sampling import random_curve, random_field
 
 def test_grid_validation():
     sc.Grid(16)
+    assert sc.Grid(np.int64(64)) == sc.Grid(64)
     with pytest.raises(ContractError):
         sc.Grid(8)
     with pytest.raises(ContractError):
         sc.Grid(33)
+
+
+_GRID = sc.Grid(64)
+_CIRCLE = sc.make_circle(1.0, (0, 0), _GRID)
+_ONE = sc.Constant(1.0)
+# Count arguments: (name, call with the value, values that are not a count in range).
+_COUNTS = {
+    "Grid": ("N", sc.Grid, [64.0, True, 14]),
+    "MetricConfig": ("n", lambda v: sc.MetricConfig(v, {0: _ONE, 2: _ONE}), [3.0, True, 1]),
+    "MetricConfig term": ("k", lambda v: sc.MetricConfig(2, {0: _ONE, 2: _ONE, v: _ONE}),
+                          [1.5, 1.0, True, -1, 3]),
+    "scale_invariant_profile": ("n", lambda v: sc.scale_invariant_profile(v, [1.0, 0.0, 1.0]),
+                                [2.0, True, 1]),
+    "arc_derivative": ("k", lambda v: sc.arc_derivative(
+        _CIRCLE, sc.TangentField(_GRID, _CIRCLE.samples), v), [2.5, 2.0, True, -1]),
+    "make_circle": ("dim", lambda v: sc.make_circle(1.0, (0, 0), _GRID, dim=v), [2.0, True, 1]),
+    "moments": ("n", lambda v: sc.moments(_CIRCLE, v), [2.5, 2.0, True, -1]),
+    "random_curve": ("dim", lambda v: random_curve(_GRID, np.random.default_rng(0), dim=v),
+                     [2.0, True, 1]),
+    "random_field": ("dim", lambda v: random_field(_GRID, np.random.default_rng(0), dim=v),
+                     [2.0, True, 0]),
+    "classify_power_law": ("k", lambda v: sc.classify_power_law(v, 0.0), [1.5, 1.0, True, -1]),
+    "numeric_integral_evidence": ("k", lambda v: sc.numeric_integral_evidence(_ONE, v, "zero"),
+                                  [1.5, 1.0, True, -1]),
+    "SolverOptions": ("T", lambda v: sc.SolverOptions(T=v), [1]),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bad", [(entry, bad) for entry, (_, _, bads) in _COUNTS.items() for bad in bads]
+)
+def test_count_arguments_must_be_integers_in_range(entry, bad):
+    # Before one rule covered them, Grid(64.0), MetricConfig(3.0, ...) and
+    # the others took floats and failed later with a TypeError or an
+    # IndexError, and arc_derivative(c, h, True) returned a result.
+    name, call, _ = _COUNTS[entry]
+    with pytest.raises(ContractError, match=f"^{name} must be an integer"):
+        call(bad)
 
 
 def test_derivative_constant_is_zero():
@@ -99,8 +138,9 @@ def test_batched_arc_jet_rejects_one_degenerate_curve(bad, position):
         stack[position] = 0.0
     else:
         stack[position, 0:5] = stack[position, 2]
-    with pytest.raises(ImmersionError, match="not an immersion at resolution N=64"):
+    with pytest.raises(ImmersionError, match="not an immersion at resolution N=64") as info:
         _arc_jet(grid, stack)
+    assert info.value.index == position
 
 
 def test_arc_derivative_unit_tangent_and_curvature():
@@ -228,8 +268,9 @@ def test_make_bumpy_circle_contracts():
         sc.make_bumpy_circle(-1.0, 0.25, 4, grid)
     with pytest.raises(ContractError):
         sc.make_bumpy_circle(1.0, 0.0, 4, grid)
-    with pytest.raises(ContractError, match="bump frequency must be an integer"):
-        sc.make_bumpy_circle(1.0, 0.25, True, grid)
+    for lam in (True, 4.0, 2.5, 0):
+        with pytest.raises(ContractError, match="^bump frequency must be an integer"):
+            sc.make_bumpy_circle(1.0, 0.25, lam, grid)
     bumpy = sc.make_bumpy_circle(1.0, 0.25, 4, grid)
     assert float(np.min(bumpy.arc_speed)) >= 0.75
 

@@ -87,7 +87,7 @@ def test_solver_options_reject_bad_gap_tol(gap_tol):
 
 
 @pytest.mark.parametrize("name", ["T", "max_iters"])
-@pytest.mark.parametrize("bad", [4.5, 4.0, True, "4"])
+@pytest.mark.parametrize("bad", [4.5, 4.0, True, "4", 0])
 def test_solver_options_and_linear_path_reject_non_integer_counts(name, bad):
     # T = 4.5 used to give a 5-interval path that missed c1 by 0.089.
     with pytest.raises(ContractError, match=f"^{name} must be an integer"):
@@ -374,11 +374,11 @@ def test_gradient_check_random_paths():
         assert sc.gradient_check(cfg, path, n_coords=10, rng=rng) <= 1e-6
 
 
-@pytest.mark.parametrize("n_coords", [0, -2, 2.5, True])
+@pytest.mark.parametrize("n_coords", [0, -2, 2.5, 2.0, True])
 def test_gradient_check_rejects_n_coords_that_is_not_a_positive_integer(n_coords):
     # n_coords = 0 or -2 would certify nothing with a deviation of 0.
     c0, c1 = pair_of_kind("random", 64, 0)
-    with pytest.raises(ContractError, match="^n_coords must be"):
+    with pytest.raises(ContractError, match="^n_coords must be an integer >= 1"):
         sc.gradient_check(SI, sc.linear_path(c0, c1, 4), n_coords=n_coords)
 
 
@@ -772,6 +772,28 @@ def test_geodesic_falls_back_when_only_the_finer_pass_degenerates():
     assert np.array_equal(res.path.samples, ref.path.samples)
 
 
+def test_geodesic_runs_the_linear_fallback_once(monkeypatch):
+    # Under a_0 = a_2 = ell^60 the metric speed along the segment between
+    # circles of radius 1e-8 and 2e-8 underflows to 0, so the start raises
+    # and the one descent runs from the linear path, which fails as before.
+    cfg = MetricConfig(2, {0: PowerLaw(1.0, 60.0), 2: PowerLaw(1.0, 60.0)})
+    c0, c1 = circle_pair(64, 1e-8, 2e-8)
+    linear = sc.linear_path(c0, c1, 8)
+    with pytest.raises(NumericalError, match="not strictly increasing"):
+        paths_module._constant_speed_start(cfg, linear)
+    minimize, starts = paths_module._minimize, []
+
+    def recording_minimize(cfg, path, opts):
+        starts.append(path)
+        return minimize(cfg, path, opts)
+
+    monkeypatch.setattr(paths_module, "_minimize", recording_minimize)
+    with pytest.raises(NumericalError, match="preconditioned gradient is not finite at the start"):
+        sc.geodesic_bvp(cfg, c0, c1, sc.SolverOptions(T=8))
+    assert len(starts) == 1
+    assert np.array_equal(starts[0].samples, linear.samples)
+
+
 def test_geodesic_overshoot_below_roundoff_stalls():
     # The last search's one trial overshoots the minimum along its
     # direction and raises E by about 15 ulps; that rise is curvature, not
@@ -928,7 +950,7 @@ def test_segment_speeds_in_blocks_equal_one_form_call(monkeypatch, kind, n, coun
     t = (np.arange(count) + 0.5) / count
     h = c1 - c0
     dc0, dh = sc.derivative(c0, grid), sc.derivative(h, grid)
-    values, _ = metric_module._form(SI, grid, None, h.copy(), dc=dc0 + t[:, None, None] * dh, dh=dh)
+    values, _ = metric_module._form(SI, grid, None, h.copy(), dc=dc0 + t[:, None, None] * dh)
     want = np.sqrt(values)
     sizes = []
     form = paths_module._form
