@@ -9,11 +9,13 @@ decide whether curves can shrink to a point or blow up along finite
 paths.  Divergence of some I with 1 <= k <= n at both ends is sufficient
 for completeness; divergence of some I with 0 <= k <= n is necessary.
 Whether an end diverges depends only on the profile's end law
-b (r / knot)^p, which metric._end_law gives: power laws and constants
-are that law everywhere and are classified symbolically; a tabulated
-profile is its fitted tail law beyond each end knot, so each end is
-classified by the same rule, and a convergent end's value adds the
-closed-form tail integral and a quadrature between the knot and r = 1.
+b (r / knot)^p, which metric._end_law gives, and one function,
+numeric_integral_evidence, decides every end by it (analyze and
+classify_power_law call it): a power law, a constant being the one with
+p = 0, is that law everywhere with knot 1 and an exact exponent; a
+tabulated profile is its fitted tail law beyond each end knot, and a
+convergent end's value adds the closed-form tail integral and a
+quadrature between the knot and r = 1.
 
 These integrals, W and the length of the scaling path r*c
 (paths.radial_path_length) all integrate one speed per unit of ln r,
@@ -143,46 +145,44 @@ class IntegralVerdict:
 
 
 def classify_power_law(k: int, p: float, b: float = 1.0) -> dict:
-    """Symbolic verdicts for a_k = b * r**p at both ends.
+    """Verdicts for a_k = b * r**p at both ends: numeric_integral_evidence of PowerLaw(b, p).
 
     The integrand is b^(1/2) * r^(1/2-k+p/2), so I_0 diverges iff
     p <= 2k-3 and I_inf diverges iff p >= 2k-3; at the critical exponent
     p = 2k-3 the integrand is 1/r and both ends diverge.
     """
-    _require_int("k", k, 0)
-    if b == 0.0:
-        zero = IntegralVerdict(CONVERGENT, "analytic_power_law", value=0.0)
-        return {"I0": zero, "Iinf": zero}
-    e = 0.5 - k + p / 2.0
-
-    def verdict(diverges: bool, sign: float) -> IntegralVerdict:
-        if diverges:
-            return IntegralVerdict(DIVERGENT, "analytic_power_law", value=math.inf)
-        return IntegralVerdict(CONVERGENT, "analytic_power_law", value=sign * math.sqrt(b) / (e + 1.0))
-
-    return {"I0": verdict(e <= -1.0, 1.0), "Iinf": verdict(e >= -1.0, -1.0)}
+    law = PowerLaw(b, p)
+    return {"I0": numeric_integral_evidence(law, k, "zero"),
+            "Iinf": numeric_integral_evidence(law, k, "infinity")}
 
 
 def numeric_integral_evidence(term, k: int, end: str) -> IntegralVerdict:
     """Classify one end of the improper integral by the profile's end law.
 
-    Beyond its end knot the profile is the power law b (ell / knot)^p, so
-    the integrand is a multiple of r^e with e = 1/2 - k + p/2, and the
-    end diverges by the rule of classify_power_law.  A convergent end's
-    value is the tail integral in closed form plus one log_quad over the
-    stretch between the knot and r = 1, whose error estimate is
-    evidence["quadrature_error"].
+    The one divergence rule.  Beyond its end knot every profile is the
+    power law b (ell / knot)^p (metric._end_law), so the integrand is a
+    multiple of r^e with e = 1/2 - k + p/2: the end diverges iff e <= -1
+    at zero and iff e >= -1 at infinity.  A convergent end's value is the
+    tail integral in closed form plus, for a knot other than 1, one
+    log_quad over the stretch between the knot and r = 1.  A power law
+    (a constant included) has its exponent exactly and gets method
+    "analytic_power_law"; a tabulated tail's exponent is fitted, so
+    |e + 1| <= CRITICAL_TOL counts as critical, the method is
+    "numeric_evidence" and `evidence` holds the end exponent, the knot
+    and, when convergent, the quadrature error.
     """
     _require_int("k", k, 0)
     if end not in ("zero", "infinity"):
         raise ContractError(f"end must be 'zero' or 'infinity', got {end!r}")
     knot, law = _end_law(term, end)
+    fitted = isinstance(term, Tabulated)
+    method = "numeric_evidence" if fitted else "analytic_power_law"
     if law.b == 0.0:
-        return IntegralVerdict(CONVERGENT, "numeric_evidence", value=0.0)
+        return IntegralVerdict(CONVERGENT, method, value=0.0)
     e = 0.5 - k + law.p / 2.0
-    evidence = {"end_exponent": e, "end_knot": knot}
-    if abs(e + 1.0) <= CRITICAL_TOL or (e + 1.0 < 0.0) == (end == "zero"):
-        return IntegralVerdict(DIVERGENT, "numeric_evidence", value=math.inf, evidence=evidence)
+    evidence = {"end_exponent": e, "end_knot": knot} if fitted else None
+    if abs(e + 1.0) <= (CRITICAL_TOL if fitted else 0.0) or (e + 1.0 < 0.0) == (end == "zero"):
+        return IntegralVerdict(DIVERGENT, method, value=math.inf, evidence=evidence)
     c = min(knot, 1.0) if end == "zero" else max(knot, 1.0)
     terms = [(k, term, 1.0, 0)]
     # Over (0, c] or [c, inf) the integrand is (g(c) / c) (r / c)^e, g = _radial_speed.
@@ -194,9 +194,10 @@ def numeric_integral_evidence(term, k: int, end: str) -> IntegralVerdict:
         if not math.isfinite(value):
             raise OverflowError(f"integral overflows: {value}")
     except ArithmeticError as exc:  # overflow
-        return IntegralVerdict(INCONCLUSIVE, "numeric_evidence", evidence={"error": str(exc)})
-    evidence["quadrature_error"] = error
-    return IntegralVerdict(CONVERGENT, "numeric_evidence", value=value, evidence=evidence)
+        return IntegralVerdict(INCONCLUSIVE, method, evidence={"error": str(exc)})
+    if fitted:
+        evidence["quadrature_error"] = error
+    return IntegralVerdict(CONVERGENT, method, value=value, evidence=evidence)
 
 
 SUFFICIENT = "sufficient_conditions_hold"
@@ -242,13 +243,8 @@ def analyze(cfg: MetricConfig) -> CompletenessReport:
     verdicts_zero, verdicts_inf = {}, {}
     for k in range(cfg.n + 1):
         term = cfg.terms.get(k, PowerLaw(0.0, 0.0))  # an absent term is a_k = 0
-        if not isinstance(term, Tabulated):
-            _, law = _end_law(term, "zero")
-            both = classify_power_law(k, law.p, law.b)
-            verdicts_zero[k], verdicts_inf[k] = both["I0"], both["Iinf"]
-        else:
-            verdicts_zero[k] = numeric_integral_evidence(term, k, "zero")
-            verdicts_inf[k] = numeric_integral_evidence(term, k, "infinity")
+        verdicts_zero[k] = numeric_integral_evidence(term, k, "zero")
+        verdicts_inf[k] = numeric_integral_evidence(term, k, "infinity")
 
     higher = range(1, cfg.n + 1)
     all_k = range(0, cfg.n + 1)

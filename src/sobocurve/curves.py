@@ -30,6 +30,7 @@ class Grid:
         _require_int("N", self.n_points, 16)
         if self.n_points % 2 != 0:
             raise ContractError(f"N must be even, got {self.n_points}")
+        object.__setattr__(self, "n_points", int(self.n_points))  # a plain int writes as JSON
 
     @property
     def theta(self) -> np.ndarray:

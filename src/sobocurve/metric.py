@@ -2,9 +2,10 @@
 
 The metric is G_c(h, g) = sum_k a_k(ell_c) * integral <D_s^k h, D_s^k g> ds
 with coefficients a_k that are functions of the curve length ell_c.
-Coefficient profiles are power laws, constants, or tabulated values with
-fitted power-law tails; beyond its end knots every profile is a power law
-b * (ell / knot)**p, and `_profile` evaluates all of them by that rule.
+Coefficient profiles are power laws (a constant is the one with p = 0)
+or tabulated values with fitted power-law tails; beyond its end knots
+every profile is a power law b * (ell / knot)**p, and `_profile`
+evaluates all of them by that rule.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Union
+from typing import Union
 
 import numpy as np
 
@@ -35,17 +36,10 @@ class PowerLaw:
 
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(PowerLaw):
     """a(ell) = b, the power law with p = 0."""
 
-    b: float
-    p: ClassVar[float] = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.b):
-            raise ContractError(f"constant coefficient must be finite, got {self.b}")
-        if self.b < 0:
-            raise ContractError(f"constant coefficient must have b >= 0, got {self.b}")
+    p: float = field(default=0.0, init=False)
 
 
 @dataclass(frozen=True)
@@ -139,7 +133,7 @@ def _fit_tail(knots: np.ndarray, values: np.ndarray, end: int) -> tuple:
     return float(knots[end]), PowerLaw(b=float(values[end]), p=float(slope))
 
 
-CoefficientTerm = Union[PowerLaw, Constant, Tabulated]
+CoefficientTerm = Union[PowerLaw, Tabulated]
 
 
 _TINY = float(np.finfo(float).tiny)  # a float below it has lost digits
@@ -148,7 +142,7 @@ _TINY = float(np.finfo(float).tiny)  # a float below it has lost digits
 def _end_law(term: CoefficientTerm, end: str) -> tuple:
     """(knot, law): the profile is law(ell / knot) beyond `knot` towards `end`.
 
-    `end` is "zero" or "infinity".  A power law or a constant (p = 0) is
+    `end` is "zero" or "infinity".  A power law (a constant included) is
     its own end law with knot 1, a tabulated profile its fitted tail there.
     """
     if isinstance(term, Tabulated):
@@ -156,7 +150,7 @@ def _end_law(term: CoefficientTerm, end: str) -> tuple:
     return 1.0, term
 
 
-def _law(knot: float, law: PowerLaw | Constant, ell: np.ndarray, nu: int, shift):
+def _law(knot: float, law: PowerLaw, ell: np.ndarray, nu: int, shift):
     """(v, n), v 2^n the d^nu/d ell^nu of law.b * (ell / knot)**law.p at the lengths ell * 2^shift.
 
     A zero factor (b, or b * p for nu = 1) gives zeros, never 0 * inf.
@@ -278,15 +272,17 @@ class MetricConfig:
         terms = dict(self.terms)
         for k, term in terms.items():
             _require_int("k", k, 0, self.n)
-            if not isinstance(term, (PowerLaw, Constant, Tabulated)):
+            if not isinstance(term, (PowerLaw, Tabulated)):
                 raise ContractError(f"unknown coefficient form for k={k}")
         for k in (0, self.n):
             term = terms.get(k)
             if term is None:
                 raise ContractError(f"a_{k} must be present and positive")
-            if isinstance(term, (PowerLaw, Constant)) and term.b <= 0:
+            if isinstance(term, PowerLaw) and term.b <= 0:
                 raise ContractError(f"a_{k} must be strictly positive")
-        object.__setattr__(self, "terms", terms)
+        # Plain ints, so that a NumPy integer count still writes as JSON.
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "terms", {int(k): term for k, term in terms.items()})
 
 
 def scale_invariant_profile(n: int, b) -> MetricConfig:
@@ -387,10 +383,10 @@ def eval_metric(
 def config_to_dict(cfg: MetricConfig) -> dict:
     terms = []
     for k, term in sorted(cfg.terms.items()):
-        if isinstance(term, PowerLaw):
-            entry = {"form": "power", "b": term.b, "p": term.p}
-        elif isinstance(term, Constant):
+        if isinstance(term, Constant):
             entry = {"form": "const", "b": term.b}
+        elif isinstance(term, PowerLaw):
+            entry = {"form": "power", "b": term.b, "p": term.p}
         else:
             entry = {"form": "table", "knots": list(term.knots), "values": list(term.values)}
         terms.append({"k": k, **entry})

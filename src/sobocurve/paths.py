@@ -184,10 +184,6 @@ def _segment_speeds(cfg: MetricConfig, grid: Grid, c0, c1, t) -> np.ndarray:
     ])
 
 
-def reverse_path(path: CurvePath) -> CurvePath:
-    return CurvePath(path.grid, path.samples[::-1])
-
-
 def _moments(c0: DiscreteCurve, n: int):
     """(e, length / 2^e, M_k / 2^x_k, x_k) of c0 for k = 0..n (see `moments`), as in `_form`."""
     ec = np.frexp(np.abs(c0.samples).max())[1]

@@ -50,6 +50,10 @@ def test_classify_power_law_table():
     assert v["I0"].verdict == CONVERGENT and v["Iinf"].verdict == DIVERGENT
     v = sc.classify_power_law(1, 5.0, b=0.0)
     assert v["I0"].verdict == CONVERGENT and v["Iinf"].verdict == CONVERGENT
+    # A law that is not a PowerLaw is refused, not classified.
+    for p, b in ((math.nan, 1.0), (1.0, -1.0), (1.0, math.inf)):
+        with pytest.raises(ContractError):
+            sc.classify_power_law(0, p, b)
 
 
 def test_classify_power_law_full_grid():
@@ -362,6 +366,20 @@ def test_analyze_tabulated_critical_tails(q, expected):
         assert table_report[key] == power_report[key]
     for row_t, row_p in zip(table_report["per_k"], power_report["per_k"]):
         assert row_t["verdict"] == row_p["verdict"], (row_t, row_p)
+
+
+def test_analyze_reads_every_end_from_numeric_integral_evidence():
+    # Power law, constant, table and an absent k (a_2 = 0): one rule for all.
+    knots = np.geomspace(0.25, 4.0, 8)
+    terms = {0: PowerLaw(1.0, -3.5), 1: Constant(2.0),
+             3: Tabulated(tuple(knots), tuple(knots**2.5)), 4: PowerLaw(0.5, 6.0)}
+    report = sc.analyze(MetricConfig(4, terms))
+    for k in range(5):
+        term = terms.get(k, PowerLaw(0.0, 0.0))
+        assert report.verdicts_zero[k] == sc.numeric_integral_evidence(term, k, "zero"), k
+        assert report.verdicts_inf[k] == sc.numeric_integral_evidence(term, k, "infinity"), k
+    assert report.verdicts_zero[3].method == "numeric_evidence"
+    assert {report.verdicts_inf[k].method for k in (0, 1, 2, 4)} == {"analytic_power_law"}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

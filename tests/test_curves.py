@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import sobocurve as sc
 from sobocurve.curves import TWO_PI, _arc_jet, _dot
 from sobocurve.errors import ContractError, ImmersionError
+from sobocurve.paths import path_to_dict
 from sobocurve.sampling import random_curve, random_field
 
 
@@ -21,6 +22,19 @@ def test_grid_validation():
         sc.Grid(8)
     with pytest.raises(ContractError):
         sc.Grid(33)
+
+
+def test_numpy_integer_counts_write_plain_json(tmp_path):
+    # Grid and MetricConfig keep a NumPy integer count as a plain int.
+    grid = sc.Grid(np.int64(64))
+    assert type(grid.n_points) is int
+    c = sc.make_circle(1.0, (0, 0), grid)
+    sc.save_curve(c, tmp_path / "c.json")
+    assert sc.load_curve(tmp_path / "c.json").grid == sc.Grid(64)
+    cfg = sc.MetricConfig(np.int64(2), {np.int64(0): sc.Constant(1.0), np.int32(2): sc.Constant(1.0)})
+    assert json.loads(json.dumps(sc.config_to_dict(cfg)))["n"] == 2
+    path = sc.linear_path(c, sc.make_circle(2.0, (0, 0), grid), 2)
+    assert json.loads(json.dumps(path_to_dict(path)))["grid"] == {"N": 64}
 
 
 _GRID = sc.Grid(64)

@@ -33,6 +33,7 @@ def cfg_const(a0=1.0, a2=1.0):
 def test_coefficient_eval_closed_forms():
     assert coefficient_eval(PowerLaw(1.0, -3.0), 2.0) == 0.125
     assert coefficient_eval(Constant(5.0), 17.3) == 5.0
+    assert isinstance(Constant(2.0), PowerLaw) and Constant(2.0).p == 0.0
     with pytest.raises(ContractError):
         coefficient_eval(PowerLaw(1.0, -3.0), 0.0)
 
@@ -238,6 +239,9 @@ def test_metric_config_contracts():
         MetricConfig(2, {0: Constant(1.0)})  # missing a_n
     with pytest.raises(ContractError):
         MetricConfig(2, {0: Constant(0.0), 2: Constant(1.0)})
+    for b in (-1.0, math.nan):
+        with pytest.raises(ContractError):
+            Constant(b)
 
 
 def test_eval_metric_zero_field():
@@ -367,9 +371,12 @@ def test_config_json_roundtrip(tmp_path):
             3: Tabulated(tuple(knots), tuple(knots**1.5)),
         },
     )
+    data = sc.config_to_dict(cfg)
+    assert data["terms"][1] == {"k": 1, "form": "const", "b": 0.5}
+    assert sc.config_from_dict(data) == cfg
     path = tmp_path / "cfg.json"
     with open(path, "w") as fh:
-        json.dump(sc.config_to_dict(cfg), fh)
+        json.dump(data, fh)
     back = sc.load_config(path)
     assert back.n == 3
     assert back.terms[0].p == -3.0
