@@ -183,10 +183,15 @@ def arc_derivative(c: DiscreteCurve, h: TangentField, k: int) -> TangentField:
 
 
 def integrate_ds(c: DiscreteCurve, f: np.ndarray) -> float:
-    """Arc-length integral of a scalar field: sum f |c'| * (2*pi/N)."""
-    f = np.asarray(f, dtype=float)
-    if f.shape[0] != c.grid.n_points:
-        raise ContractError("integrand length does not match grid")
+    """Arc-length integral of a scalar field, N finite values: sum f |c'| * (2*pi/N)."""
+    try:
+        f = np.asarray(f, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"integrand must be numeric: {exc}") from exc
+    if f.shape != (c.grid.n_points,):
+        raise ContractError(f"integrand must have shape ({c.grid.n_points},), got {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ContractError("integrand must be finite")
     return c.grid.spacing * float(np.dot(f, c.arc_speed))
 
 

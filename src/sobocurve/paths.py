@@ -578,7 +578,10 @@ def _minimize(cfg: MetricConfig, path: CurvePath, opts: SolverOptions) -> Geodes
         dg = grad_try - grad
         pgrad_try = precondition(grad_try)
         curv = float(np.sum(dx * dg))
-        if curv > 1e-10 * float(np.linalg.norm(dx) * np.linalg.norm(dg)):
+        # |dx| and |dg| from einsum's own loop: OpenBLAS threads a long dot
+        # product, and on a busy core its threads stall for milliseconds.
+        dx_norm, dg_norm = (math.sqrt(float(np.einsum("ijk,ijk->", v, v))) for v in (dx, dg))
+        if curv > 1e-10 * (dx_norm * dg_norm):
             pdg = pgrad_try - pgrad
             memory.append((dx, dg, pdg, 1.0 / curv))
             if len(memory) > 10:

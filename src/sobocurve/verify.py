@@ -10,10 +10,18 @@ evaluates them stacked: a few `_form` (`metric._form_blocks`) or
 in place of one call per curve.  The kernels give each curve of a stack
 the bits of its own call, and each item is still compared on its own,
 so every row's detail is the one that per-curve calls would give.
+
+Six checks draw nothing: `derivative_convergence_order`,
+`power_law_classifier_agreement`, `completeness_reports`,
+`radial_consistency`, `solver_monotone_energy` and
+`counterexample_sequence`.  Their bodies take no generator and are
+cached with `functools.cache`, so each row is computed once per process;
+their `CHECKS` entries accept the generator and ignore it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -126,7 +134,8 @@ def _check_exact_identities(rng):
     return worst <= 1e-12, f"max rel dev {worst:.3e}"
 
 
-def _check_convergence_order(rng):
+@functools.cache
+def _check_convergence_order():
     cases = (
         (lambda t: np.sin(3 * t), lambda t: 3 * np.cos(3 * t)),
         (lambda t: np.cos(5 * t) + np.sin(2 * t), lambda t: -5 * np.sin(5 * t) + 2 * np.cos(2 * t)),
@@ -210,7 +219,8 @@ def _check_metric_algebra(rng):
     return worst <= 1e-12, f"max rel dev {worst:.3e}"
 
 
-def _check_classifier_agreement(rng):
+@functools.cache
+def _check_classifier_agreement():
     ok = True
     for k in range(0, 5):
         for dp in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
@@ -224,7 +234,8 @@ def _check_classifier_agreement(rng):
     return ok, "analytic vs numeric on non-critical power laws"
 
 
-def _check_completeness_reports(rng):
+@functools.cache
+def _check_completeness_reports():
     gap1 = analyze(MetricConfig(2, {0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, 0.0)}))
     gap2 = analyze(MetricConfig(2, {0: PowerLaw(1.0, -3.0), 2: PowerLaw(1.0, 2.0)}))
     suff = analyze(scale_invariant_profile(2, [1.0, 0.0, 1.0]))
@@ -275,7 +286,8 @@ def _check_path_identities(rng):
     return ok and worst <= 1e-12, f"Cauchy-Schwarz + reversal + translation, dev {worst:.3e}"
 
 
-def _check_radial_consistency(rng):
+@functools.cache
+def _check_radial_consistency():
     grid = Grid(128)
     cfg = MetricConfig(2, {0: Constant(1.0), 2: Constant(1.0)})
     circle = make_circle(1.0, (0.0, 0.0), grid)
@@ -296,7 +308,8 @@ def _check_gradient(rng):
     return dev <= 1e-6, f"analytic vs FD gradient, dev {dev:.3e}"
 
 
-def _check_solver_monotone(rng):
+@functools.cache
+def _check_solver_monotone():
     grid = Grid(64)
     cfg = MetricConfig(2, {0: Constant(1.0), 2: Constant(1.0)})
     c0 = make_circle(1.0, (0.0, 0.0), grid)
@@ -331,7 +344,8 @@ def _check_w_length_bound(rng):
     return ok, f"|dW| vs accumulated length, C={const:.4f}"
 
 
-def _check_counterexample(rng):
+@functools.cache
+def _check_counterexample():
     params = CounterexampleParams(case="grow", p=0.0, alpha=10.0, n_max=2)
     seq = build_sequence(params)
     rep = verify_sequence(params, seq, T=16)
@@ -341,18 +355,18 @@ def _check_counterexample(rng):
 
 CHECKS = [
     ("exact_discrete_identities", _check_exact_identities),
-    ("derivative_convergence_order", _check_convergence_order),
+    ("derivative_convergence_order", lambda rng: _check_convergence_order()),
     ("poincare_inequalities", _check_poincare),
     ("metric_algebra", _check_metric_algebra),
-    ("power_law_classifier_agreement", _check_classifier_agreement),
-    ("completeness_reports", _check_completeness_reports),
+    ("power_law_classifier_agreement", lambda rng: _check_classifier_agreement()),
+    ("completeness_reports", lambda rng: _check_completeness_reports()),
     ("w_function", _check_w_function),
     ("path_identities", _check_path_identities),
-    ("radial_consistency", _check_radial_consistency),
+    ("radial_consistency", lambda rng: _check_radial_consistency()),
     ("energy_gradient", _check_gradient),
-    ("solver_monotone_energy", _check_solver_monotone),
+    ("solver_monotone_energy", lambda rng: _check_solver_monotone()),
     ("w_length_bound", _check_w_length_bound),
-    ("counterexample_sequence", _check_counterexample),
+    ("counterexample_sequence", lambda rng: _check_counterexample()),
 ]
 
 

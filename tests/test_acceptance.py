@@ -242,9 +242,11 @@ def test_criterion_7_w_function():
     )
 
 
-def test_criterion_8_verify_determinism():
+def test_criterion_8_verify_determinism(clear_verify_cache):
     t0 = time.perf_counter()
+    clear_verify_cache()
     a = json.dumps(run_suite(seed=7), sort_keys=True)
+    clear_verify_cache()
     b = json.dumps(run_suite(seed=7), sort_keys=True)
     ok = a == b and json.loads(a)["all_ok"]
     report(

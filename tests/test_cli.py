@@ -200,10 +200,12 @@ def test_verify_passes_and_prints_lines(files, capsys):
     assert not any(line.startswith("FAIL") for line in lines[:-1])
 
 
-def test_verify_deterministic(files, capsys, tmp_path):
+def test_verify_deterministic(files, capsys, tmp_path, clear_verify_cache):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
+    clear_verify_cache()
     assert main(["verify", "--seed", "3", "--output", str(a)]) == 0
+    clear_verify_cache()
     assert main(["verify", "--seed", "3", "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 

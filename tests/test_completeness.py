@@ -20,7 +20,7 @@ from sobocurve.completeness import (
     log_quad,
     w_eval,
 )
-from sobocurve.errors import ContractError
+from sobocurve.errors import ContractError, NumericalError
 from sobocurve.metric import Constant, MetricConfig, PowerLaw, Tabulated, coefficient_eval
 
 
@@ -195,6 +195,10 @@ def test_w_eval_to_the_top_of_the_float_range():
         warnings.simplefilter("error")
         value = w_eval(cfg, 1.5e308)
     assert value == pytest.approx(w_eval(cfg, 10.0) * math.log(1.5e308) / math.log(10.0), rel=1e-12)
+    # An integrand past the float range is a NumericalError, not a non-finite W.
+    cfg = MetricConfig(2, {0: Constant(1.0), 1: PowerLaw(1.0, 8.0), 2: Constant(1.0)})
+    with pytest.raises(NumericalError, match=r"^W quadrature failed on \[1.0, 1e\+200\]"):
+        w_eval(cfg, 1e200)
 
 
 def test_integrand_and_w_eval_far_from_the_unit_scale():

@@ -50,6 +50,12 @@ def test_param_validation():
     # desk-scale cap: lambda_n never exceeds 48
     with pytest.raises(ContractError):
         CounterexampleParams(case="grow", p=0.0, alpha=10.0, n_max=6)
+    with pytest.raises(ContractError, match="^grow case needs p < 1"):
+        CounterexampleParams(case="grow", p=1.0, alpha=10.0, n_max=2)
+    with pytest.raises(ContractError, match="^shrink case needs p > 1"):
+        CounterexampleParams(case="shrink", p=1.0, alpha=-12.0, n_max=2)
+    with pytest.raises(ContractError, match="^sequence was built with different parameters"):
+        verify_sequence(grow_params(), build_sequence(shrink_params()))
 
 
 @pytest.mark.parametrize("name, bad", [("lambda0", 3.5), ("b", 2.5), ("n_max", 2.5),

@@ -128,6 +128,9 @@ def test_degenerate_curve_rejected():
     grid = sc.Grid(32)
     with pytest.raises(ImmersionError, match="not an immersion at resolution N=32"):
         sc.DiscreteCurve(grid, np.zeros((32, 2)))
+    for bad in (np.ones(32), np.ones((32, 1)), np.ones((16, 2))):
+        with pytest.raises(ContractError, match="^(samples must be|curve has 16 samples)"):
+            sc.DiscreteCurve(grid, bad)
 
 
 def test_cusp_rejected():
@@ -213,6 +216,11 @@ def test_integrate_ds_and_length():
     d2 = sc.arc_derivative(c1, h, 2).values
     val = sc.integrate_ds(c1, np.sum(d2 * d2, axis=1))
     assert abs(val - TWO_PI) <= 1e-8
+    # A malformed integrand is a contract error, never a NumPy error or a NaN result.
+    for bad in (np.ones((128, 2)), np.ones((128, 1)), np.ones(64), "abc", [np.nan] * 128,
+                np.r_[np.ones(127), np.inf]):
+        with pytest.raises(ContractError, match="^integrand must"):
+            sc.integrate_ds(c, bad)
 
 
 def test_length_homogeneity():
@@ -282,6 +290,9 @@ def test_make_bumpy_circle_contracts():
         sc.make_bumpy_circle(-1.0, 0.25, 4, grid)
     with pytest.raises(ContractError):
         sc.make_bumpy_circle(1.0, 0.0, 4, grid)
+    for r in (0.0, -1.0):
+        with pytest.raises(ContractError, match="^radius must be positive"):
+            sc.make_circle(r, (0, 0), grid)
     for lam in (True, 4.0, 2.5, 0):
         with pytest.raises(ContractError, match="^bump frequency must be an integer"):
             sc.make_bumpy_circle(1.0, 0.25, lam, grid)
@@ -300,6 +311,8 @@ def test_reparametrize():
     assert abs(sc.curve_length(smooth) - TWO_PI) <= 1e-6
     with pytest.raises(ContractError):
         sc.reparametrize(c, -grid.theta)
+    with pytest.raises(ContractError, match="^phi must have one value per grid point"):
+        sc.reparametrize(c, grid.theta[::2])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -394,6 +407,14 @@ def test_malformed_curve_file(tmp_path):
     path.write_text(json.dumps({"N": 32, "samples": [[0, 0]]}))
     with pytest.raises(ContractError):
         sc.load_curve(path)
+    path.write_text(json.dumps({"N": 32, "d": 2, "samples": [[0, 0]]}))
+    with pytest.raises(ContractError, match="samples shape disagrees"):
+        sc.load_curve(path)
+    for text in ("", "x,y\n1,0\n"):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(text)
+        with pytest.raises(ContractError, match="must start with header theta"):
+            sc.load_curve(csv_path)
 
 
 @pytest.mark.parametrize("key, value", [("N", 64.7), ("d", 2.5), ("N", "64"), ("d", True)])
@@ -432,6 +453,9 @@ def test_derivative_axis_mismatch_raises():
 
 def test_tangent_field_rejects_non_finite():
     grid = sc.Grid(32)
+    for bad in (np.ones(32), np.ones((16, 2))):
+        with pytest.raises(ContractError, match="^(tangent field values must|field has 16 samples)"):
+            sc.TangentField(grid, bad)
     for bad in (np.nan, np.inf):
         values = np.ones((32, 2))
         values[3, 1] = bad

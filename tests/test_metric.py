@@ -215,6 +215,10 @@ def test_tabulated_contracts():
         Tabulated((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))  # too few knots
     with pytest.raises(ContractError):
         Tabulated((1.0, 2.0, 3.0, 4.0), (1.0, -2.0, 3.0, 4.0))
+    with pytest.raises(ContractError, match="positive and strictly increasing"):
+        Tabulated((1.0, 3.0, 2.0, 4.0), (1.0, 2.0, 3.0, 4.0))
+    with pytest.raises(ContractError, match="positive for tail fitting"):
+        Tabulated((1.0, 2.0, 3.0, 4.0), (1.0, 0.0, 3.0, 4.0))
 
 
 def test_tabulated_overflowing_cubics_rejected():
@@ -242,6 +246,10 @@ def test_metric_config_contracts():
     for b in (-1.0, math.nan):
         with pytest.raises(ContractError):
             Constant(b)
+    with pytest.raises(ContractError, match="unknown coefficient form for k=0"):
+        MetricConfig(2, {0: 1.0, 2: Constant(1.0)})
+    with pytest.raises(ContractError, match=r"need n\+1 = 3 coefficients"):
+        sc.scale_invariant_profile(2, [1.0, 0.0])
 
 
 def test_eval_metric_zero_field():
@@ -249,6 +257,10 @@ def test_eval_metric_zero_field():
     c = sc.make_circle(1.0, (0, 0), grid)
     z = sc.TangentField(grid, np.zeros((64, 2)))
     assert sc.eval_metric(cfg_const(), c, z, z) == 0.0
+    other = sc.TangentField(sc.Grid(32), np.zeros((32, 2)))
+    for h, g in ((z, other), (other, z)):
+        with pytest.raises(ContractError, match="different grids"):
+            sc.eval_metric(cfg_const(), c, h, g)
 
 
 def test_eval_metric_circle_oracle():

@@ -78,6 +78,8 @@ def test_curve_path_contracts():
     ragged["slices"][1]["samples"].pop()
     with pytest.raises(ContractError):
         path_from_dict(ragged)
+    with pytest.raises(ContractError, match="needs at least one interior slice"):
+        sc.gradient_check(CFG, sc.linear_path(c0, c1, 1))
 
 
 @pytest.mark.parametrize("gap_tol", [float("inf"), float("nan")])

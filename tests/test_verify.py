@@ -60,7 +60,8 @@ def test_one_faulty_item_of_a_batch_fails_its_check(monkeypatch, name, module, k
     assert not ok, detail
 
 
-def test_suite_kernel_calls_hold_at_most_one_block(monkeypatch):
+def test_suite_kernel_calls_hold_at_most_one_block(monkeypatch, clear_verify_cache):
+    clear_verify_cache()
     sizes = []
     form, jet = metric._form, verify._arc_jet
 
@@ -77,3 +78,49 @@ def test_suite_kernel_calls_hold_at_most_one_block(monkeypatch):
     assert run_suite(SEED)["all_ok"]
     assert len(sizes) > 0
     assert max(sizes) <= metric._BLOCK_POINTS
+
+
+SEED_FREE = {
+    "derivative_convergence_order": "_check_convergence_order",
+    "power_law_classifier_agreement": "_check_classifier_agreement",
+    "completeness_reports": "_check_completeness_reports",
+    "radial_consistency": "_check_radial_consistency",
+    "solver_monotone_energy": "_check_solver_monotone",
+    "counterexample_sequence": "_check_counterexample",
+}
+
+
+class NoDraws:
+    """A generator stand-in that fails on any use."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a seed-free check read rng.{name}")
+
+
+@pytest.mark.parametrize("name", SEED_FREE)
+def test_seed_free_checks_read_no_generator(name, clear_verify_cache):
+    clear_verify_cache()
+    ok, detail = dict(CHECKS)[name](NoDraws())
+    assert ok, detail
+
+
+def test_second_suite_reuses_the_seed_free_rows(clear_verify_cache):
+    clear_verify_cache()
+    first = run_suite(SEED)
+    bodies = [getattr(verify, fn) for fn in SEED_FREE.values()]
+    assert [body.cache_info().misses for body in bodies] == [1] * len(SEED_FREE)
+    second = run_suite(SEED + 1)
+    assert [body.cache_info().misses for body in bodies] == [1] * len(SEED_FREE)
+    rows = [{r["name"]: r for r in suite["results"]} for suite in (first, second)]
+    assert all(rows[0][name] == rows[1][name] for name in SEED_FREE)
+
+
+def test_a_check_that_raises_becomes_an_error_row(monkeypatch):
+    def broken(rng):
+        raise ValueError("no such input")
+
+    monkeypatch.setattr(verify, "CHECKS", [*CHECKS[:1], ("broken", broken)])
+    payload = run_suite(SEED)
+    assert payload["results"][1] == {"name": "broken", "ok": False,
+                                     "detail": "error: no such input"}
+    assert payload["results"][0]["ok"] and not payload["all_ok"]
