@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Grid, _jet, curve_length, derivative, make_bumpy_circle
+from .curves import Grid, _true_jet, curve_length, derivative, make_bumpy_circle
 from .errors import ContractError, NumericalError, _require_int
 from .metric import MetricConfig, PowerLaw
 from .paths import _segment_speeds, radial_path_length
@@ -324,6 +324,5 @@ def _leg_bounds(shape0: np.ndarray, shape1: np.ndarray, grid: Grid):
     t = _INTERIOR_T[:, None, None]
     h = shape1 - shape0
     dh = derivative(h, grid)  # D is linear: the slices' dc/dtheta is D shape0 + t D h
-    e, s, _, u = _jet(grid, derivative(shape0, grid) + t * dh, h, 2)
-    ds2 = np.ldexp(np.sqrt(np.sum(u[2] * u[2], axis=-1)), -2 * e[:, None])
-    return np.ldexp(np.min(s, axis=-1), e), float(np.max(ds2))
+    s, u = _true_jet(grid, None, h, 2, dc=derivative(shape0, grid) + t * dh)
+    return np.min(s, axis=-1), float(np.max(np.sqrt(np.sum(u[2] * u[2], axis=-1))))

@@ -3,7 +3,8 @@
 Curves are sampled at theta_j = 2*pi*j/N.  Differentiation uses periodic
 central finite differences of fourth order, integration the periodic
 trapezoid rule with uniform weights 2*pi/N.  Arc-length quantities are
-built from the pointwise speed |c'|.
+built from the pointwise speed |c'|.  `_jet` keeps any size in range with
+power-of-two units; `_true_jet` returns its results in the samples' units.
 """
 
 from __future__ import annotations
@@ -118,6 +119,22 @@ def _jet(grid: Grid, dc: np.ndarray, field=None, n: int = 0):
     return e, s, ell, u
 
 
+def _true_jet(grid: Grid, samples, field=None, n: int = 0, dc=None):
+    """`_jet`'s speeds |c'| and [field, D_s field, ..., D_s^n field], in the samples' units.
+
+    A caller holding dc = d samples/dtheta passes it (samples may then be
+    None).  Raises NumericalError where a result is not a finite float.
+    """
+    e, s, _, u = _jet(grid, derivative(samples, grid, axis=-2) if dc is None else dc, field, n)
+    with np.errstate(over="ignore"):
+        np.ldexp(s, e[..., None], out=s)
+        for k in range(1, n + 1):
+            np.ldexp(u[k], -k * e[..., None, None], out=u[k])
+    if not all(np.isfinite(x).all() for x in (s, *u[1:])):
+        raise NumericalError(f"a speed or D_s^k field, k <= {n}, is not a finite float")
+    return s, u
+
+
 def _per_point(f: np.ndarray, d: int) -> np.ndarray:
     """A (..., N) factor copied to (..., N, d): a same-shape multiply beats broadcasting it."""
     out = np.empty(f.shape + (d,))
@@ -145,8 +162,7 @@ class DiscreteCurve:
         if not np.all(np.isfinite(samples)):
             raise ContractError("curve samples must be finite")
         object.__setattr__(self, "samples", samples)
-        e, s, _, _ = _arc_jet(self.grid, samples)
-        object.__setattr__(self, "arc_speed", np.ldexp(s, e, out=s))
+        object.__setattr__(self, "arc_speed", _true_jet(self.grid, samples)[0])
 
     @property
     def dim(self) -> int:
@@ -176,10 +192,9 @@ class TangentField:
 def arc_derivative(c: DiscreteCurve, h: TangentField, k: int) -> TangentField:
     """k-fold arc-length derivative ((1/|c'|) d/dtheta)^k of h along c."""
     _require_int("k", k, 0)
-    if c.grid != h.grid:
-        raise ContractError("curve and tangent field live on different grids")
-    e, _, _, u = _arc_jet(c.grid, c.samples, h.values, k)
-    return TangentField(c.grid, np.ldexp(u[k], -k * e) if k else h.values)
+    if h.values.shape != c.samples.shape:  # one grid, one dimension
+        raise ContractError("curve and tangent field live on different grids or dimensions")
+    return TangentField(c.grid, _true_jet(c.grid, c.samples, h.values, k)[1][k])
 
 
 def integrate_ds(c: DiscreteCurve, f: np.ndarray) -> float:
@@ -209,6 +224,8 @@ def make_circle(r: float, center, grid: Grid, dim: int = 2) -> DiscreteCurve:
     samples[:, 0] = r * np.cos(theta)
     samples[:, 1] = r * np.sin(theta)
     center = np.asarray(center, dtype=float)
+    if center.shape != (dim,):
+        raise ContractError(f"center must have {dim} coordinates, got shape {center.shape}")
     return DiscreteCurve(grid, samples + center)
 
 

@@ -375,8 +375,8 @@ def eval_metric(
 
     Raises NumericalError if the value itself is not a finite float.
     """
-    if c.grid != h.grid or c.grid != g.grid:
-        raise ContractError("curve and tangent fields live on different grids")
+    if not c.samples.shape == h.values.shape == g.values.shape:  # one grid, one dimension
+        raise ContractError("curve and tangent fields live on different grids or dimensions")
     return float(_form(cfg, c.grid, c.samples, h.values, g.values)[0])
 
 

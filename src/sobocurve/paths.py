@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import (
-    DiscreteCurve, Grid, _arc_jet, _dot, _integral, _per_point, curve_to_dict, derivative,
+    DiscreteCurve, Grid, _arc_jet, _dot, _integral, _per_point, _true_jet, curve_to_dict, derivative,
 )
 from .completeness import _radial_integral
 from .errors import ContractError, ImmersionError, NumericalError, _require_int
@@ -494,13 +494,12 @@ def _minimize(cfg: MetricConfig, path: CurvePath, opts: SolverOptions) -> Geodes
     def stack(x_arr):
         return np.concatenate([ends[0], x_arr, ends[1]])
 
-    def eval_at(x_arr, jet=None):  # jet: (e, s) of x_arr from `_arc_jet`, if known
-        e_x, s_x = jet or _arc_jet(grid, x_arr)[:2]
-        if np.min(np.ldexp(np.min(s_x, axis=-1), e_x)) < speed_floor:
+    def eval_at(x_arr, s_x=None):  # s_x: the speeds of x_arr, if known
+        if np.min(_true_jet(grid, x_arr)[0] if s_x is None else s_x) < speed_floor:
             raise ImmersionError("interior slice below speed floor")
         return _stacked_energy_and_gradient(cfg, grid, stack(x_arr), dt, unit)
 
-    energy, grad, values = eval_at(x, (e[1:-1] - unit, s[1:-1]))
+    energy, grad, values = eval_at(x, speeds[1:-1])
     trace = [energy]
     # Limited-memory quasi-Newton direction (two-loop recursion) seeded
     # with the frozen-coefficient inverse Hessian, plus a monotone Armijo

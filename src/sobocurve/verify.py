@@ -6,7 +6,7 @@ pass/fail row per invariant.  Output is deterministic for a fixed seed.
 A check on many small curves first draws all its inputs, in the order
 the seed fixes (rejection loops of `random_curve` included), then
 evaluates them stacked: a few `_form` (`metric._form_blocks`) or
-`_arc_jet` calls of at most `metric._BLOCK_POINTS` field samples each,
+`_true_jet` calls of at most `metric._BLOCK_POINTS` field samples each,
 in place of one call per curve.  The kernels give each curve of a stack
 the bits of its own call, and each item is still compared on its own,
 so every row's detail is the one that per-curve calls would give.
@@ -43,7 +43,7 @@ from .counterexample import (
 from .curves import (
     DiscreteCurve,
     Grid,
-    _arc_jet,
+    _true_jet,
     curve_length,
     derivative,
     integrate_ds,
@@ -87,20 +87,6 @@ def _rotation(angle: float) -> np.ndarray:
     return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
 
 
-def _arc_stack(grid: Grid, samples: np.ndarray, fields=None, n: int = 0):
-    """Speeds |c'| and [D_s^k field for k = 1..n] per item of (B, N, d) stacks.
-
-    Bit for bit `DiscreteCurve(...).arc_speed` and `arc_derivative` per
-    item, from one `_arc_jet` call per `_blocks` slice of the items.
-    """
-    speeds, derivs = [], []
-    for b in _blocks(len(samples), grid.n_points):
-        e, s, _, u = _arc_jet(grid, samples[b], None if fields is None else fields[b], n)
-        speeds.append(np.ldexp(s, e[:, None]))
-        derivs.append([np.ldexp(u[k], -k * e[:, None, None]) for k in range(1, n + 1)])
-    return np.concatenate(speeds), [np.concatenate(dk) for dk in zip(*derivs)]
-
-
 def _check_exact_identities(rng):
     grid = Grid(128)
     curves, fields, rhos, shifts, rots = [], [], [], [], []
@@ -113,19 +99,19 @@ def _check_exact_identities(rng):
         shifts.append(rng.standard_normal(2))
         rots.append(_rotation(float(rng.uniform(0, 2 * np.pi))))
     c, h = np.array([ci.samples for ci in curves]), np.array(fields)
-    _, dc = _arc_stack(grid, c, h, 3)
-    _, dscaled = _arc_stack(grid, np.array(rhos)[:, None, None] * c, h, 3)
-    shifted, _ = _arc_stack(grid, c + np.array(shifts)[:, None])
+    _, dc = _true_jet(grid, c, h, 3)
+    _, dscaled = _true_jet(grid, np.array(rhos)[:, None, None] * c, h, 3)
+    shifted, _ = _true_jet(grid, c + np.array(shifts)[:, None])
     rc = np.array([ci @ rot.T for ci, rot in zip(c, rots)])
     rh = np.array([hi @ rot.T for hi, rot in zip(fields, rots)])
-    _, (_, drot) = _arc_stack(grid, rc, rh, 2)
+    drot = _true_jet(grid, rc, rh, 2)[1][2]
 
     def dev(lhs, rhs):
         return np.max(np.abs(lhs - rhs), axis=(1, 2)) / np.max(np.abs(rhs), axis=(1, 2))
 
-    scaling = [dev(dscaled[k - 1], np.array([r**-k for r in rhos])[:, None, None] * dc[k - 1])
+    scaling = [dev(dscaled[k], np.array([r**-k for r in rhos])[:, None, None] * dc[k])
                for k in (1, 2, 3)]
-    rotated = dev(drot, np.array([d2 @ rot.T for d2, rot in zip(dc[1], rots)]))
+    rotated = dev(drot, np.array([d2 @ rot.T for d2, rot in zip(dc[2], rots)]))
     worst = 0.0
     for i, ci in enumerate(curves):
         worst = max(worst, _rel(integrate_ds(ci, np.ones(grid.n_points)), curve_length(ci)))
@@ -165,9 +151,7 @@ def _check_poincare(rng):
     ell_sq = np.array([x**2 for x in ell.tolist()])
     ok = True
     for b in _blocks(len(samples), grid.n_points):
-        e, s, _, u = _arc_jet(grid, samples[b], h[b], 4)
-        s = np.ldexp(s, e[:, None])
-        u = [np.ldexp(uk, -k * e[:, None, None]) for k, uk in enumerate(u)]
+        s, u = _true_jet(grid, samples[b], h[b], 4)
         l2 = [_q_form(grid.spacing, uk, uk, s) for uk in u]  # |D_s^k h|^2_L2(ds)
         sup1 = np.max(np.sum(u[1] ** 2, axis=-1), axis=-1)
         ok = ok and (sup1 <= (ell[b] / 4.0) * l2[2] * slack).all()
@@ -333,7 +317,7 @@ def _check_w_length_bound(rng):
     res = geodesic_bvp(cfg, c0, c1, SolverOptions(max_iters=40, gap_tol=3e-9, T=16))
     # The legs c_m -> c_{m+1} as one-interval paths, and each slice's length.
     legs = _speeds(_form(cfg, grid, *_midpoints(res.path.samples, 1.0))[0]).tolist()
-    lengths = [grid.spacing * float(np.sum(s)) for s in _arc_stack(grid, res.path.samples)[0]]
+    lengths = [grid.spacing * float(np.sum(s)) for s in _true_jet(grid, res.path.samples)[0]]
     w0 = w_eval(cfg, lengths[0])
     acc = 0.0
     ok = True

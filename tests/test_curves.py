@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sobocurve as sc
 from sobocurve.curves import TWO_PI, _arc_jet, _dot
-from sobocurve.errors import ContractError, ImmersionError
+from sobocurve.errors import ContractError, ImmersionError, NumericalError
 from sobocurve.paths import path_to_dict
 from sobocurve.sampling import random_curve, random_field
 
@@ -184,6 +184,56 @@ def test_arc_derivative_k0_identity_and_errors():
     h_other = sc.TangentField(sc.Grid(64), np.ones((64, 2)))
     with pytest.raises(ContractError):
         sc.arc_derivative(c, h_other, 1)
+    # A field in another dimension than its curve's: d = 3 along d = 2, and the other way round.
+    space = sc.make_circle(1.0, (0, 0, 0), grid, dim=3)
+    h3 = sc.TangentField(grid, np.ones((32, 3)))
+    for curve, field in ((c, h3), (space, h)):
+        for k in (0, 2):
+            with pytest.raises(ContractError, match="different grids or dimensions"):
+                sc.arc_derivative(curve, field, k)
+    assert sc.arc_derivative(space, h3, 1).values.shape == (32, 3)
+
+
+def test_arc_derivative_overflow_is_a_numerical_error():
+    # Along a circle of radius 2^-400, D_s^k of a unit-size field is of size
+    # 2^(400 k): a float for k = 2, none for k = 3.  The input is valid, so
+    # the failure is the result's, with no overflow warning on the way.
+    grid = sc.Grid(64)
+    h = sc.TangentField(grid, sc.make_circle(1.0, (0, 0), grid).samples)
+    tiny = sc.make_circle(2.0**-400, (0, 0), grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        second = sc.arc_derivative(tiny, h, 2).values
+        with pytest.raises(NumericalError, match="not a finite float"):
+            sc.arc_derivative(tiny, h, 3)
+    unit = sc.arc_derivative(sc.make_circle(1.0, (0, 0), grid), h, 2).values
+    assert np.array_equal(second, np.ldexp(unit, 800))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.sampled_from([64, 128, 512]),
+    j=st.integers(-600, 600),
+)
+def test_property_jet_units_exact_at_power_of_two_scales(seed, n_points, j):
+    # Scaling a curve by 2^j scales |c'| by 2^j and D_s^k by 2^(-k j), and
+    # both are exact in floating point: bit for bit wherever the scaled
+    # value is a normal float.  Where it is not a float, that is a NumericalError.
+    grid = sc.Grid(n_points)
+    rng = np.random.default_rng(seed)
+    c, h = random_curve(grid, rng), random_field(grid, rng)
+    scaled = sc.DiscreteCurve(grid, np.ldexp(c.samples, j))
+    assert np.array_equal(scaled.arc_speed, np.ldexp(c.arc_speed, j))
+    for k in range(1, 5):
+        with np.errstate(over="ignore"):
+            expect = np.ldexp(sc.arc_derivative(c, h, k).values, -k * j)
+        if not np.isfinite(expect).all():
+            with pytest.raises(NumericalError, match="not a finite float"):
+                sc.arc_derivative(scaled, h, k)
+            continue
+        normal = np.abs(expect) >= np.finfo(float).tiny
+        assert np.array_equal(sc.arc_derivative(scaled, h, k).values[normal], expect[normal])
 
 
 def test_arc_derivative_scaling_law():
@@ -293,6 +343,9 @@ def test_make_bumpy_circle_contracts():
     for r in (0.0, -1.0):
         with pytest.raises(ContractError, match="^radius must be positive"):
             sc.make_circle(r, (0, 0), grid)
+    for center, dim in (((0, 0, 0), 2), ((0, 0), 3), (0.0, 2)):
+        with pytest.raises(ContractError, match=f"^center must have {dim} coordinates"):
+            sc.make_circle(1.0, center, grid, dim=dim)
     for lam in (True, 4.0, 2.5, 0):
         with pytest.raises(ContractError, match="^bump frequency must be an integer"):
             sc.make_bumpy_circle(1.0, 0.25, lam, grid)

@@ -261,6 +261,13 @@ def test_eval_metric_zero_field():
     for h, g in ((z, other), (other, z)):
         with pytest.raises(ContractError, match="different grids"):
             sc.eval_metric(cfg_const(), c, h, g)
+    # Fields in another dimension than the curve's, or than each other.
+    z3 = sc.TangentField(grid, np.zeros((64, 3)))
+    space = sc.make_circle(1.0, (0, 0, 0), grid, dim=3)
+    for curve, h, g in ((c, z3, z3), (c, z, z3), (c, z3, z), (space, z3, z), (space, z, z)):
+        with pytest.raises(ContractError, match="different grids or dimensions"):
+            sc.eval_metric(cfg_const(), curve, h, g)
+    assert sc.eval_metric(cfg_const(), space, z3, z3) == 0.0
 
 
 def test_eval_metric_circle_oracle():

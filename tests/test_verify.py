@@ -6,8 +6,12 @@ aggregate: a fault in one item of a batch must fail its check.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sobocurve as sc
 from sobocurve import metric, verify
+from sobocurve.sampling import random_curve, random_field
 from sobocurve.verify import CHECKS, run_suite
 
 SEED = 4
@@ -24,15 +28,15 @@ def perturbed(kernel, target):
         i, seen = target - seen, seen + len(out[0])
         if not 0 <= i < len(out[0]):
             return out
-        if len(out) == 2:  # `_form`'s (values, pieces): G per item
+        if kernel.__name__ == "_form":  # (values, pieces): G per item
             values = out[0].copy()
             values[i] *= 1.0 + RELATIVE
             return values, out[1]
-        e, s, ell, u = out  # `_arc_jet`: the speed and D_s^k h, k >= 1, per item
+        s, u = out  # `_true_jet`: the speed and D_s^k h, k >= 1, per item
         s, u = s.copy(), [uk.copy() for uk in u]
         for a in (s, *u[1:]):
             a[i] *= 1.0 + RELATIVE
-        return e, s, ell, u
+        return s, u
 
     return call
 
@@ -48,10 +52,10 @@ def test_checks_pass_unperturbed():
     [
         ("metric_algebra", metric, "_form", 7 * 7 + 3),  # G(g, h) of draw 7, mid-block
         ("metric_algebra", metric, "_form", 140 + 2 * 12),  # G(rho h, rho h) of draw 12 under si
-        ("exact_discrete_identities", verify, "_arc_jet", 7),  # D_s^k h on curve 7
-        ("exact_discrete_identities", verify, "_arc_jet", 20 + 11),  # on curve 11 scaled
-        ("exact_discrete_identities", verify, "_arc_jet", 40 + 19),  # speed of shifted curve 19
-        ("exact_discrete_identities", verify, "_arc_jet", 60 + 5),  # D_s^2 h on rotated curve 5
+        ("exact_discrete_identities", verify, "_true_jet", 7),  # D_s^k h on curve 7
+        ("exact_discrete_identities", verify, "_true_jet", 20 + 11),  # on curve 11 scaled
+        ("exact_discrete_identities", verify, "_true_jet", 40 + 19),  # speed of shifted curve 19
+        ("exact_discrete_identities", verify, "_true_jet", 60 + 5),  # D_s^2 h on rotated curve 5
     ],
 )
 def test_one_faulty_item_of_a_batch_fails_its_check(monkeypatch, name, module, kernel, target):
@@ -63,7 +67,7 @@ def test_one_faulty_item_of_a_batch_fails_its_check(monkeypatch, name, module, k
 def test_suite_kernel_calls_hold_at_most_one_block(monkeypatch, clear_verify_cache):
     clear_verify_cache()
     sizes = []
-    form, jet = metric._form, verify._arc_jet
+    form, jet = metric._form, verify._true_jet
 
     def recording_form(cfg, grid, samples, h, g=None, *args, **kwargs):
         sizes.append(h[..., 0].size * (1 if g is None else 2))
@@ -74,7 +78,7 @@ def test_suite_kernel_calls_hold_at_most_one_block(monkeypatch, clear_verify_cac
         return jet(grid, samples, *args)
 
     monkeypatch.setattr(metric, "_form", recording_form)
-    monkeypatch.setattr(verify, "_arc_jet", recording_jet)
+    monkeypatch.setattr(verify, "_true_jet", recording_jet)
     assert run_suite(SEED)["all_ok"]
     assert len(sizes) > 0
     assert max(sizes) <= metric._BLOCK_POINTS
@@ -124,3 +128,22 @@ def test_a_check_that_raises_becomes_an_error_row(monkeypatch):
     assert payload["results"][1] == {"name": "broken", "ok": False,
                                      "detail": "error: no such input"}
     assert payload["results"][0]["ok"] and not payload["all_ok"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_points=st.sampled_from([64, 128, 512]))
+def test_property_poincare_inequalities_off_the_suite_grid(seed, n_points):
+    # The three inequalities of `poincare_inequalities`, with its slack,
+    # through the public kernels and at grids other than its N = 512.
+    grid = sc.Grid(n_points)
+    rng = np.random.default_rng(seed)
+    c, h = random_curve(grid, rng), random_field(grid, rng)
+    slack = 1.0 + 1e-3
+    ell = sc.curve_length(c)
+    u = [sc.arc_derivative(c, h, k).values for k in range(5)]
+    l2 = [sc.integrate_ds(c, np.sum(uk**2, axis=1)) for uk in u]  # |D_s^k h|^2_L2(ds)
+    assert np.max(np.sum(u[1] ** 2, axis=1)) <= (ell / 4.0) * l2[2] * slack
+    assert l2[1] <= (ell**2 / 4.0) * l2[2] * slack
+    for n_ord in range(2, 5):
+        for k in range(n_ord + 1):
+            assert l2[k] <= (l2[0] + l2[n_ord]) * slack
